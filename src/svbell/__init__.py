@@ -12,13 +12,13 @@ from .chain import (
 from .errors import CapExceededError, EnumerationBudgetError, PhotonNumberRangeError
 from .loss import binomial_thin, thinning_matrix
 from .lhv import empirical_distance, lhv_minimum, polygon_check
-from .numerics import MAX_PHOTON_NUMBER, SignedLogReal, log_binomial, log_factorial, signed_log_sum
 from .oracle import build_singlet, mc_thin, oracle_joint_distribution, rotated_projection_amplitude
 from .singlet import (
+    MAX_PHOTON_NUMBER,
     JointCountDistribution,
     joint_distribution,
     mean_abs_difference,
-    singlet_amplitude,
+    singlet_amplitudes,
 )
 from .sv import (
     SVSpec,
@@ -41,7 +41,6 @@ __all__ = [
     "JointCountDistribution",
     "MAX_PHOTON_NUMBER",
     "PhotonNumberRangeError",
-    "SignedLogReal",
     "SVSpec",
     "asymptotic_bell_fixed_N",
     "bell_fixed_N",
@@ -54,8 +53,6 @@ __all__ = [
     "joint_distribution",
     "lambda_sq",
     "lhv_minimum",
-    "log_binomial",
-    "log_factorial",
     "make_chain",
     "mc_thin",
     "mean_abs_difference",
@@ -65,8 +62,7 @@ __all__ = [
     "polygon_check",
     "rhs_sv_asymptotic",
     "rotated_projection_amplitude",
-    "signed_log_sum",
-    "singlet_amplitude",
+    "singlet_amplitudes",
     "sv_mixture",
     "thinning_matrix",
     "truncated_mass",

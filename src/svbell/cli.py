@@ -23,9 +23,8 @@ from .chain import bell_fixed_N, bell_sv, make_chain
 from .errors import CapExceededError
 from .lhv import lhv_minimum, polygon_check_batch
 from .loss import binomial_thin
-from .numerics import MAX_PHOTON_NUMBER
 from .oracle import MAX_ORACLE_PHOTON_NUMBER, mc_thin, oracle_joint_distribution
-from .singlet import joint_distribution
+from .singlet import MAX_PHOTON_NUMBER, joint_distribution
 from .sv import SVSpec, sv_mixture, truncated_mass
 
 _HALF_PI = 0.5 * math.pi

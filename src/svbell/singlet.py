@@ -6,15 +6,23 @@ perfectly anticorrelated polarizations::
     |psi_N> = (N+1)^(-1/2) * sum_n (-1)^n |n_H, (N-n)_V>_a |(N-n)_H, n_V>_b
 
 Alice counts ``n`` photons in her H output; Bob counts ``m`` photons in his
-V+theta output, where theta is the relative polarizer angle.  Expanding the
-rotated mode operators gives a finite alternating sum for the amplitude::
+V+theta output, where theta is the relative polarizer angle.  Under the
+Schwinger map the amplitude is an entry of the polarization rotation
+restricted to N photons::
 
-    (-1)^n sqrt(xi) sum_q C(N-m, N-n-q) C(m, q) (-1)^q sin(t)^K cos(t)^(N-K)
+    A_N(n, m | theta) = (-1)^m D_N(theta)[n, m] / sqrt(N+1)
+    p(n, m | theta)   = D_N(theta)[n, m]^2 / (N+1)
 
-with K = 2q + n - m, q running from max(0, m-n) to min(N-n, m), and the
-prefactor xi = (N-n)! n! / ((N+1) (N-m)! m!).  Powers of cos and sin are
-kept separate (no tan factorization), so both endpoints are exact: at
-theta = 0 the table is strictly diagonal (m = n) and at theta = pi/2 it is
+``D_N[i, k] = <i| U |k>``, where ``|k>`` holds k photons in mode a and N-k
+in mode b, and U maps a+ -> c a+ + s b+ and b+ -> -s a+ + c b+ with
+c = cos(theta), s = sin(theta).  D_N is built from D_0 = [[1]] one photon at
+a time: each column of D_{n+1} applies U to one more creation operator on a
+column of D_n, i.e. it is a weighted sum of that column and its copy shifted
+down one row.  Each column adds its photon to the more occupied mode, which
+keeps every division by sqrt(occupation) well conditioned: no alternating
+sum cancels, and the mass stays within about 1e-14 of 1 up to N = 60.
+Every off-diagonal contribution carries an explicit factor of c or s, so at
+theta = 0 the table is strictly diagonal (m = n) and at theta = pi/2
 strictly anti-diagonal (m = N - n), each nonzero entry equal to 1/(N+1).
 """
 
@@ -27,14 +35,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PhotonNumberRangeError
-from .numerics import (
-    MAX_PHOTON_NUMBER,
-    SignedLogReal,
-    log_binomial,
-    log_factorial,
-    log_pow,
-    signed_log_sum,
-)
+
+# Largest photon number per beam the count tables support; callers reject
+# larger values instead of silently extrapolating.
+MAX_PHOTON_NUMBER = 60
 
 _HALF_PI = 0.5 * math.pi
 
@@ -46,7 +50,7 @@ class JointCountDistribution:
     ``probs[n, m]`` is the probability that Alice registers n photons and
     Bob m photons; ``mass`` is the declared total (1 up to rounding for
     lossless fixed-N tables, the truncated weight sum for mixtures).  Treat
-    ``probs`` as read-only.
+    ``probs`` as read-only (fixed-N tables are shared and frozen).
     """
 
     probs: np.ndarray
@@ -84,57 +88,47 @@ def _cos_sin(theta: float) -> tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
-def singlet_amplitude(N: int, n: int, m: int, theta: float) -> SignedLogReal:
-    """Amplitude for Alice counting n (H output) and Bob m (V+theta output).
+def _rotation(N: int, theta: float) -> np.ndarray:
+    """D_N(theta), grown from D_0 = [[1]] one photon at a time."""
+    c, s = _cos_sin(theta)
+    d = np.ones((1, 1))
+    for n in range(N):
+        # root[i] = sqrt(i) is the a+ factor on row i, root[n+1-i] the b+
+        # factor; rows outside D_n contribute 0.
+        root = np.sqrt(np.arange(n + 2.0))
+        zeros = np.zeros((1, n + 1))
+        up = root[:, None] * np.vstack([zeros, d])  # sqrt(i) D_n[i-1, k]
+        down = root[::-1, None] * np.vstack([d, zeros])  # sqrt(n+1-i) D_n[i, k]
+        # Columns k < half gain a b photon (norm sqrt(n+1-k)), the rest an
+        # a photon on column k-1 (norm sqrt(k)).
+        half = (n + 2) // 2
+        via_b = (c * down[:, :half] - s * up[:, :half]) / root[::-1][:half]
+        via_a = (c * up[:, half - 1 :] + s * down[:, half - 1 :]) / root[half:]
+        d = np.hstack([via_b, via_a])
+    return d
+
+
+def singlet_amplitudes(N: int, theta: float) -> np.ndarray:
+    """Signed amplitude table for Alice counting n (H) and Bob m (V+theta).
 
     Parameters
     ----------
     N : photons per beam, 0 <= N <= 60.
-    n, m : counts in [0, N] for Alice and Bob respectively.
     theta : relative polarizer angle in [0, pi/2].
 
-    Returns the signed log-domain amplitude; entries off the supported
-    correlation pattern come back as exact zeros.
+    Returns the (N+1) x (N+1) array ``(-1)^m D_N(theta)[n, m] / sqrt(N+1)``;
+    entries off the supported correlation pattern are exact zeros.
     """
     _check_photon_number(N)
     _check_angle(theta)
-    if not (0 <= n <= N and 0 <= m <= N):
-        raise ValueError(f"counts must lie in [0, {N}], got n={n}, m={m}")
-
-    cos_t, sin_t = _cos_sin(theta)
-    q_lo = max(0, m - n)
-    q_hi = min(N - n, m)
-    terms = []
-    for q in range(q_lo, q_hi + 1):
-        k = 2 * q + n - m
-        log_mag = (
-            log_binomial(N - m, N - n - q)
-            + log_binomial(m, q)
-            + log_pow(sin_t, k)
-            + log_pow(cos_t, N - k)
-        )
-        terms.append(SignedLogReal(-1 if q % 2 else 1, log_mag))
-    total = signed_log_sum(terms)
-    if total.is_zero:
-        return total
-
-    log_xi_half = 0.5 * (
-        log_factorial(N - n)
-        + log_factorial(n)
-        - math.log(N + 1)
-        - log_factorial(N - m)
-        - log_factorial(m)
-    )
-    sign = -total.sign if n % 2 else total.sign
-    return SignedLogReal(sign, total.log_magnitude + log_xi_half)
+    signs = (-1.0) ** np.arange(N + 1)
+    return _rotation(N, theta) * signs / math.sqrt(N + 1)
 
 
 @lru_cache(maxsize=512)
 def _joint_probs(N: int, theta: float) -> np.ndarray:
-    probs = np.zeros((N + 1, N + 1))
-    for n in range(N + 1):
-        for m in range(N + 1):
-            probs[n, m] = singlet_amplitude(N, n, m, theta).squared_value()
+    probs = _rotation(N, theta) ** 2 / (N + 1)
+    probs.setflags(write=False)
     return probs
 
 

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import CapExceededError
 from .loss import binomial_thin, check_efficiency
-from .numerics import MAX_PHOTON_NUMBER
-from .singlet import JointCountDistribution, joint_distribution
+from .singlet import MAX_PHOTON_NUMBER, JointCountDistribution, joint_distribution
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,8 @@ class SVSpec:
     n_max_cap: int = MAX_PHOTON_NUMBER
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0.0:
-            raise ValueError(f"gain must be positive, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValueError(f"gain must be positive and finite, got {self.gamma}")
         if not 0.0 < self.mass_threshold <= 1.0:
             raise ValueError(
                 f"mass threshold must lie in (0, 1], got {self.mass_threshold}"
@@ -51,8 +50,8 @@ def lambda_sq(N: int, gamma: float) -> float:
     """Weight of the 2N-photon singlet in the squeezed vacuum."""
     if N < 0:
         raise ValueError(f"photon number per beam must be nonnegative, got {N}")
-    if gamma <= 0.0:
-        raise ValueError(f"gain must be positive, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gain must be positive and finite, got {gamma}")
     return (N + 1) * math.tanh(gamma) ** (2 * N) / math.cosh(gamma) ** 4
 
 

@@ -89,6 +89,8 @@ def test_dist_cap_exceeded_exit_code(capsys):
         ["sweep-settings", "--N", "1", "--L-range", "1:5"],
         ["sweep-settings", "--N", "1", "--L-range", "5"],
         ["verify", "--oracle-max-N", "12"],
+        ["sweep-settings", "--gamma", "nan", "--L-range", "2:60"],  # non-finite gain
+        ["sweep-settings", "--gamma", "inf", "--L-range", "2:60"],
     ],
 )
 def test_invalid_arguments_exit_2(argv, capsys):

@@ -14,7 +14,7 @@ from svbell.oracle import (
     oracle_joint_distribution,
     rotated_projection_amplitude,
 )
-from svbell.singlet import JointCountDistribution, joint_distribution, singlet_amplitude
+from svbell.singlet import JointCountDistribution, joint_distribution, singlet_amplitudes
 
 ANGLE_GRID = [0.0, math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
 
@@ -92,11 +92,12 @@ def test_joint_statistics_depend_only_on_relative_angle(N, theta_a, theta_b):
 def test_amplitude_level_agreement():
     # Not just probabilities: signs of the two independent paths agree too.
     for N in range(5):
+        closed = singlet_amplitudes(N, 0.37)
         for n in range(N + 1):
             for m in range(N + 1):
-                closed = singlet_amplitude(N, n, m, 0.37).value()
                 brute = rotated_projection_amplitude(build_singlet(N), N, n, m, 0.37)
-                assert closed == pytest.approx(brute, abs=1e-12)
+                assert closed[n, m] == pytest.approx(brute, abs=1e-12)
+                assert np.sign(closed[n, m]) == np.sign(brute)
 
 
 def _delta_distribution(n, m, size):

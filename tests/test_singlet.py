@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svbell.errors import PhotonNumberRangeError
 from svbell.oracle import oracle_joint_distribution
 from svbell.singlet import (
+    MAX_PHOTON_NUMBER,
     joint_distribution,
     mean_abs_difference,
-    singlet_amplitude,
+    singlet_amplitudes,
 )
 
 HALF_PI = 0.5 * math.pi
@@ -18,41 +21,46 @@ HALF_PI = 0.5 * math.pi
 
 def test_two_photon_amplitudes_closed_form():
     theta = 0.37
-    amp = singlet_amplitude(1, 0, 0, theta)
-    assert amp.sign == 1
-    assert amp.value() == pytest.approx(math.cos(theta) / math.sqrt(2), rel=1e-14)
-    assert singlet_amplitude(1, 0, 0, theta).squared_value() == pytest.approx(
-        math.cos(theta) ** 2 / 2, rel=1e-13
-    )
+    amp = singlet_amplitudes(1, theta)[0, 0]
+    assert amp > 0.0
+    assert amp == pytest.approx(math.cos(theta) / math.sqrt(2), rel=1e-14)
+    assert amp**2 == pytest.approx(math.cos(theta) ** 2 / 2, rel=1e-13)
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 10, 30, 60])
 def test_diagonal_amplitude_at_zero_angle(N):
+    amps = singlet_amplitudes(N, 0.0)
     for n in [0, N // 2, N]:
-        assert singlet_amplitude(N, n, n, 0.0).squared_value() == pytest.approx(
-            1.0 / (N + 1), rel=1e-12
-        )
+        assert amps[n, n] ** 2 == pytest.approx(1.0 / (N + 1), rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 10, 30, 60])
 def test_antidiagonal_amplitude_at_right_angle(N):
+    amps = singlet_amplitudes(N, HALF_PI)
     for n in [0, N // 2, N]:
-        assert singlet_amplitude(N, n, N - n, HALF_PI).squared_value() == pytest.approx(
-            1.0 / (N + 1), rel=1e-12
-        )
+        assert amps[n, N - n] ** 2 == pytest.approx(1.0 / (N + 1), rel=1e-12)
 
 
 def test_range_and_argument_errors():
     with pytest.raises(PhotonNumberRangeError):
-        singlet_amplitude(61, 0, 0, 0.1)
+        singlet_amplitudes(61, 0.1)
     with pytest.raises(PhotonNumberRangeError):
         joint_distribution(61, 0.1)
     with pytest.raises(ValueError):
-        singlet_amplitude(2, 3, 0, 0.1)
+        singlet_amplitudes(-1, 0.1)
+    with pytest.raises(ValueError):
+        singlet_amplitudes(2, HALF_PI + 1e-6)
     with pytest.raises(ValueError):
         joint_distribution(2, -0.1)
     with pytest.raises(ValueError):
         joint_distribution(2, HALF_PI + 1e-6)
+
+
+def test_cached_tables_are_frozen():
+    dist = joint_distribution(2, 0.3)
+    with pytest.raises(ValueError):
+        dist.probs[0, 0] = 5.0
+    assert abs(joint_distribution(2, 0.3).mass - 1.0) <= 1e-12
 
 
 def test_two_photon_table_at_pi_over_4():
@@ -85,14 +93,14 @@ def test_four_photon_table_closed_form():
     assert np.max(np.abs(dist.probs - oracle_joint_distribution(2, theta))) <= 1e-10
 
 
-@pytest.mark.parametrize("N", range(21))
+@pytest.mark.parametrize("N", range(MAX_PHOTON_NUMBER + 1))
 def test_normalization_over_random_angles(N):
     rng = np.random.default_rng(1000 + N)
     for theta in rng.uniform(0.0, HALF_PI, size=50):
         assert abs(joint_distribution(N, float(theta)).mass - 1.0) <= 1e-9
 
 
-@pytest.mark.parametrize("N", [1, 4, 9, 15])
+@pytest.mark.parametrize("N", [1, 4, 9, 15, 30, 60])
 def test_support_is_exact_at_both_endpoints(N):
     at_zero = joint_distribution(N, 0.0).probs
     assert np.all(at_zero[~np.eye(N + 1, dtype=bool)] == 0.0)
@@ -100,6 +108,20 @@ def test_support_is_exact_at_both_endpoints(N):
     anti = np.fliplr(np.eye(N + 1, dtype=bool))
     assert np.all(at_right_angle[~anti] == 0.0)
     assert at_right_angle[anti] == pytest.approx(np.full(N + 1, 1.0 / (N + 1)), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    N=st.integers(0, MAX_PHOTON_NUMBER),
+    theta=st.floats(0.0, HALF_PI, allow_nan=False),
+)
+def test_table_has_uniform_marginals_and_exchange_symmetry(N, theta):
+    probs = joint_distribution(N, theta).probs
+    uniform = np.full(N + 1, 1.0 / (N + 1))
+    assert np.max(np.abs(probs.sum(axis=0) - uniform)) <= 1e-12
+    assert np.max(np.abs(probs.sum(axis=1) - uniform)) <= 1e-12
+    assert np.max(np.abs(probs - probs.T)) <= 1e-12
+    assert abs(probs.sum() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("N", [2, 5, 9, 12])
