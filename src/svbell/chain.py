@@ -21,7 +21,7 @@ from typing import Optional
 
 from .loss import binomial_thin, check_efficiency
 from .singlet import joint_distribution, mean_abs_difference
-from .sv import SVSpec, lambda_sq, n_max_for
+from .sv import SVSpec, _check_gain, lambda_sq, n_max_for
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,7 @@ def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
     Components run up to the truncation point of ``spec``; the per-N
     contributions (weight times component Bell value) are retained.
     """
+    check_efficiency(eta)
     n_max = n_max_for(spec)
     lhs = 0.0
     rhs = 0.0
@@ -124,6 +125,5 @@ def rhs_sv_asymptotic(gamma: float) -> float:
     sinh(2 gamma)^3 / sinh(4 gamma); the Bell parameter approaches its
     negative since the LHS vanishes.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gain must be positive, got {gamma}")
+    _check_gain(gamma)
     return math.sinh(2.0 * gamma) ** 3 / math.sinh(4.0 * gamma)

@@ -7,13 +7,16 @@ count table p(n, m) therefore maps to
     P(x, y) = sum_{n>=x} sum_{m>=y} C(n,x) C(m,y) eta^(x+y)
               (1-eta)^(n+m-x-y) p(n, m),
 
-i.e. independent binomial thinning of each observer's total count.
+i.e. independent binomial thinning of each observer's total count.  The
+binomial table is built by Pascal's rule, one photon at a time: the n-th
+photon is lost with probability 1 - eta or detected with probability eta.
+Every entry is a convex combination of nonnegative numbers, so nothing
+cancels; eta = 1 gives the identity and eta = 0 a row of ones, both exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .singlet import JointCountDistribution
 
@@ -26,8 +29,12 @@ def check_efficiency(eta: float) -> None:
 def thinning_matrix(max_count: int, eta: float) -> np.ndarray:
     """T[x, n] = P(detect x | n present) = Binomial(n, eta) pmf at x."""
     check_efficiency(eta)
-    counts = np.arange(max_count + 1)
-    return stats.binom.pmf(counts[:, None], counts[None, :], eta)
+    t = np.zeros((max_count + 1, max_count + 1))
+    t[0, 0] = 1.0
+    for n in range(1, max_count + 1):
+        t[:, n] = (1.0 - eta) * t[:, n - 1]
+        t[1:, n] += eta * t[:-1, n - 1]
+    return t
 
 
 def binomial_thin(dist: JointCountDistribution, eta: float) -> JointCountDistribution:

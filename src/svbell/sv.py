@@ -24,6 +24,11 @@ from .loss import binomial_thin, check_efficiency
 from .singlet import MAX_PHOTON_NUMBER, JointCountDistribution, joint_distribution
 
 
+def _check_gain(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gain must be positive and finite, got {gamma}")
+
+
 @dataclass(frozen=True)
 class SVSpec:
     """Gain and truncation policy for the squeezed-vacuum state."""
@@ -33,8 +38,7 @@ class SVSpec:
     n_max_cap: int = MAX_PHOTON_NUMBER
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gain must be positive and finite, got {self.gamma}")
+        _check_gain(self.gamma)
         if not 0.0 < self.mass_threshold <= 1.0:
             raise ValueError(
                 f"mass threshold must lie in (0, 1], got {self.mass_threshold}"
@@ -50,8 +54,7 @@ def lambda_sq(N: int, gamma: float) -> float:
     """Weight of the 2N-photon singlet in the squeezed vacuum."""
     if N < 0:
         raise ValueError(f"photon number per beam must be nonnegative, got {N}")
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gain must be positive and finite, got {gamma}")
+    _check_gain(gamma)
     return (N + 1) * math.tanh(gamma) ** (2 * N) / math.cosh(gamma) ** 4
 
 
@@ -113,8 +116,7 @@ def intensity_correlation(theta_a: float, theta_b: float, gamma: float) -> float
     the angle-independent sinh^4 pedestal grows faster than the modulated
     term, so the visibility degrades with gain.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gain must be positive, got {gamma}")
+    _check_gain(gamma)
     sinh_sq = math.sinh(gamma) ** 2
     cosh_sq = math.cosh(gamma) ** 2
     return sinh_sq * cosh_sq * math.cos(theta_a - theta_b) ** 2 + sinh_sq**2

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from svbell.cli import main
+import svbell.cli
+from svbell.cli import main, run_verification
+from svbell.oracle import mc_thin
 
 
 def run_cli(argv, capsys):
@@ -91,6 +97,11 @@ def test_dist_cap_exceeded_exit_code(capsys):
         ["verify", "--oracle-max-N", "12"],
         ["sweep-settings", "--gamma", "nan", "--L-range", "2:60"],  # non-finite gain
         ["sweep-settings", "--gamma", "inf", "--L-range", "2:60"],
+        ["heatmap", "--L", "2", "--gamma-range", "0:0.2:0.1", "--eta-range", "0.9:1:0.1"],
+        ["heatmap", "--L", "2", "--gamma-range", "0.1:0.2:0.1", "--eta-range", "0.5:1.5:0.5"],
+        ["dist", "--gamma", "0.5", "--mass", "0", "--theta", "0.1"],
+        ["dist", "--gamma", "0.5", "--cap", "61", "--theta", "0.1"],
+        ["sweep-eta", "--N", "1", "--L", "1", "--eta-range", "0.5:1:0.1"],
     ],
 )
 def test_invalid_arguments_exit_2(argv, capsys):
@@ -188,6 +199,31 @@ def test_verify_passes_and_is_deterministic(capsys):
     code, second, _ = run_cli(["verify", "--seed", "42", "--mc-samples", "50000"], capsys)
     assert code == 0
     assert first == second
+
+
+@pytest.mark.parametrize("seed", [9, 20])
+def test_verify_passes_on_seeds_that_tripped_the_per_cell_threshold(seed):
+    # Max |z| over both 4 x 4 tables exceeded 3 at these seeds.
+    assert run_verification(seed=seed)["passed"]
+
+
+@pytest.mark.parametrize("seed", [0, 9, 20])
+def test_verify_rejects_a_wrong_loss_channel(seed, monkeypatch):
+    monkeypatch.setattr(
+        svbell.cli, "mc_thin", lambda dist, eta, samples, seed: mc_thin(dist, eta + 0.02, samples, seed)
+    )
+    suites = {s["name"]: s for s in run_verification(seed=seed)["suites"]}
+    assert not suites["loss_channel"]["passed"]
+    assert suites["loss_channel"]["worst_sigma"] > suites["loss_channel"]["sigma_threshold"]
+
+
+def test_cli_import_needs_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(svbell.__file__).parents[1]))
+    probe = "import sys, svbell.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_verify_respects_oracle_budget(capsys):

@@ -1,13 +1,18 @@
 """Bernoulli thinning channel tests."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svbell.loss import binomial_thin, thinning_matrix
 from svbell.oracle import mc_thin
-from svbell.singlet import joint_distribution, mean_abs_difference
+from svbell.singlet import MAX_PHOTON_NUMBER, joint_distribution, mean_abs_difference
+
+HALF_PI = 0.5 * math.pi
 
 
 def test_lossless_channel_is_identity():
@@ -71,6 +76,39 @@ def test_thinning_composes_as_a_semigroup():
 def test_output_size_matches_input():
     dist = joint_distribution(5, 0.4)
     assert binomial_thin(dist, 0.6).max_count == dist.max_count
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    max_count=st.integers(0, MAX_PHOTON_NUMBER),
+    eta=st.floats(0.0, 1.0, allow_nan=False),
+)
+def test_thinning_matrix_matches_exact_binomials(max_count, eta):
+    # Each photon costs about two roundings per entry (1 - eta is rarely a
+    # double, and each product is rounded), so the error bound grows like 2n
+    # unit roundoffs; it is 1.4e-14 at n = 60.
+    tol = (max_count + 1) * 2.0**-52
+    t = thinning_matrix(max_count, eta)
+    p = Fraction(eta)
+    for n in range(max_count + 1):
+        exact = [math.comb(n, x) * p**x * (1 - p) ** (n - x) for x in range(n + 1)]
+        assert np.max(np.abs(t[: n + 1, n] - np.array(exact, dtype=float))) <= tol
+        assert np.all(t[n + 1 :, n] == 0.0)
+        assert abs(math.fsum(t[:, n]) - 1.0) <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    N=st.integers(0, MAX_PHOTON_NUMBER),
+    theta=st.floats(0.0, HALF_PI, allow_nan=False),
+    eta1=st.floats(0.0, 1.0, allow_nan=False),
+    eta2=st.floats(0.0, 1.0, allow_nan=False),
+)
+def test_thinning_composes_over_the_whole_range(N, theta, eta1, eta2):
+    dist = joint_distribution(N, theta)
+    twice = binomial_thin(binomial_thin(dist, eta1), eta2)
+    once = binomial_thin(dist, eta1 * eta2)
+    assert np.max(np.abs(twice.probs - once.probs)) <= 1e-12
 
 
 def test_thinning_matrix_columns_are_distributions():

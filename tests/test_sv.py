@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from svbell.chain import rhs_sv_asymptotic
 from svbell.errors import CapExceededError
 from svbell.oracle import mc_thin
 from svbell.singlet import joint_distribution
@@ -85,6 +86,23 @@ def test_spec_validation():
         SVSpec(gamma=0.5, n_max_cap=61)
     with pytest.raises(ValueError):
         lambda_sq(-1, 0.5)
+
+
+@pytest.mark.parametrize("gamma", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        SVSpec,
+        lambda g: lambda_sq(0, g),
+        lambda g: intensity_correlation(0.0, 0.3, g),
+        correlation_visibility,
+        rhs_sv_asymptotic,
+    ],
+    ids=["SVSpec", "lambda_sq", "intensity_correlation", "correlation_visibility", "rhs_sv_asymptotic"],
+)
+def test_gain_must_be_positive_and_finite(evaluate, gamma):
+    with pytest.raises(ValueError, match="gain must be positive and finite"):
+        evaluate(gamma)
 
 
 def test_mixture_is_vacuum_at_vanishing_gain():
