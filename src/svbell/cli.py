@@ -23,7 +23,7 @@ import numpy as np
 from .chain import bell_fixed_N, bell_sv, make_chain
 from .errors import CapExceededError
 from .lhv import lhv_minimum, polygon_check_batch
-from .loss import binomial_thin
+from .loss import binomial_thin, check_efficiency
 from .oracle import MAX_ORACLE_PHOTON_NUMBER, mc_thin, oracle_joint_distribution
 from .singlet import MAX_PHOTON_NUMBER, joint_distribution
 from .sv import SVSpec, sv_mixture, truncated_mass
@@ -194,11 +194,16 @@ def cmd_heatmap(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     config = _config_dict(args, ["L", "mass", "cap"])
     config["gamma_range"] = [g_lo, g_hi, g_step]
     config["eta_range"] = [e_lo, e_hi, e_step]
+    etas = _grid(e_lo, e_hi, e_step)
+    # Reject a bad efficiency anywhere in the grid before the first cell can
+    # fail on its truncation cap.
+    for eta in etas:
+        check_efficiency(eta)
     rows = []
     warnings: list[str] = []
     truncation: dict[str, list] = {}
     for gamma in _grid(g_lo, g_hi, g_step):
-        for eta in _grid(e_lo, e_hi, e_step):
+        for eta in etas:
             res, covered, warning = _sv_bell_with_guard(args.L, gamma, args.mass, args.cap, eta)
             if warning:
                 warnings.append(warning)

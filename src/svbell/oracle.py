@@ -102,6 +102,11 @@ def rotated_projection_amplitude(
         raise ValueError(f"counts must lie in [0, {N}], got n={n}, m={m}")
     alice = _rotated_number_state(n, N - n, theta_alice)
     bob = _rotated_number_state(N - m, m, theta)
+    return _overlap(state, alice, bob)
+
+
+def _overlap(state: FockVector, alice: list[float], bob: list[float]) -> float:
+    """Inner product of ``state`` with Alice's and Bob's expanded states."""
     total = 0.0
     for (a_h, _a_v, b_h, _b_v), amp in state.items():
         total += amp * alice[a_h] * bob[b_h]
@@ -111,12 +116,18 @@ def rotated_projection_amplitude(
 def oracle_joint_distribution(
     N: int, theta: float, theta_alice: float = 0.0
 ) -> np.ndarray:
-    """Full (N+1) x (N+1) joint count table computed by brute force."""
+    """Full (N+1) x (N+1) joint count table computed by brute force.
+
+    Each of the N+1 rotated number states per observer is expanded once and
+    paired with every state of the other observer.
+    """
     state = build_singlet(N)
+    alice = [_rotated_number_state(n, N - n, theta_alice) for n in range(N + 1)]
+    bob = [_rotated_number_state(N - m, m, theta) for m in range(N + 1)]
     probs = np.zeros((N + 1, N + 1))
     for n in range(N + 1):
         for m in range(N + 1):
-            amp = rotated_projection_amplitude(state, N, n, m, theta, theta_alice)
+            amp = _overlap(state, alice[n], bob[m])
             probs[n, m] = amp * amp
     return probs
 

@@ -126,25 +126,32 @@ def singlet_amplitudes(N: int, theta: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=512)
-def _joint_probs(N: int, theta: float) -> np.ndarray:
+def _joint_probs(N: int, theta: float) -> JointCountDistribution:
     probs = _rotation(N, theta) ** 2 / (N + 1)
     probs.setflags(write=False)
-    return probs
+    return JointCountDistribution(probs=probs, mass=float(probs.sum()))
 
 
 def joint_distribution(N: int, theta: float) -> JointCountDistribution:
     """Joint count table p(n, m | theta) for the 2N-photon singlet.
 
     The table is (N+1) x (N+1) and sums to 1 within 1e-9 over the whole
-    supported range.
+    supported range.  It is built once per (N, theta) and shared read-only.
     """
     _check_photon_number(N)
     _check_angle(theta)
-    probs = _joint_probs(N, theta)
-    return JointCountDistribution(probs=probs, mass=float(probs.sum()))
+    return _joint_probs(N, theta)
+
+
+@lru_cache(maxsize=MAX_PHOTON_NUMBER + 1)
+def _distances(size: int) -> np.ndarray:
+    """Integer matrix |i - j| over a size x size count table."""
+    counts = np.arange(size)
+    distances = np.abs(counts[:, None] - counts[None, :])
+    distances.setflags(write=False)
+    return distances
 
 
 def mean_abs_difference(dist: JointCountDistribution) -> float:
     """Average |m - n| under a joint count distribution."""
-    counts = np.arange(dist.max_count + 1)
-    return float(np.sum(np.abs(counts[:, None] - counts[None, :]) * dist.probs))
+    return float(np.sum(_distances(dist.max_count + 1) * dist.probs))

@@ -21,7 +21,12 @@ import numpy as np
 
 from .errors import CapExceededError
 from .loss import binomial_thin, check_efficiency
-from .singlet import MAX_PHOTON_NUMBER, JointCountDistribution, joint_distribution
+from .singlet import (
+    MAX_PHOTON_NUMBER,
+    JointCountDistribution,
+    _check_angle,
+    joint_distribution,
+)
 
 
 def _check_gain(gamma: float) -> None:
@@ -96,6 +101,7 @@ def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistri
     truncated weight sum (weights are not renormalized).
     """
     check_efficiency(eta)
+    _check_angle(theta)
     n_max = n_max_for(spec)
     size = n_max + 1
     probs = np.zeros((size, size))

@@ -102,6 +102,9 @@ def test_dist_cap_exceeded_exit_code(capsys):
         ["dist", "--gamma", "0.5", "--mass", "0", "--theta", "0.1"],
         ["dist", "--gamma", "0.5", "--cap", "61", "--theta", "0.1"],
         ["sweep-eta", "--N", "1", "--L", "1", "--eta-range", "0.5:1:0.1"],
+        # two faults, the second of which is the unreachable truncation cap
+        ["dist", "--gamma", "5", "--cap", "20", "--theta", "3.0"],
+        ["heatmap", "--L", "2", "--gamma-range", "5:5.1:0.1", "--eta-range", "0.5:1.5:0.5", "--cap", "20"],
     ],
 )
 def test_invalid_arguments_exit_2(argv, capsys):

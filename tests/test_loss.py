@@ -8,11 +8,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svbell.loss import binomial_thin, thinning_matrix
+from svbell.chain import bell_sv, make_chain
+from svbell.errors import PhotonNumberRangeError
+from svbell.loss import _thinning_table, binomial_thin, thinning_matrix
 from svbell.oracle import mc_thin
-from svbell.singlet import MAX_PHOTON_NUMBER, joint_distribution, mean_abs_difference
+from svbell.singlet import (
+    MAX_PHOTON_NUMBER,
+    _rotation,
+    joint_distribution,
+    mean_abs_difference,
+)
+from svbell.sv import SVSpec, lambda_sq, n_max_for
 
 HALF_PI = 0.5 * math.pi
+
+
+def pascal_table(max_count, eta):
+    """Binomial table built for this size alone, with no shared state."""
+    t = np.zeros((max_count + 1, max_count + 1))
+    t[0, 0] = 1.0
+    for n in range(1, max_count + 1):
+        t[:, n] = (1.0 - eta) * t[:, n - 1]
+        t[1:, n] += eta * t[:-1, n - 1]
+    return t
 
 
 def test_lossless_channel_is_identity():
@@ -115,6 +133,48 @@ def test_thinning_matrix_columns_are_distributions():
     t = thinning_matrix(6, 0.37)
     assert t.sum(axis=0) == pytest.approx(np.ones(7), abs=1e-12)
     assert np.all(t[np.triu_indices(7, k=1)] >= 0.0)
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.37, 0.83, 1.0])
+@pytest.mark.parametrize("max_count", [0, 1, 2, 7, 30, MAX_PHOTON_NUMBER])
+def test_shared_thinning_matrix_is_the_fresh_table_and_read_only(max_count, eta):
+    t = thinning_matrix(max_count, eta)
+    assert np.array_equal(t, pascal_table(max_count, eta))
+    assert not t.flags.writeable
+    with pytest.raises(ValueError):
+        t[0, 0] = 0.5
+    assert np.array_equal(thinning_matrix(max_count, eta), pascal_table(max_count, eta))
+
+
+def test_thinning_cache_is_bounded():
+    assert _thinning_table.cache_info().maxsize == 64
+
+
+def test_thinning_matrix_size_validation():
+    with pytest.raises(PhotonNumberRangeError):
+        thinning_matrix(MAX_PHOTON_NUMBER + 1, 0.5)
+    with pytest.raises(ValueError):
+        thinning_matrix(-1, 0.5)
+
+
+def test_bell_sv_matches_an_uncached_component_loop():
+    chain, spec, eta = make_chain(3), SVSpec(0.9), 0.8
+
+    def mean_abs(N, theta):
+        probs = _rotation(N, theta) ** 2 / (N + 1)
+        t = pascal_table(N, eta)
+        counts = np.arange(N + 1)
+        distances = np.abs(counts[:, None] - counts[None, :])
+        return float(np.sum(distances * (t @ probs @ t.T)))
+
+    lhs = rhs = 0.0
+    for n in range(n_max_for(spec) + 1):
+        weight = lambda_sq(n, spec.gamma)
+        lhs += weight * ((2 * chain.L - 1) * mean_abs(n, chain.theta))
+        rhs += weight * mean_abs(n, chain.theta_prime)
+    for _ in range(2):  # the second call runs on filled caches
+        result = bell_sv(chain, spec, eta)
+        assert (result.lhs, result.rhs, result.bell) == (lhs, rhs, lhs - rhs)
 
 
 def test_efficiency_validation():

@@ -11,6 +11,7 @@ from svbell.errors import PhotonNumberRangeError
 from svbell.oracle import oracle_joint_distribution
 from svbell.singlet import (
     MAX_PHOTON_NUMBER,
+    _distances,
     joint_distribution,
     mean_abs_difference,
     singlet_amplitudes,
@@ -61,6 +62,10 @@ def test_cached_tables_are_frozen():
     with pytest.raises(ValueError):
         dist.probs[0, 0] = 5.0
     assert abs(joint_distribution(2, 0.3).mass - 1.0) <= 1e-12
+    # The whole table, mass included, is built once and shared.
+    assert joint_distribution(2, 0.3) is dist
+    with pytest.raises(ValueError):
+        _distances(3)[0, 1] = 7
 
 
 def test_two_photon_table_at_pi_over_4():
@@ -147,6 +152,14 @@ def test_mean_abs_difference_at_right_angle(N):
     else:
         expected = (N * N / 2 + N) / (N + 1)
     assert value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("size", range(1, MAX_PHOTON_NUMBER + 2))
+def test_mean_abs_difference_matches_the_explicit_formula(size):
+    dist = joint_distribution(size - 1, 0.7)
+    counts = np.arange(size)
+    expected = float(np.sum(np.abs(counts[:, None] - counts[None, :]) * dist.probs))
+    assert mean_abs_difference(dist) == expected
 
 
 def test_four_photon_mean_abs_difference_closed_form():
