@@ -21,7 +21,7 @@ from typing import Optional
 
 from .loss import binomial_thin, check_efficiency
 from .singlet import joint_distribution, mean_abs_difference
-from .sv import SVSpec, _check_gain, lambda_sq, n_max_for
+from .sv import SVSpec, _check_gain, sv_mixture
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,11 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class BellBreakdown:
-    """LHS, RHS and Bell parameter, with per-component contributions.
+    """LHS, RHS and Bell parameter of one chain evaluation.
 
-    ``bell`` always equals ``lhs - rhs`` exactly as stored.  ``per_N`` lists
-    (N, contribution-to-bell) pairs for mixture evaluations.  The remaining
-    fields echo the evaluated configuration.
+    ``bell`` always equals ``lhs - rhs`` exactly as stored.  The remaining
+    fields echo the evaluated configuration; ``gamma`` and ``n_max`` are set
+    for the squeezed vacuum only.
     """
 
     lhs: float
@@ -47,7 +47,6 @@ class BellBreakdown:
     bell: float
     L: int
     eta: float
-    per_N: Optional[tuple[tuple[int, float], ...]] = None
     gamma: Optional[float] = None
     n_max: Optional[int] = None
 
@@ -63,6 +62,13 @@ def make_chain(L: int) -> ChainSpec:
     )
 
 
+def _breakdown(chain: ChainSpec, near, far, eta: float, gamma=None, n_max=None) -> BellBreakdown:
+    """Chained inequality on the adjacent-angle (near) and closing-angle (far) tables."""
+    lhs = (2 * chain.L - 1) * mean_abs_difference(near)
+    rhs = mean_abs_difference(far)
+    return BellBreakdown(lhs, rhs, lhs - rhs, chain.L, eta, gamma, n_max)
+
+
 def bell_fixed_N(N: int, chain: ChainSpec, eta: float = 1.0) -> BellBreakdown:
     """Bell breakdown for the 2N-photon singlet at efficiency eta."""
     check_efficiency(eta)
@@ -71,38 +77,19 @@ def bell_fixed_N(N: int, chain: ChainSpec, eta: float = 1.0) -> BellBreakdown:
     if eta < 1.0:
         near = binomial_thin(near, eta)
         far = binomial_thin(far, eta)
-    lhs = (2 * chain.L - 1) * mean_abs_difference(near)
-    rhs = mean_abs_difference(far)
-    return BellBreakdown(lhs=lhs, rhs=rhs, bell=lhs - rhs, L=chain.L, eta=eta)
+    return _breakdown(chain, near, far, eta)
 
 
 def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
-    """Bell breakdown for the squeezed vacuum: lambda_N^2-weighted sum.
+    """Bell breakdown for the squeezed vacuum, read off its mixture tables.
 
-    Components run up to the truncation point of ``spec``; the per-N
-    contributions (weight times component Bell value) are retained.
+    Both distances are taken on ``sv_mixture`` tables truncated by ``spec``.
+    The contribution of the 2N-photon component is
+    ``lambda_sq(N, gamma) * bell_fixed_N(N, chain, eta).bell``.
     """
-    check_efficiency(eta)
-    n_max = n_max_for(spec)
-    lhs = 0.0
-    rhs = 0.0
-    per_n = []
-    for n in range(n_max + 1):
-        weight = lambda_sq(n, spec.gamma)
-        component = bell_fixed_N(n, chain, eta)
-        lhs += weight * component.lhs
-        rhs += weight * component.rhs
-        per_n.append((n, weight * component.bell))
-    return BellBreakdown(
-        lhs=lhs,
-        rhs=rhs,
-        bell=lhs - rhs,
-        L=chain.L,
-        eta=eta,
-        per_N=tuple(per_n),
-        gamma=spec.gamma,
-        n_max=n_max,
-    )
+    near = sv_mixture(chain.theta, spec, eta)
+    far = sv_mixture(chain.theta_prime, spec, eta)
+    return _breakdown(chain, near, far, eta, spec.gamma, near.max_count)
 
 
 def asymptotic_bell_fixed_N(N: int) -> float:

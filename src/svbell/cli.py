@@ -35,6 +35,9 @@ _HALF_PI = 0.5 * math.pi
 GUARD_MASS = 0.999
 GUARD_TOL = 1e-3
 
+# Largest number of points a --*-range grid may hold.
+MAX_GRID_POINTS = 10**6
+
 
 def _parse_int_range(text: str) -> tuple[int, int]:
     try:
@@ -53,8 +56,13 @@ def _parse_float_range(text: str) -> tuple[float, float, float]:
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a:b:step, got {text!r}")
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise argparse.ArgumentTypeError(f"range bounds and step must be finite, got {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
+    # _grid's point count is floor of this plus one; hi - lo may overflow to inf.
+    if (hi - lo) / step + 1e-9 >= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
     return lo, hi, step
 
 
@@ -67,6 +75,14 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _write(out: Optional[str], text: str) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _emit(
@@ -94,11 +110,7 @@ def _emit(
         for row in rows:
             lines.append(",".join(_fmt(v) for v in row))
         text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(out, text)
 
 
 def _config_dict(args: argparse.Namespace, keys: Sequence[str]) -> dict:
@@ -313,12 +325,7 @@ def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int
     if args.mc_samples < 1:
         parser.error(f"--mc-samples must be positive, got {args.mc_samples}")
     report = run_verification(args.oracle_max_N, args.seed, args.mc_samples)
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     for suite in report["suites"]:
         status = "pass" if suite["passed"] else "FAIL"
         print(f"{suite['name']}: {status}", file=sys.stderr)

@@ -15,7 +15,7 @@ the distribution just declares the mass it covers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -96,22 +96,21 @@ def truncated_mass(spec: SVSpec) -> float:
 def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistribution:
     """Joint count table for the squeezed vacuum at relative angle theta.
 
-    Weighted mixture of the fixed-N tables up to the truncation point, with
-    detector losses applied at efficiency eta.  The declared mass is the
-    truncated weight sum (weights are not renormalized).
+    Weighted mixture of the lossless fixed-N tables up to the truncation
+    point, thinned once at efficiency eta (thinning is linear).  The declared
+    mass is the truncated weight sum (weights are not renormalized).
     """
     check_efficiency(eta)
     _check_angle(theta)
     n_max = n_max_for(spec)
-    size = n_max + 1
-    probs = np.zeros((size, size))
-    for n in range(size):
-        component = joint_distribution(n, theta)
-        if eta < 1.0:
-            component = binomial_thin(component, eta)
-        probs[: n + 1, : n + 1] += lambda_sq(n, spec.gamma) * component.probs
-    mass = math.fsum(lambda_sq(n, spec.gamma) for n in range(size))
-    return JointCountDistribution(probs=probs, mass=mass)
+    weights = [lambda_sq(n, spec.gamma) for n in range(n_max + 1)]
+    probs = np.zeros((n_max + 1, n_max + 1))
+    for n, weight in enumerate(weights):
+        probs[: n + 1, : n + 1] += weight * joint_distribution(n, theta).probs
+    mixture = JointCountDistribution(probs=probs, mass=math.fsum(weights))
+    if eta < 1.0:
+        mixture = replace(binomial_thin(mixture, eta), mass=mixture.mass)
+    return mixture
 
 
 def intensity_correlation(theta_a: float, theta_b: float, gamma: float) -> float:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svbell.chain import (
     asymptotic_bell_fixed_N,
@@ -133,10 +135,36 @@ def test_sv_bell_matches_weighted_components():
     )
     assert combined.bell == pytest.approx(weighted, abs=1e-10)
     assert combined.bell == combined.lhs - combined.rhs
-    assert math.fsum(c for _, c in combined.per_N) == pytest.approx(combined.bell, abs=1e-12)
     assert combined.gamma == 0.5
     assert combined.eta == eta
     assert combined.L == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gamma=st.floats(0.05, 1.2, allow_nan=False),
+    eta=st.floats(0.0, 1.0, allow_nan=False),
+    L=st.integers(2, 200),
+)
+def test_gaussian_closed_form_bounds_the_truncated_mixture(gamma, eta, L):
+    # Alice's and Bob's counted modes form a two-mode Gaussian state whose
+    # count difference is discrete-Laplace distributed, so
+    # <|m - n|>_theta = 2A / sqrt(1 + 4A) with
+    # A = eta s^2 (1 - eta + eta c^2 sin^2 theta), s = sinh g, c = cosh g.
+    def exact(theta):
+        s, c = math.sinh(gamma), math.cosh(gamma)
+        a = eta * s**2 * (1.0 - eta + eta * c**2 * math.sin(theta) ** 2)
+        return 2.0 * a / math.sqrt(1.0 + 4.0 * a)
+
+    chain = make_chain(L)
+    result = bell_sv(chain, SVSpec(gamma), eta)
+    # A dropped 2N-photon component has <|m - n|> <= N at any angle and eta.
+    first = result.n_max + 1
+    tail = math.fsum(lambda_sq(n, gamma) * n for n in range(first, first + 2000))
+    slack = 1e-12
+    lhs_gap = (2 * L - 1) * exact(chain.theta) - result.lhs
+    assert -slack <= lhs_gap <= (2 * L - 1) * tail + slack
+    assert -slack <= exact(chain.theta_prime) - result.rhs <= tail + slack
 
 
 def test_sv_bell_breakdown_echoes_truncation():
@@ -145,9 +173,6 @@ def test_sv_bell_breakdown_echoes_truncation():
     spec = SVSpec(gamma=0.8, mass_threshold=0.999)
     result = bell_sv(make_chain(4), spec)
     assert result.n_max == n_max_for(spec)
-    assert result.per_N is not None
-    assert [n for n, _ in result.per_N] == list(range(result.n_max + 1))
-    assert all(math.isfinite(c) for _, c in result.per_N)
 
 
 def test_rhs_sv_asymptotic_validates_gain():

@@ -105,11 +105,42 @@ def test_dist_cap_exceeded_exit_code(capsys):
         # two faults, the second of which is the unreachable truncation cap
         ["dist", "--gamma", "5", "--cap", "20", "--theta", "3.0"],
         ["heatmap", "--L", "2", "--gamma-range", "5:5.1:0.1", "--eta-range", "0.5:1.5:0.5", "--cap", "20"],
+        # non-finite grid bounds or steps
+        ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.5:inf:0.1"],
+        ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.5:1:nan"],
+        ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "nan:1:0.1"],
+        ["heatmap", "--L", "2", "--gamma-range", "0.1:inf:0.1", "--eta-range", "0.9:1:0.1"],
+        ["heatmap", "--L", "2", "--gamma-range=-inf:0.2:0.1", "--eta-range", "0.9:1:0.1"],
     ],
 )
 def test_invalid_arguments_exit_2(argv, capsys):
     code, _, _ = run_cli(argv, capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.5:1:1e-300"],
+        ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0:1:1e-6"],  # 1,000,001 points
+        ["heatmap", "--L", "2", "--gamma-range=-1e308:1e308:1", "--eta-range", "0.9:1:0.1"],
+    ],
+)
+def test_oversized_grids_are_rejected_by_the_parser(argv, capsys):
+    # Parsing alone: a parser that accepted these grids would not build them here.
+    with pytest.raises(SystemExit) as exc:
+        svbell.cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"more than {svbell.cli.MAX_GRID_POINTS} points" in capsys.readouterr().err
+
+
+def test_largest_grid_is_accepted_by_the_parser():
+    assert svbell.cli.MAX_GRID_POINTS == 10**6
+    # 0, 1e-6, ..., 0.999999: exactly 10**6 points.
+    args = svbell.cli.build_parser().parse_args(
+        ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0:0.999999:1e-6"]
+    )
+    assert args.eta_range == (0.0, 0.999999, 1e-6)
 
 
 def test_sweep_settings_fixed_component(capsys):

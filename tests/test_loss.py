@@ -157,21 +157,22 @@ def test_thinning_matrix_size_validation():
         thinning_matrix(-1, 0.5)
 
 
-def test_bell_sv_matches_an_uncached_component_loop():
+def test_bell_sv_matches_an_uncached_mixture_build():
+    # One lossless mixture per angle, thinned once, then its |i - j| average.
     chain, spec, eta = make_chain(3), SVSpec(0.9), 0.8
+    size = n_max_for(spec) + 1
 
-    def mean_abs(N, theta):
-        probs = _rotation(N, theta) ** 2 / (N + 1)
-        t = pascal_table(N, eta)
-        counts = np.arange(N + 1)
+    def mean_abs(theta):
+        probs = np.zeros((size, size))
+        for n in range(size):
+            probs[: n + 1, : n + 1] += lambda_sq(n, spec.gamma) * (_rotation(n, theta) ** 2 / (n + 1))
+        t = pascal_table(size - 1, eta)
+        counts = np.arange(size)
         distances = np.abs(counts[:, None] - counts[None, :])
         return float(np.sum(distances * (t @ probs @ t.T)))
 
-    lhs = rhs = 0.0
-    for n in range(n_max_for(spec) + 1):
-        weight = lambda_sq(n, spec.gamma)
-        lhs += weight * ((2 * chain.L - 1) * mean_abs(n, chain.theta))
-        rhs += weight * mean_abs(n, chain.theta_prime)
+    lhs = (2 * chain.L - 1) * mean_abs(chain.theta)
+    rhs = mean_abs(chain.theta_prime)
     for _ in range(2):  # the second call runs on filled caches
         result = bell_sv(chain, spec, eta)
         assert (result.lhs, result.rhs, result.bell) == (lhs, rhs, lhs - rhs)
