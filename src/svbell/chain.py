@@ -37,18 +37,17 @@ class ChainSpec:
 class BellBreakdown:
     """LHS, RHS and Bell parameter of one chain evaluation.
 
-    ``bell`` always equals ``lhs - rhs`` exactly as stored.  The remaining
-    fields echo the evaluated configuration; ``gamma`` and ``n_max`` are set
-    for the squeezed vacuum only.
+    ``bell`` always equals ``lhs - rhs`` exactly as stored.  ``n_max`` and
+    ``mass`` are set for the squeezed vacuum only: the truncation point and
+    the weight sum its tables declare (weights up to ``n_max``, not
+    renormalized).
     """
 
     lhs: float
     rhs: float
     bell: float
-    L: int
-    eta: float
-    gamma: Optional[float] = None
     n_max: Optional[int] = None
+    mass: Optional[float] = None
 
 
 def make_chain(L: int) -> ChainSpec:
@@ -62,11 +61,11 @@ def make_chain(L: int) -> ChainSpec:
     )
 
 
-def _breakdown(chain: ChainSpec, near, far, eta: float, gamma=None, n_max=None) -> BellBreakdown:
+def _breakdown(chain: ChainSpec, near, far, n_max=None, mass=None) -> BellBreakdown:
     """Chained inequality on the adjacent-angle (near) and closing-angle (far) tables."""
     lhs = (2 * chain.L - 1) * mean_abs_difference(near)
     rhs = mean_abs_difference(far)
-    return BellBreakdown(lhs, rhs, lhs - rhs, chain.L, eta, gamma, n_max)
+    return BellBreakdown(lhs, rhs, lhs - rhs, n_max, mass)
 
 
 def bell_fixed_N(N: int, chain: ChainSpec, eta: float = 1.0) -> BellBreakdown:
@@ -77,19 +76,20 @@ def bell_fixed_N(N: int, chain: ChainSpec, eta: float = 1.0) -> BellBreakdown:
     if eta < 1.0:
         near = binomial_thin(near, eta)
         far = binomial_thin(far, eta)
-    return _breakdown(chain, near, far, eta)
+    return _breakdown(chain, near, far)
 
 
 def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
     """Bell breakdown for the squeezed vacuum, read off its mixture tables.
 
-    Both distances are taken on ``sv_mixture`` tables truncated by ``spec``.
-    The contribution of the 2N-photon component is
+    Both distances are taken on ``sv_mixture`` tables truncated by ``spec``;
+    ``n_max`` and ``mass`` are the truncation those tables declare.  The
+    contribution of the 2N-photon component is
     ``lambda_sq(N, gamma) * bell_fixed_N(N, chain, eta).bell``.
     """
     near = sv_mixture(chain.theta, spec, eta)
     far = sv_mixture(chain.theta_prime, spec, eta)
-    return _breakdown(chain, near, far, eta, spec.gamma, near.max_count)
+    return _breakdown(chain, near, far, near.max_count, near.mass)
 
 
 def asymptotic_bell_fixed_N(N: int) -> float:

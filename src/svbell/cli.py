@@ -5,8 +5,8 @@ rows ordered lexicographically in the sweep variables); JSON mirrors it.
 Every output embeds its fully resolved configuration and truncation mass,
 so any figure can be regenerated from its own data file.
 
-Exit codes: 0 ok, 1 verification failure, 2 invalid arguments,
-3 numerical/cap failure.
+Exit codes: 0 ok, 1 verification failure, 2 invalid arguments or an
+unwritable --out path, 3 numerical/cap failure.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import bell_fixed_N, bell_sv, make_chain
+from .chain import BellBreakdown, bell_fixed_N, bell_sv, make_chain
 from .errors import CapExceededError
 from .lhv import lhv_minimum, polygon_check_batch
 from .loss import binomial_thin, check_efficiency
 from .oracle import MAX_ORACLE_PHOTON_NUMBER, mc_thin, oracle_joint_distribution
 from .singlet import MAX_PHOTON_NUMBER, joint_distribution
-from .sv import SVSpec, sv_mixture, truncated_mass
+from .sv import SVSpec, sv_mixture
 
 _HALF_PI = 0.5 * math.pi
 
@@ -47,6 +47,8 @@ def _parse_int_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected a:b with integers, got {text!r}")
     if hi < lo:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
+    if hi - lo + 1 > MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"range {text!r} has more than {MAX_GRID_POINTS} points")
     return lo, hi
 
 
@@ -120,13 +122,7 @@ def _config_dict(args: argparse.Namespace, keys: Sequence[str]) -> dict:
     return config
 
 
-def _require_one_state(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    if (args.N is None) == (args.gamma is None):
-        parser.error("exactly one of --N (fixed component) or --gamma (squeezed vacuum) is required")
-
-
 def cmd_dist(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require_one_state(parser, args)
     config = _config_dict(args, ["N", "gamma", "theta", "eta", "mass", "cap"])
     if args.N is not None:
         dist = binomial_thin(joint_distribution(args.N, args.theta), args.eta)
@@ -146,25 +142,22 @@ def cmd_dist(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 def _sv_bell_with_guard(
     L: int, gamma: float, mass: float, cap: int, eta: float
-) -> tuple[object, float, Optional[str]]:
+) -> tuple[BellBreakdown, Optional[str]]:
     chain = make_chain(L)
-    spec = SVSpec(gamma=gamma, mass_threshold=mass, n_max_cap=cap)
-    result = bell_sv(chain, spec, eta)
-    covered = truncated_mass(spec)
+    result = bell_sv(chain, SVSpec(gamma=gamma, mass_threshold=mass, n_max_cap=cap), eta)
     if mass >= GUARD_MASS:
-        return result, covered, None
+        return result, None
     try:
         tighter = bell_sv(chain, SVSpec(gamma=gamma, mass_threshold=GUARD_MASS, n_max_cap=cap), eta)
     except CapExceededError:
-        return result, covered, f"L={L} gamma={gamma}: guard mass {GUARD_MASS} unreachable under cap {cap}"
+        return result, f"L={L} gamma={gamma}: guard mass {GUARD_MASS} unreachable under cap {cap}"
     drift = abs(tighter.bell - result.bell)
     if drift > GUARD_TOL:
-        return result, covered, f"L={L} gamma={gamma}: bell moved {drift:.2e} between mass {mass} and {GUARD_MASS}"
-    return result, covered, None
+        return result, f"L={L} gamma={gamma}: bell moved {drift:.2e} between mass {mass} and {GUARD_MASS}"
+    return result, None
 
 
 def cmd_sweep_settings(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    _require_one_state(parser, args)
     lo, hi = args.L_range
     config = _config_dict(args, ["N", "gamma", "eta", "mass", "cap"])
     config["L_range"] = [lo, hi]
@@ -175,10 +168,10 @@ def cmd_sweep_settings(parser: argparse.ArgumentParser, args: argparse.Namespace
         if args.N is not None:
             res = bell_fixed_N(args.N, make_chain(L), args.eta)
         else:
-            res, covered, warning = _sv_bell_with_guard(L, args.gamma, args.mass, args.cap, args.eta)
+            res, warning = _sv_bell_with_guard(L, args.gamma, args.mass, args.cap, args.eta)
             if warning:
                 warnings.append(warning)
-            metadata["mass"] = covered
+            metadata["mass"] = res.mass
             metadata["n_max"] = res.n_max
         rows.append((L, res.lhs, res.rhs, res.bell))
     if warnings:
@@ -216,10 +209,10 @@ def cmd_heatmap(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
     truncation: dict[str, list] = {}
     for gamma in _grid(g_lo, g_hi, g_step):
         for eta in etas:
-            res, covered, warning = _sv_bell_with_guard(args.L, gamma, args.mass, args.cap, eta)
+            res, warning = _sv_bell_with_guard(args.L, gamma, args.mass, args.cap, eta)
             if warning:
                 warnings.append(warning)
-            truncation[repr(gamma)] = [res.n_max, covered]
+            truncation[repr(gamma)] = [res.n_max, res.mass]
             rows.append((gamma, eta, res.bell))
     metadata: dict = {"truncation": truncation}
     if warnings:
@@ -337,6 +330,12 @@ def _add_output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="PATH", default=None)
 
 
+def _add_state_flags(sub: argparse.ArgumentParser) -> None:
+    state = sub.add_mutually_exclusive_group(required=True)
+    state.add_argument("--N", type=int, help="photons per beam (fixed component)")
+    state.add_argument("--gamma", type=float, help="parametric gain (squeezed vacuum)")
+
+
 def _add_truncation_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mass", type=float, default=0.99, help="truncation mass threshold")
     sub.add_argument("--cap", type=int, default=MAX_PHOTON_NUMBER, help="photon-number cap")
@@ -352,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     dist = sub.add_parser("dist", help="joint photon-count distribution")
-    dist.add_argument("--N", type=int, default=None, help="photons per beam (fixed component)")
-    dist.add_argument("--gamma", type=float, default=None, help="parametric gain (squeezed vacuum)")
+    _add_state_flags(dist)
     dist.add_argument("--theta", type=float, required=True, help="relative polarizer angle, radians")
     dist.add_argument("--eta", type=float, default=1.0, help="detection efficiency")
     _add_truncation_flags(dist)
@@ -361,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     dist.set_defaults(func=cmd_dist)
 
     sweep_l = sub.add_parser("sweep-settings", help="Bell parameter vs number of settings")
-    sweep_l.add_argument("--N", type=int, default=None)
-    sweep_l.add_argument("--gamma", type=float, default=None)
+    _add_state_flags(sweep_l)
     sweep_l.add_argument("--eta", type=float, default=1.0)
     sweep_l.add_argument("--L-range", type=_parse_int_range, required=True, metavar="a:b")
     _add_truncation_flags(sweep_l)
@@ -402,7 +399,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -60,9 +60,6 @@ class JointCountDistribution:
     def max_count(self) -> int:
         return self.probs.shape[0] - 1
 
-    def prob(self, n: int, m: int) -> float:
-        return float(self.probs[n, m])
-
 
 def _check_photon_number(N: int) -> None:
     if N < 0:

@@ -87,12 +87,6 @@ def n_max_for(spec: SVSpec) -> int:
     )
 
 
-def truncated_mass(spec: SVSpec) -> float:
-    """Cumulative weight sum_{N <= n_max_for(spec)} lambda_N^2."""
-    n_max = n_max_for(spec)
-    return math.fsum(lambda_sq(n, spec.gamma) for n in range(n_max + 1))
-
-
 def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistribution:
     """Joint count table for the squeezed vacuum at relative angle theta.
 

@@ -1,0 +1,31 @@
+"""The package's public names: exactly the ones the README documents."""
+
+from pathlib import Path
+
+import svbell
+
+PUBLIC = {
+    "chain": ["BellBreakdown", "bell_fixed_N", "bell_sv", "make_chain", "rhs_sv_asymptotic"],
+    "errors": ["CapExceededError", "EnumerationBudgetError", "PhotonNumberRangeError"],
+    "singlet": ["JointCountDistribution", "MAX_PHOTON_NUMBER", "joint_distribution", "mean_abs_difference"],
+    "sv": ["SVSpec", "lambda_sq", "sv_mixture"],
+    "loss": ["binomial_thin"],
+    "lhv": ["lhv_minimum"],
+    "oracle": ["mc_thin", "oracle_joint_distribution"],
+}
+
+
+def test_all_is_exactly_the_public_names():
+    names = [name for module_names in PUBLIC.values() for name in module_names]
+    assert len(names) == 19
+    assert sorted(svbell.__all__) == sorted(names)
+    for module, module_names in PUBLIC.items():
+        for name in module_names:
+            assert getattr(svbell, name) is getattr(getattr(svbell, module), name)
+
+
+def test_readme_library_section_documents_every_public_name():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    for name in svbell.__all__:
+        assert f"`{name}`" in library, name

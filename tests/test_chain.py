@@ -15,7 +15,7 @@ from svbell.chain import (
     make_chain,
     rhs_sv_asymptotic,
 )
-from svbell.sv import SVSpec, lambda_sq
+from svbell.sv import SVSpec, lambda_sq, sv_mixture
 
 
 def test_make_chain_examples():
@@ -135,9 +135,18 @@ def test_sv_bell_matches_weighted_components():
     )
     assert combined.bell == pytest.approx(weighted, abs=1e-10)
     assert combined.bell == combined.lhs - combined.rhs
-    assert combined.gamma == 0.5
-    assert combined.eta == eta
-    assert combined.L == 3
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.9])
+def test_sv_bell_declares_its_tables_truncation(eta):
+    chain = make_chain(3)
+    spec = SVSpec(gamma=0.8)
+    result = bell_sv(chain, spec, eta)
+    table = sv_mixture(chain.theta, spec, eta)
+    assert result.n_max == table.max_count
+    assert result.mass == table.mass  # bit for bit, not recomputed
+    fixed = bell_fixed_N(2, chain, eta)
+    assert fixed.n_max is None and fixed.mass is None
 
 
 @settings(max_examples=100, deadline=None)

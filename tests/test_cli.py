@@ -124,6 +124,8 @@ def test_invalid_arguments_exit_2(argv, capsys):
         ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.5:1:1e-300"],
         ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0:1:1e-6"],  # 1,000,001 points
         ["heatmap", "--L", "2", "--gamma-range=-1e308:1e308:1", "--eta-range", "0.9:1:0.1"],
+        ["sweep-settings", "--N", "1", "--L-range", "2:2000000000"],
+        ["sweep-settings", "--N", "1", "--L-range", "2:1000002"],  # 1,000,001 settings
     ],
 )
 def test_oversized_grids_are_rejected_by_the_parser(argv, capsys):
@@ -141,6 +143,8 @@ def test_largest_grid_is_accepted_by_the_parser():
         ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0:0.999999:1e-6"]
     )
     assert args.eta_range == (0.0, 0.999999, 1e-6)
+    args = svbell.cli.build_parser().parse_args(["sweep-settings", "--N", "1", "--L-range", "2:1000001"])
+    assert args.L_range == (2, 1000001)
 
 
 def test_sweep_settings_fixed_component(capsys):
@@ -216,6 +220,22 @@ def test_outputs_are_deterministic(capsys, tmp_path):
     code, _, _ = run_cli(argv + ["--out", str(out_path)], capsys)
     assert code == 0
     assert out_path.read_text(encoding="utf-8") == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "--N", "1", "--theta", "0.3"],
+        ["verify", "--oracle-max-N", "1", "--mc-samples", "1000"],
+    ],
+)
+def test_unwritable_out_exits_2(argv, capsys, tmp_path):
+    out_path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out_path.exists()
 
 
 def test_verify_passes_and_is_deterministic(capsys):

@@ -1,7 +1,6 @@
 """Bernoulli thinning channel tests."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,10 +106,12 @@ def test_thinning_matrix_matches_exact_binomials(max_count, eta):
     # unit roundoffs; it is 1.4e-14 at n = 60.
     tol = (max_count + 1) * 2.0**-52
     t = thinning_matrix(max_count, eta)
-    p = Fraction(eta)
+    # eta = a / b exactly; int / int is correctly rounded, so each entry is
+    # the exact binomial probability rounded once.
+    a, b = eta.as_integer_ratio()
     for n in range(max_count + 1):
-        exact = [math.comb(n, x) * p**x * (1 - p) ** (n - x) for x in range(n + 1)]
-        assert np.max(np.abs(t[: n + 1, n] - np.array(exact, dtype=float))) <= tol
+        exact = [math.comb(n, x) * a**x * (b - a) ** (n - x) / b**n for x in range(n + 1)]
+        assert np.max(np.abs(t[: n + 1, n] - np.array(exact))) <= tol
         assert np.all(t[n + 1 :, n] == 0.0)
         assert abs(math.fsum(t[:, n]) - 1.0) <= tol
 

@@ -17,7 +17,6 @@ from svbell.sv import (
     mean_photons_per_beam,
     n_max_for,
     sv_mixture,
-    truncated_mass,
 )
 
 
@@ -72,7 +71,8 @@ def test_truncation_cap_exceeded_at_high_gain():
 
 def test_truncated_mass_reaches_threshold():
     spec = SVSpec(gamma=0.8)
-    mass = truncated_mass(spec)
+    mass = sv_mixture(0.3, spec).mass
+    assert mass == math.fsum(lambda_sq(n, spec.gamma) for n in range(n_max_for(spec) + 1))
     assert mass >= spec.mass_threshold
     assert mass <= 1.0
 
