@@ -2,11 +2,14 @@
 
 CSV is the canonical output (fixed headers, UTF-8, '.' decimal separator,
 rows ordered lexicographically in the sweep variables); JSON mirrors it.
-Every output embeds its fully resolved configuration and truncation mass,
-so any figure can be regenerated from its own data file.
+Every output embeds its configuration (every parsed flag except --format
+and --out) and truncation mass, so any figure can be regenerated from its
+own data file.  The parser checks the syntax and size of each range; every
+value is checked by the library code that uses it.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments or an
-unwritable --out path, 3 numerical/cap failure.
+unwritable --out path (found before any computation), 3 truncation mass
+unreachable below the 60-photon limit.
 """
 
 from __future__ import annotations
@@ -14,19 +17,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from dataclasses import replace
 from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import BellBreakdown, bell_fixed_N, bell_sv, make_chain
+from .chain import BellBreakdown, ChainSpec, bell_fixed_N, bell_sv, make_chain
 from .errors import CapExceededError
 from .lhv import lhv_minimum, polygon_check_batch
 from .loss import binomial_thin, check_efficiency
 from .oracle import MAX_ORACLE_PHOTON_NUMBER, mc_thin, oracle_joint_distribution
 from .singlet import MAX_PHOTON_NUMBER, joint_distribution
-from .sv import SVSpec, sv_mixture
+from .sv import SVSpec, n_max_for, sv_mixture
 
 _HALF_PI = 0.5 * math.pi
 
@@ -73,10 +78,10 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _eta_grid(lo: float, hi: float, step: float) -> list[float]:
+    # lo + i * step can overshoot hi by an ulp (0.09 + 13 * 0.07 > 1.0), out of
+    # range for an efficiency.  Gains keep the points earlier outputs printed.
+    return [min(eta, hi) for eta in _grid(lo, hi, step)]
 
 
 def _write(out: Optional[str], text: str) -> None:
@@ -87,16 +92,9 @@ def _write(out: Optional[str], text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit(
-    out: Optional[str],
-    fmt: str,
-    config: dict,
-    metadata: dict,
-    columns: Sequence[str],
-    rows: list[tuple],
-) -> None:
-    rows = [tuple(v.item() if isinstance(v, np.generic) else v for v in row) for row in rows]
-    if fmt == "json":
+def _emit(args: argparse.Namespace, metadata: dict, columns: Sequence[str], rows: list[tuple]) -> None:
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "format", "out")}
+    if args.format == "json":
         payload = {
             "config": config,
             "metadata": metadata,
@@ -110,25 +108,17 @@ def _emit(
             lines.append(f"# {key}: {json.dumps(metadata[key], sort_keys=True)}")
         lines.append(",".join(columns))
         for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
+            lines.append(",".join(map(str, row)))
         text = "\n".join(lines) + "\n"
-    _write(out, text)
+    _write(args.out, text)
 
 
-def _config_dict(args: argparse.Namespace, keys: Sequence[str]) -> dict:
-    config = {"command": args.command}
-    for key in keys:
-        config[key] = getattr(args, key.replace("-", "_"))
-    return config
-
-
-def cmd_dist(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    config = _config_dict(args, ["N", "gamma", "theta", "eta", "mass", "cap"])
+def cmd_dist(args: argparse.Namespace) -> int:
     if args.N is not None:
         dist = binomial_thin(joint_distribution(args.N, args.theta), args.eta)
         metadata = {"mass": dist.mass}
     else:
-        spec = SVSpec(gamma=args.gamma, mass_threshold=args.mass, n_max_cap=args.cap)
+        spec = SVSpec(gamma=args.gamma, mass_threshold=args.mass)
         dist = sv_mixture(args.theta, spec, args.eta)
         metadata = {"mass": dist.mass, "n_max": dist.max_count}
     rows = [
@@ -136,31 +126,27 @@ def cmd_dist(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         for n in range(dist.max_count + 1)
         for m in range(dist.max_count + 1)
     ]
-    _emit(args.out, args.format, config, metadata, ("n", "m", "p"), rows)
+    _emit(args, metadata, ("n", "m", "p"), rows)
     return 0
 
 
-def _sv_bell_with_guard(
-    L: int, gamma: float, mass: float, cap: int, eta: float
-) -> tuple[BellBreakdown, Optional[str]]:
-    chain = make_chain(L)
-    result = bell_sv(chain, SVSpec(gamma=gamma, mass_threshold=mass, n_max_cap=cap), eta)
-    if mass >= GUARD_MASS:
+def _sv_bell_with_guard(chain: ChainSpec, spec: SVSpec, eta: float) -> tuple[BellBreakdown, Optional[str]]:
+    result = bell_sv(chain, spec, eta)
+    if spec.mass_threshold >= GUARD_MASS:
         return result, None
+    where = f"L={chain.L} gamma={spec.gamma}"
     try:
-        tighter = bell_sv(chain, SVSpec(gamma=gamma, mass_threshold=GUARD_MASS, n_max_cap=cap), eta)
+        tighter = bell_sv(chain, replace(spec, mass_threshold=GUARD_MASS), eta)
     except CapExceededError:
-        return result, f"L={L} gamma={gamma}: guard mass {GUARD_MASS} unreachable under cap {cap}"
+        return result, f"{where}: guard mass {GUARD_MASS} unreachable under cap {MAX_PHOTON_NUMBER}"
     drift = abs(tighter.bell - result.bell)
     if drift > GUARD_TOL:
-        return result, f"L={L} gamma={gamma}: bell moved {drift:.2e} between mass {mass} and {GUARD_MASS}"
+        return result, f"{where}: bell moved {drift:.2e} between mass {spec.mass_threshold} and {GUARD_MASS}"
     return result, None
 
 
-def cmd_sweep_settings(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def cmd_sweep_settings(args: argparse.Namespace) -> int:
     lo, hi = args.L_range
-    config = _config_dict(args, ["N", "gamma", "eta", "mass", "cap"])
-    config["L_range"] = [lo, hi]
     rows = []
     warnings: list[str] = []
     metadata: dict = {}
@@ -168,7 +154,7 @@ def cmd_sweep_settings(parser: argparse.ArgumentParser, args: argparse.Namespace
         if args.N is not None:
             res = bell_fixed_N(args.N, make_chain(L), args.eta)
         else:
-            res, warning = _sv_bell_with_guard(L, args.gamma, args.mass, args.cap, args.eta)
+            res, warning = _sv_bell_with_guard(make_chain(L), SVSpec(args.gamma, args.mass), args.eta)
             if warning:
                 warnings.append(warning)
             metadata["mass"] = res.mass
@@ -176,48 +162,40 @@ def cmd_sweep_settings(parser: argparse.ArgumentParser, args: argparse.Namespace
         rows.append((L, res.lhs, res.rhs, res.bell))
     if warnings:
         metadata["convergence_warnings"] = warnings
-    _emit(args.out, args.format, config, metadata, ("L", "lhs", "rhs", "bell"), rows)
+    _emit(args, metadata, ("L", "lhs", "rhs", "bell"), rows)
     return 0
 
 
-def cmd_sweep_eta(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    lo, hi, step = args.eta_range
-    config = _config_dict(args, ["N", "L"])
-    config["eta_range"] = [lo, hi, step]
+def cmd_sweep_eta(args: argparse.Namespace) -> int:
     chain = make_chain(args.L)
-    rows = []
-    for eta in _grid(lo, hi, step):
-        res = bell_fixed_N(args.N, chain, eta)
-        rows.append((eta, res.bell))
-    _emit(args.out, args.format, config, {}, ("eta", "bell"), rows)
+    rows = [(eta, bell_fixed_N(args.N, chain, eta).bell) for eta in _eta_grid(*args.eta_range)]
+    _emit(args, {}, ("eta", "bell"), rows)
     return 0
 
 
-def cmd_heatmap(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    g_lo, g_hi, g_step = args.gamma_range
-    e_lo, e_hi, e_step = args.eta_range
-    config = _config_dict(args, ["L", "mass", "cap"])
-    config["gamma_range"] = [g_lo, g_hi, g_step]
-    config["eta_range"] = [e_lo, e_hi, e_step]
-    etas = _grid(e_lo, e_hi, e_step)
-    # Reject a bad efficiency anywhere in the grid before the first cell can
-    # fail on its truncation cap.
+def cmd_heatmap(args: argparse.Namespace) -> int:
+    etas = _eta_grid(*args.eta_range)
+    # Reject a bad efficiency, gain or mass anywhere in the grid, and a mass
+    # that the largest gain cannot reach, before the first cell.
     for eta in etas:
         check_efficiency(eta)
+    chain = make_chain(args.L)
+    specs = [SVSpec(gamma, args.mass) for gamma in _grid(*args.gamma_range)]
+    n_max_for(specs[-1])
     rows = []
     warnings: list[str] = []
     truncation: dict[str, list] = {}
-    for gamma in _grid(g_lo, g_hi, g_step):
+    for spec in specs:
         for eta in etas:
-            res, warning = _sv_bell_with_guard(args.L, gamma, args.mass, args.cap, eta)
+            res, warning = _sv_bell_with_guard(chain, spec, eta)
             if warning:
                 warnings.append(warning)
-            truncation[repr(gamma)] = [res.n_max, res.mass]
-            rows.append((gamma, eta, res.bell))
+            truncation[repr(spec.gamma)] = [res.n_max, res.mass]
+            rows.append((spec.gamma, eta, res.bell))
     metadata: dict = {"truncation": truncation}
     if warnings:
         metadata["convergence_warnings"] = warnings
-    _emit(args.out, args.format, config, metadata, ("gamma", "eta", "bell"), rows)
+    _emit(args, metadata, ("gamma", "eta", "bell"), rows)
     return 0
 
 
@@ -227,6 +205,10 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 200
     Deterministic for a fixed seed; returns a report dict with one entry per
     suite and an overall flag.
     """
+    if not 0 <= oracle_max_N <= MAX_ORACLE_PHOTON_NUMBER:
+        raise ValueError(f"oracle_max_N must lie in [0, {MAX_ORACLE_PHOTON_NUMBER}], got {oracle_max_N}")
+    if mc_samples < 1:
+        raise ValueError(f"mc_samples must be positive, got {mc_samples}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     suites = []
 
@@ -310,13 +292,7 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 200
     }
 
 
-def cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if not 0 <= args.oracle_max_N <= MAX_ORACLE_PHOTON_NUMBER:
-        parser.error(
-            f"--oracle-max-N must lie in [0, {MAX_ORACLE_PHOTON_NUMBER}], got {args.oracle_max_N}"
-        )
-    if args.mc_samples < 1:
-        parser.error(f"--mc-samples must be positive, got {args.mc_samples}")
+def cmd_verify(args: argparse.Namespace) -> int:
     report = run_verification(args.oracle_max_N, args.seed, args.mc_samples)
     _write(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
     for suite in report["suites"]:
@@ -338,7 +314,6 @@ def _add_state_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_truncation_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mass", type=float, default=0.99, help="truncation mass threshold")
-    sub.add_argument("--cap", type=int, default=MAX_PHOTON_NUMBER, help="photon-number cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -392,16 +367,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    created = bool(args.out) and not os.path.exists(args.out)
     try:
-        return args.func(parser, args)
-    except CapExceededError as exc:
+        if args.out:
+            # Opened for appending only, so an unwritable path exits 2 before
+            # any computation and an existing file is untouched until the end.
+            open(args.out, "a", encoding="utf-8").close()
+        return args.func(args)
+    except BaseException as exc:  # an interrupted run leaves no file either
+        if created and os.path.exists(args.out):
+            os.remove(args.out)
+        if not isinstance(exc, (CapExceededError, ValueError, OSError)):
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, CapExceededError) else 2
 
 
 def run() -> None:

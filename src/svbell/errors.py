@@ -6,9 +6,9 @@ class PhotonNumberRangeError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """The requested truncation mass is unreachable under the photon-number cap.
+    """The requested truncation mass is unreachable below the 60-photon limit.
 
-    Signals that the gain is too high for the configured accuracy.
+    Signals that the gain is too high for the requested mass.
     """
 
 

@@ -36,22 +36,19 @@ def _check_gain(gamma: float) -> None:
 
 @dataclass(frozen=True)
 class SVSpec:
-    """Gain and truncation policy for the squeezed-vacuum state."""
+    """Gain and truncation mass of the squeezed-vacuum state.
+
+    The mixture never goes above MAX_PHOTON_NUMBER photons per beam.
+    """
 
     gamma: float
     mass_threshold: float = 0.99
-    n_max_cap: int = MAX_PHOTON_NUMBER
 
     def __post_init__(self) -> None:
         _check_gain(self.gamma)
         if not 0.0 < self.mass_threshold <= 1.0:
             raise ValueError(
                 f"mass threshold must lie in (0, 1], got {self.mass_threshold}"
-            )
-        if not 0 <= self.n_max_cap <= MAX_PHOTON_NUMBER:
-            raise ValueError(
-                f"photon-number cap must lie in [0, {MAX_PHOTON_NUMBER}], "
-                f"got {self.n_max_cap}"
             )
 
 
@@ -71,19 +68,19 @@ def mean_photons_per_beam(gamma: float) -> float:
 def n_max_for(spec: SVSpec) -> int:
     """Smallest N_max whose cumulative weight reaches the mass threshold.
 
-    Raises CapExceededError when the threshold is unreachable under the
-    photon-number cap, i.e. the gain is too high for the configured
-    accuracy.
+    Raises CapExceededError when the threshold is unreachable at
+    MAX_PHOTON_NUMBER photons per beam, i.e. the gain is too high for the
+    requested mass.
     """
     cumulative = 0.0
-    for n in range(spec.n_max_cap + 1):
+    for n in range(MAX_PHOTON_NUMBER + 1):
         cumulative += lambda_sq(n, spec.gamma)
         if cumulative >= spec.mass_threshold:
             return n
     raise CapExceededError(
-        f"cumulative singlet weight {cumulative:.6f} at N = {spec.n_max_cap} "
+        f"cumulative singlet weight {cumulative:.6f} at N = {MAX_PHOTON_NUMBER} "
         f"is below the requested mass {spec.mass_threshold}; "
-        f"gain {spec.gamma} is too high for this cap"
+        f"gain {spec.gamma} is too high for the {MAX_PHOTON_NUMBER}-photon limit"
     )
 
 

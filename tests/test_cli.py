@@ -14,6 +14,23 @@ from svbell.cli import main, run_verification
 from svbell.oracle import mc_thin
 
 
+def _counting(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+@pytest.fixture
+def compute_calls(monkeypatch):
+    """Names of the computations the CLI starts, in call order."""
+    calls = []
+    for name in ("bell_sv", "bell_fixed_N", "sv_mixture", "joint_distribution", "run_verification"):
+        monkeypatch.setattr(svbell.cli, name, _counting(calls, name, getattr(svbell.cli, name)))
+    return calls
+
+
 def run_cli(argv, capsys):
     try:
         code = main(argv)
@@ -77,7 +94,7 @@ def test_dist_json_mirrors_csv(capsys):
 
 def test_dist_cap_exceeded_exit_code(capsys):
     code, _, err = run_cli(
-        ["dist", "--gamma", "5", "--mass", "0.99", "--cap", "20", "--theta", "0.1"], capsys
+        ["dist", "--gamma", "5", "--mass", "0.99", "--theta", "0.1"], capsys
     )
     assert code == 3
     assert "error" in err
@@ -100,11 +117,11 @@ def test_dist_cap_exceeded_exit_code(capsys):
         ["heatmap", "--L", "2", "--gamma-range", "0:0.2:0.1", "--eta-range", "0.9:1:0.1"],
         ["heatmap", "--L", "2", "--gamma-range", "0.1:0.2:0.1", "--eta-range", "0.5:1.5:0.5"],
         ["dist", "--gamma", "0.5", "--mass", "0", "--theta", "0.1"],
-        ["dist", "--gamma", "0.5", "--cap", "61", "--theta", "0.1"],
+        ["dist", "--gamma", "0.5", "--cap", "20", "--theta", "0.1"],  # --cap is no longer accepted
         ["sweep-eta", "--N", "1", "--L", "1", "--eta-range", "0.5:1:0.1"],
-        # two faults, the second of which is the unreachable truncation cap
-        ["dist", "--gamma", "5", "--cap", "20", "--theta", "3.0"],
-        ["heatmap", "--L", "2", "--gamma-range", "5:5.1:0.1", "--eta-range", "0.5:1.5:0.5", "--cap", "20"],
+        # two faults, the second of which is the unreachable truncation mass
+        ["dist", "--gamma", "5", "--theta", "3.0"],
+        ["heatmap", "--L", "2", "--gamma-range", "5:5.1:0.1", "--eta-range", "0.5:1.5:0.5"],
         # non-finite grid bounds or steps
         ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.5:inf:0.1"],
         ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.5:1:nan"],
@@ -172,6 +189,22 @@ def test_sweep_settings_sv_metadata(capsys):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.09:1.0:0.07"],
+        ["heatmap", "--L", "2", "--gamma-range", "0.1:0.1:0.1", "--eta-range", "0.09:1.0:0.07"],
+    ],
+)
+def test_efficiency_grid_never_overshoots_its_upper_bound(argv, capsys):
+    # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, an invalid efficiency.
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    _, header, rows = parse_csv(out)
+    assert len(rows) == 14
+    assert float(rows[-1][header.index("eta")]) == 1.0
+
+
 def test_sweep_eta_brackets_the_threshold(capsys):
     code, out, _ = run_cli(
         ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.8:0.86:0.02"], capsys
@@ -211,6 +244,38 @@ def test_heatmap_rows_and_signs(capsys):
     assert "truncation" in metadata
 
 
+def test_heatmap_rejects_an_unreachable_mass_before_the_first_cell(capsys, compute_calls):
+    argv = ["heatmap", "--L", "3", "--gamma-range", "0.1:1.8:0.1", "--eta-range", "0.5:1.0:0.05"]
+    code, out, err = run_cli(argv + ["--mass", "0.995"], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert compute_calls == []
+
+
+@pytest.mark.parametrize(
+    "argv,keys",
+    [
+        (["dist", "--N", "1", "--theta", "0.3"], {"N", "gamma", "theta", "eta", "mass"}),
+        (["sweep-settings", "--N", "1", "--L-range", "2:3"], {"N", "gamma", "eta", "L_range", "mass"}),
+        (["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.9:1:0.1"], {"N", "L", "eta_range"}),
+        (
+            ["heatmap", "--L", "2", "--gamma-range", "0.1:0.1:0.1", "--eta-range", "0.9:1:0.1"],
+            {"L", "gamma_range", "eta_range", "mass"},
+        ),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_config_echoes_every_parsed_flag_but_the_output_ones(argv, keys, fmt, capsys, tmp_path):
+    out_path = tmp_path / "out.txt"
+    code, _, _ = run_cli(argv + ["--format", fmt, "--out", str(out_path)], capsys)
+    assert code == 0
+    text = out_path.read_text(encoding="utf-8")
+    config = json.loads(text)["config"] if fmt == "json" else parse_csv(text)[0]["config"]
+    assert set(config) == keys | {"command"}
+    assert config["command"] == argv[0]
+
+
 def test_outputs_are_deterministic(capsys, tmp_path):
     argv = ["sweep-settings", "--gamma", "0.6", "--L-range", "2:5"]
     _, first, _ = run_cli(argv, capsys)
@@ -227,14 +292,43 @@ def test_outputs_are_deterministic(capsys, tmp_path):
     [
         ["dist", "--N", "1", "--theta", "0.3"],
         ["verify", "--oracle-max-N", "1", "--mc-samples", "1000"],
+        ["heatmap", "--L", "2", "--gamma-range", "0.1:0.3:0.1", "--eta-range", "0.5:1.0:0.5"],
     ],
 )
-def test_unwritable_out_exits_2(argv, capsys, tmp_path):
+def test_unwritable_out_exits_2(argv, capsys, tmp_path, compute_calls):
     out_path = tmp_path / "missing" / "out.txt"
     code, out, err = run_cli(argv + ["--out", str(out_path)], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not out_path.exists()
+    assert compute_calls == []
+
+
+@pytest.mark.parametrize("existing", [None, "kept\n"])
+def test_out_is_left_as_it_was_when_the_command_fails(existing, capsys, tmp_path, compute_calls):
+    out_path = tmp_path / "sweep.csv"
+    if existing is not None:
+        out_path.write_text(existing, encoding="utf-8")
+    argv = ["sweep-settings", "--gamma", "5", "--L-range", "2:3", "--out", str(out_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert compute_calls == ["bell_sv"]  # failed in the first cell, after the --out check
+    if existing is None:
+        assert not out_path.exists()
+    else:
+        assert out_path.read_text(encoding="utf-8") == existing
+
+
+def test_interrupted_run_leaves_no_out_file(monkeypatch, tmp_path):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(svbell.cli, "bell_sv", interrupt)
+    out_path = tmp_path / "sweep.csv"
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep-settings", "--gamma", "0.5", "--L-range", "2:3", "--out", str(out_path)])
     assert not out_path.exists()
 
 

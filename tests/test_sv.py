@@ -83,8 +83,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SVSpec(gamma=0.5, mass_threshold=0.0)
     with pytest.raises(ValueError):
-        SVSpec(gamma=0.5, n_max_cap=61)
-    with pytest.raises(ValueError):
         lambda_sq(-1, 0.5)
 
 
