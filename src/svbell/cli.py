@@ -31,7 +31,7 @@ from .lhv import lhv_minimum, polygon_check_batch
 from .loss import binomial_thin, check_efficiency
 from .oracle import MAX_ORACLE_PHOTON_NUMBER, mc_thin, oracle_joint_distribution
 from .singlet import MAX_PHOTON_NUMBER, joint_distribution
-from .sv import SVSpec, n_max_for, sv_mixture
+from .sv import SVSpec, check_mass_threshold, n_max_for, sv_mixture
 
 _HALF_PI = 0.5 * math.pi
 
@@ -115,6 +115,7 @@ def _emit(args: argparse.Namespace, metadata: dict, columns: Sequence[str], rows
 
 def cmd_dist(args: argparse.Namespace) -> int:
     if args.N is not None:
+        check_mass_threshold(args.mass)  # unused with --N, but echoed in config
         dist = binomial_thin(joint_distribution(args.N, args.theta), args.eta)
         metadata = {"mass": dist.mass}
     else:
@@ -147,6 +148,8 @@ def _sv_bell_with_guard(chain: ChainSpec, spec: SVSpec, eta: float) -> tuple[Bel
 
 def cmd_sweep_settings(args: argparse.Namespace) -> int:
     lo, hi = args.L_range
+    if args.N is not None:
+        check_mass_threshold(args.mass)  # unused with --N, but echoed in config
     rows = []
     warnings: list[str] = []
     metadata: dict = {}

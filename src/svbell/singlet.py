@@ -24,13 +24,22 @@ sum cancels, and the mass stays within about 1e-14 of 1 up to N = 60.
 Every off-diagonal contribution carries an explicit factor of c or s, so at
 theta = 0 the table is strictly diagonal (m = n) and at theta = pi/2
 strictly anti-diagonal (m = N - n), each nonzero entry equal to 1/(N+1).
+
+D_{n+1} depends on D_n and theta alone, so each angle keeps one ladder that
+steps on from its highest D: the tables N = 0..n_max at one angle cost n_max
+steps in all, in any request order.  The cache holds at most 512 tables and
+drops the angles grown least recently first.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -85,24 +94,39 @@ def _cos_sin(theta: float) -> tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
-def _rotation(N: int, theta: float) -> np.ndarray:
-    """D_N(theta), grown from D_0 = [[1]] one photon at a time."""
+def _step(d: np.ndarray, c: float, s: float) -> np.ndarray:
+    """D_{n+1}(theta) from D_n(theta): one more photon through the rotation."""
+    n = len(d) - 1
+    # root[i] = sqrt(i) is the a+ factor on row i, root[n+1-i] the b+
+    # factor; rows outside D_n contribute 0.
+    root = np.sqrt(np.arange(n + 2.0))
+    zeros = np.zeros((1, n + 1))
+    up = root[:, None] * np.vstack([zeros, d])  # sqrt(i) D_n[i-1, k]
+    down = root[::-1, None] * np.vstack([d, zeros])  # sqrt(n+1-i) D_n[i, k]
+    # Columns k < half gain a b photon (norm sqrt(n+1-k)), the rest an
+    # a photon on column k-1 (norm sqrt(k)).
+    half = (n + 2) // 2
+    via_b = (c * down[:, :half] - s * up[:, :half]) / root[::-1][:half]
+    via_a = (c * up[:, half - 1 :] + s * down[:, half - 1 :]) / root[half:]
+    return np.hstack([via_b, via_a])
+
+
+def _ladder(theta: float) -> Iterator[tuple[np.ndarray, JointCountDistribution]]:
+    """D_N(theta) and its frozen count table for N = 0, 1, ..., one step each."""
     c, s = _cos_sin(theta)
     d = np.ones((1, 1))
-    for n in range(N):
-        # root[i] = sqrt(i) is the a+ factor on row i, root[n+1-i] the b+
-        # factor; rows outside D_n contribute 0.
-        root = np.sqrt(np.arange(n + 2.0))
-        zeros = np.zeros((1, n + 1))
-        up = root[:, None] * np.vstack([zeros, d])  # sqrt(i) D_n[i-1, k]
-        down = root[::-1, None] * np.vstack([d, zeros])  # sqrt(n+1-i) D_n[i, k]
-        # Columns k < half gain a b photon (norm sqrt(n+1-k)), the rest an
-        # a photon on column k-1 (norm sqrt(k)).
-        half = (n + 2) // 2
-        via_b = (c * down[:, :half] - s * up[:, :half]) / root[::-1][:half]
-        via_a = (c * up[:, half - 1 :] + s * down[:, half - 1 :]) / root[half:]
-        d = np.hstack([via_b, via_a])
-    return d
+    while True:
+        probs = d**2 / len(d)
+        probs.setflags(write=False)
+        yield d, JointCountDistribution(probs=probs, mass=float(probs.sum()))
+        d = _step(d, c, s)
+
+
+# Per angle, least recently grown first: its paused ladder and its tables so
+# far.  512 tables are at most 8.4 ladders up to N = 60, 5.2 MB with their D.
+_MAX_TABLES = 512
+_ladders: OrderedDict[float, tuple[Iterator, list]] = OrderedDict()
+_lock = threading.Lock()  # one thread at a time steps a ladder or drops one
 
 
 def singlet_amplitudes(N: int, theta: float) -> np.ndarray:
@@ -119,25 +143,29 @@ def singlet_amplitudes(N: int, theta: float) -> np.ndarray:
     _check_photon_number(N)
     _check_angle(theta)
     signs = (-1.0) ** np.arange(N + 1)
-    return _rotation(N, theta) * signs / math.sqrt(N + 1)
-
-
-@lru_cache(maxsize=512)
-def _joint_probs(N: int, theta: float) -> JointCountDistribution:
-    probs = _rotation(N, theta) ** 2 / (N + 1)
-    probs.setflags(write=False)
-    return JointCountDistribution(probs=probs, mass=float(probs.sum()))
+    d, _ = next(islice(_ladder(theta), N, None))  # a ladder of its own
+    return d * signs / math.sqrt(N + 1)
 
 
 def joint_distribution(N: int, theta: float) -> JointCountDistribution:
     """Joint count table p(n, m | theta) for the 2N-photon singlet.
 
     The table is (N+1) x (N+1) and sums to 1 within 1e-9 over the whole
-    supported range.  It is built once per (N, theta) and shared read-only.
+    supported range.  It is read from the angle's ladder, which grows one
+    photon at a time from its highest N, and shared read-only.
     """
     _check_photon_number(N)
     _check_angle(theta)
-    return _joint_probs(N, theta)
+    tables = _ladders.get(theta, (None, ()))[1]
+    if len(tables) <= N:  # reads need no lock: a table list only grows
+        with _lock:
+            ladder, tables = _ladders.pop(theta, None) or (_ladder(theta), [])
+            _ladders[theta] = ladder, tables  # now the most recently grown
+            while len(tables) <= N:
+                tables.append(next(ladder)[1])
+            while sum(len(cached) for _, cached in _ladders.values()) > _MAX_TABLES:
+                _ladders.popitem(last=False)
+    return tables[N]
 
 
 @lru_cache(maxsize=MAX_PHOTON_NUMBER + 1)

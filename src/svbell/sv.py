@@ -34,6 +34,11 @@ def _check_gain(gamma: float) -> None:
         raise ValueError(f"gain must be positive and finite, got {gamma}")
 
 
+def check_mass_threshold(mass_threshold: float) -> None:
+    if not 0.0 < mass_threshold <= 1.0:
+        raise ValueError(f"mass threshold must lie in (0, 1], got {mass_threshold}")
+
+
 @dataclass(frozen=True)
 class SVSpec:
     """Gain and truncation mass of the squeezed-vacuum state.
@@ -46,10 +51,7 @@ class SVSpec:
 
     def __post_init__(self) -> None:
         _check_gain(self.gamma)
-        if not 0.0 < self.mass_threshold <= 1.0:
-            raise ValueError(
-                f"mass threshold must lie in (0, 1], got {self.mass_threshold}"
-            )
+        check_mass_threshold(self.mass_threshold)
 
 
 def lambda_sq(N: int, gamma: float) -> float:

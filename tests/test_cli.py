@@ -117,6 +117,9 @@ def test_dist_cap_exceeded_exit_code(capsys):
         ["heatmap", "--L", "2", "--gamma-range", "0:0.2:0.1", "--eta-range", "0.9:1:0.1"],
         ["heatmap", "--L", "2", "--gamma-range", "0.1:0.2:0.1", "--eta-range", "0.5:1.5:0.5"],
         ["dist", "--gamma", "0.5", "--mass", "0", "--theta", "0.1"],
+        # --mass is unused with --N but echoed in config, so it is checked too
+        ["dist", "--N", "1", "--theta", "0.1", "--mass", "0"],
+        ["sweep-settings", "--N", "1", "--L-range", "2:3", "--mass", "5"],
         ["dist", "--gamma", "0.5", "--cap", "20", "--theta", "0.1"],  # --cap is no longer accepted
         ["sweep-eta", "--N", "1", "--L", "1", "--eta-range", "0.5:1:0.1"],
         # two faults, the second of which is the unreachable truncation mass
@@ -133,6 +136,13 @@ def test_dist_cap_exceeded_exit_code(capsys):
 def test_invalid_arguments_exit_2(argv, capsys):
     code, _, _ = run_cli(argv, capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("state", [["--N", "1"], ["--gamma", "0.5"]])
+def test_invalid_mass_message_is_the_same_for_both_states(state, capsys):
+    code, out, err = run_cli(["dist", *state, "--theta", "0.1", "--mass", "5"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: mass threshold must lie in (0, 1], got 5.0\n"
 
 
 @pytest.mark.parametrize(

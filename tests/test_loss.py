@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fresh_rotation import fresh_rotation
 from svbell.chain import bell_sv, make_chain
 from svbell.errors import PhotonNumberRangeError
 from svbell.loss import _thinning_table, binomial_thin, thinning_matrix
 from svbell.oracle import mc_thin
 from svbell.singlet import (
     MAX_PHOTON_NUMBER,
-    _rotation,
     joint_distribution,
     mean_abs_difference,
 )
@@ -166,7 +166,7 @@ def test_bell_sv_matches_an_uncached_mixture_build():
     def mean_abs(theta):
         probs = np.zeros((size, size))
         for n in range(size):
-            probs[: n + 1, : n + 1] += lambda_sq(n, spec.gamma) * (_rotation(n, theta) ** 2 / (n + 1))
+            probs[: n + 1, : n + 1] += lambda_sq(n, spec.gamma) * (fresh_rotation(n, theta) ** 2 / (n + 1))
         t = pascal_table(size - 1, eta)
         counts = np.arange(size)
         distances = np.abs(counts[:, None] - counts[None, :])

@@ -1,12 +1,19 @@
 """Closed-form singlet statistics against hand-derived tables and the oracle."""
 
 import math
+import sys
+import threading
+from collections import OrderedDict
+from contextlib import contextmanager
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fresh_rotation import fresh_rotation
+from svbell import singlet
 from svbell.errors import PhotonNumberRangeError
 from svbell.oracle import oracle_joint_distribution
 from svbell.singlet import (
@@ -66,6 +73,130 @@ def test_cached_tables_are_frozen():
     assert joint_distribution(2, 0.3) is dist
     with pytest.raises(ValueError):
         _distances(3)[0, 1] = 7
+
+
+@contextmanager
+def empty_ladder_cache(max_tables=singlet._MAX_TABLES):
+    with patch.multiple(singlet, _ladders=OrderedDict(), _MAX_TABLES=max_tables):
+        yield singlet._ladders
+
+
+def cached_tables(ladders):
+    return [table for _, tables in ladders.values() for table in tables]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    requests=st.lists(
+        st.tuples(
+            st.integers(0, MAX_PHOTON_NUMBER),
+            st.one_of(st.sampled_from([0.0, HALF_PI, 0.3, 1.1]), st.floats(0.0, HALF_PI)),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    order=st.sampled_from(["as drawn", "increasing N", "decreasing N"]),
+    max_tables=st.sampled_from([61, 150, singlet._MAX_TABLES]),
+)
+def test_ladder_tables_are_the_fresh_tables(requests, order, max_tables):
+    # Any order of (N, theta) requests, with ladders dropped and regrown
+    # under a small cache, gives the table a from-scratch build gives.
+    if order != "as drawn":
+        requests.sort(key=lambda r: r[0], reverse=order == "decreasing N")
+    seen = {}
+    with empty_ladder_cache(max_tables) as ladders:
+        for N, theta, amplitudes in requests:
+            d = fresh_rotation(N, theta)
+            if amplitudes:
+                signs = (-1.0) ** np.arange(N + 1)
+                assert np.array_equal(singlet_amplitudes(N, theta), d * signs / math.sqrt(N + 1))
+                continue
+            dist = joint_distribution(N, theta)
+            assert np.array_equal(dist.probs, d**2 / (N + 1))
+            assert dist.mass == float(dist.probs.sum())
+            assert not dist.probs.flags.writeable
+            assert joint_distribution(N, theta) is dist
+            tables = ladders[theta][1]
+            earlier = seen.get((N, theta))
+            if earlier and earlier[1] is tables:  # not dropped since: the same shared table
+                assert earlier[0] is dist
+            seen[(N, theta)] = (dist, tables)
+        assert len(cached_tables(ladders)) <= max_tables
+
+
+def test_ladder_cache_is_bounded():
+    # Ladders at more angles than fit: the least recently grown go, and what
+    # stays is no more than 512 tables of N = 60, the bound of the
+    # per-(N, theta) cache the ladders replaced.
+    thetas = [float(t) for t in np.linspace(0.1, 1.4, 30)]
+    with empty_ladder_cache() as ladders:
+        for theta in thetas:
+            joint_distribution(20, theta)
+        kept = list(ladders)
+        assert kept == thetas[-24:]  # 24 ladders of 21 tables fit in 512
+        joint_distribution(40, kept[0])  # grown, so the newest: the next oldest goes
+        assert list(ladders) == kept[2:] + kept[:1]
+        for theta in thetas:
+            joint_distribution(MAX_PHOTON_NUMBER, theta)
+        tables = cached_tables(ladders)
+        assert len(tables) <= singlet._MAX_TABLES
+        # Each paused ladder also holds its top D, the size of its last table.
+        cached_bytes = sum(table.probs.nbytes for table in tables)
+        cached_bytes += sum(own[-1].probs.nbytes for _, own in ladders.values())
+        assert cached_bytes <= 512 * (MAX_PHOTON_NUMBER + 1) ** 2 * 8
+        for theta in thetas:  # tiny ladders at many angles are bounded by count
+            for n in range(3):
+                joint_distribution(n, theta / 7)
+        assert len(cached_tables(ladders)) <= singlet._MAX_TABLES
+
+
+def test_one_angle_costs_one_step_per_photon(monkeypatch):
+    steps = []
+    step = singlet._step
+
+    def counted(*args):
+        steps.append(args[0].shape[0] - 1)
+        return step(*args)
+
+    monkeypatch.setattr(singlet, "_step", counted)
+    with empty_ladder_cache():
+        for n in range(MAX_PHOTON_NUMBER + 1):
+            joint_distribution(n, 0.7)
+        assert steps == list(range(MAX_PHOTON_NUMBER))
+        for n in reversed(range(MAX_PHOTON_NUMBER + 1)):  # all read from the ladder
+            joint_distribution(n, 0.7)
+        assert len(steps) == MAX_PHOTON_NUMBER
+
+
+def test_threads_sharing_the_ladders_get_the_tables_they_ask_for():
+    thetas = [0.2, 0.9, 1.3]
+    expected = {(N, t): fresh_rotation(N, t) ** 2 / (N + 1) for N in range(40) for t in thetas}
+    wrong = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        try:
+            for _ in range(150):
+                key = (int(rng.integers(0, 40)), thetas[rng.integers(0, 3)])
+                if not np.array_equal(joint_distribution(*key).probs, expected[key]):
+                    wrong.append(key)
+        except Exception as exc:  # reported by the assert below
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with empty_ladder_cache(max_tables=61):  # ladders dropped and regrown often
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_two_photon_table_at_pi_over_4():
