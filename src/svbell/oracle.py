@@ -5,7 +5,9 @@ Two independent computation paths live here:
 * a four-mode Fock-space construction of the 2N-photon singlet plus explicit
   multinomial expansion of rotated number states, giving projection
   amplitudes by sparse inner product with exact integer binomials, and
-* a seeded Monte-Carlo realization of Bernoulli detector loss.
+* a seeded Monte-Carlo realization of Bernoulli detector loss: one
+  multinomial draw of how many samples fall in each cell, then an
+  independent binomial thinning draw for every sample of each cell.
 
 Neither path shares code with the closed-form modules; that independence is
 the point.  Scale is deliberately small (N <= 10).
@@ -137,22 +139,33 @@ def mc_thin(
 ) -> JointCountDistribution:
     """Empirical loss channel: sample joint counts, thin each binomially.
 
-    Draws (n, m) pairs from ``dist`` (normalized by its mass), replaces each
-    count by a Binomial(count, eta) draw, and histograms the result.  The
-    output is rescaled by the input mass so it estimates the same table that
-    the exact channel produces.  Deterministic for a fixed seed.
+    One multinomial draw spreads ``samples`` i.i.d. (n, m) pairs over the
+    cells of ``dist`` (normalized by its mass); each sample of cell (n, m)
+    then gets its own Binomial(n, eta), Binomial(m, eta) pair, and the
+    results are histogrammed.  The output is rescaled by the input mass so
+    it estimates the same table that the exact channel produces.
+    Deterministic for a fixed seed.  Earlier versions drew a cell per
+    sample: the law is the same, but a seed now gives a different stream.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"detection efficiency must lie in [0, 1], got {eta}")
     if samples < 1:
         raise ValueError(f"need at least one sample, got {samples}")
+    flat = dist.probs.ravel()
+    if not np.all(flat >= 0.0):
+        raise ValueError("probabilities must be nonnegative and not NaN")
+    # multinomial lets the last cell absorb any shortfall; hold the table to
+    # its declared mass with numpy's choice tolerance instead.
+    if not abs(flat.sum() / dist.mass - 1.0) <= math.sqrt(np.finfo(float).eps):
+        raise ValueError(f"probabilities sum to {flat.sum()}, not the mass {dist.mass}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     size = dist.max_count + 1
-    flat = dist.probs.ravel()
-    draws = rng.choice(flat.size, size=samples, p=flat / dist.mass)
-    n_drawn, m_drawn = np.divmod(draws, size)
-    x = rng.binomial(n_drawn, eta)
-    y = rng.binomial(m_drawn, eta)
-    counts = np.bincount(x * size + y, minlength=size * size).reshape(size, size)
-    probs = counts * (dist.mass / samples)
+    cells = rng.multinomial(samples, flat / dist.mass)
+    counts = np.zeros(size * size, dtype=np.int64)
+    for cell in np.flatnonzero(cells):
+        n, m = divmod(int(cell), size)
+        x = rng.binomial(n, eta, size=cells[cell])
+        y = rng.binomial(m, eta, size=cells[cell])
+        counts += np.bincount(x * size + y, minlength=size * size)
+    probs = counts.reshape(size, size) * (dist.mass / samples)
     return JointCountDistribution(probs=probs, mass=float(probs.sum()))

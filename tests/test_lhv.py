@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svbell.errors import EnumerationBudgetError
 from svbell.lhv import (
@@ -43,6 +46,22 @@ def test_polygon_check_nonnegative_on_random_strategies(L):
     alice = rng.integers(0, 13, size=(200_000, L))
     bob = rng.integers(0, 13, size=(200_000, L))
     assert polygon_check_batch(alice, bob).min() >= 0
+
+
+@st.composite
+def _strategy_rows(draw):
+    shape = (draw(st.integers(1, 20)), draw(st.integers(2, 8)))
+    counts = arrays(np.int64, shape, elements=st.integers(0, 60))
+    return draw(counts), draw(counts)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_strategy_rows())
+def test_polygon_inequality_property(rows):
+    alice, bob = rows
+    batch = polygon_check_batch(alice, bob)
+    assert np.all(batch >= 0)
+    assert [float(v) for v in batch] == [polygon_check(list(a), list(b)) for a, b in zip(alice, bob)]
 
 
 def test_empirical_distance_axioms():

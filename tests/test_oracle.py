@@ -1,9 +1,12 @@
 """Brute-force oracle tests: Fock construction, rotations, Monte-Carlo loss."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from svbell.errors import PhotonNumberRangeError
 from svbell.loss import binomial_thin
@@ -88,6 +91,21 @@ def test_joint_statistics_depend_only_on_relative_angle(N, theta_a, theta_b):
     assert np.max(np.abs(absolute - relative)) <= 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    N=st.integers(0, 6),
+    theta_a=st.floats(-math.pi, math.pi),
+    relative=st.floats(0.0, math.pi / 2),
+)
+def test_joint_statistics_depend_only_on_relative_angle_property(N, theta_a, relative):
+    theta_b = theta_a + relative
+    # Rounding can push the difference just outside the closed form's range.
+    assume(0.0 <= theta_b - theta_a <= math.pi / 2)
+    absolute = oracle_joint_distribution(N, theta_b, theta_a)
+    relative_table = joint_distribution(N, theta_b - theta_a).probs
+    assert np.max(np.abs(absolute - relative_table)) <= 1e-10
+
+
 def test_amplitude_level_agreement():
     # Not just probabilities: signs of the two independent paths agree too.
     for N in range(5):
@@ -130,6 +148,26 @@ def test_mc_thin_marginal_is_binomial():
     assert np.all(np.abs(marginal - expected) <= 3.0 * sigma)
 
 
+def test_mc_thin_joint_histogram_is_a_product_of_binomials():
+    samples = 1_000_000
+    dist = _delta_distribution(3, 2, 5)
+    empirical = mc_thin(dist, 0.5, samples, seed=23)
+    counts = empirical.probs * samples / dist.mass
+    assert np.all(np.abs(counts - np.rint(counts)) <= 1e-6)
+    assert np.rint(counts).sum() == samples
+    # Outside Alice's 0..3 and Bob's 0..2 nothing may land.
+    assert np.all(empirical.probs[4:, :] == 0.0)
+    assert np.all(empirical.probs[:, 3:] == 0.0)
+    expected = np.outer(
+        [math.comb(3, k) / 8 for k in range(4)], [math.comb(2, k) / 4 for k in range(3)]
+    )
+    sigma = np.sqrt(expected * (1.0 - expected) / samples)
+    # Bonferroni over the 12 support cells: a correct sampler fails with
+    # probability about 1e-3 at any seed.
+    threshold = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * expected.size))
+    assert np.all(np.abs(empirical.probs[:4, :3] - expected) <= threshold * sigma)
+
+
 @pytest.mark.parametrize("N,eta,seed", [
     (1, 0.5, 31),
     (1, 0.83, 32),
@@ -156,3 +194,9 @@ def test_mc_thin_validates_arguments():
         mc_thin(dist, 1.5, 100, seed=0)
     with pytest.raises(ValueError):
         mc_thin(dist, 0.5, 0, seed=0)
+    # Sums to 0.9 under a declared mass of 1; a negative entry (the table
+    # still sums to 1); a NaN entry.
+    invalid = ([[0.5, 0.0], [0.0, 0.4]], [[0.6, -0.1], [0.0, 0.5]], [[0.6, math.nan], [0.0, 0.4]])
+    for probs in invalid:
+        with pytest.raises(ValueError):
+            mc_thin(JointCountDistribution(probs=np.array(probs), mass=1.0), 0.5, 100, seed=0)
