@@ -109,8 +109,9 @@ def rhs_sv_asymptotic(gamma: float) -> float:
     """Closed-form L -> infinity RHS for the squeezed vacuum.
 
     Summing the fixed-N limits with weights lambda_N^2 gives
-    sinh(2 gamma)^3 / sinh(4 gamma); the Bell parameter approaches its
-    negative since the LHS vanishes.
+    sinh(2 gamma)^3 / sinh(4 gamma) = sinh(2 gamma) tanh(2 gamma) / 2; the
+    Bell parameter approaches its negative since the LHS vanishes.  The
+    second form stays finite up to gamma of about 354.
     """
     _check_gain(gamma)
-    return math.sinh(2.0 * gamma) ** 3 / math.sinh(4.0 * gamma)
+    return math.sinh(2.0 * gamma) * math.tanh(2.0 * gamma) / 2.0

@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from statistics import NormalDist
 from typing import Optional, Sequence
 
@@ -131,13 +130,16 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sv_bell_with_guard(chain: ChainSpec, spec: SVSpec, eta: float) -> tuple[BellBreakdown, Optional[str]]:
+def _sv_bell_with_guard(
+    chain: ChainSpec, spec: SVSpec, guard: SVSpec, eta: float
+) -> tuple[BellBreakdown, Optional[str]]:
+    """bell_sv at spec, checked against the same state at the guard mass."""
     result = bell_sv(chain, spec, eta)
     if spec.mass_threshold >= GUARD_MASS:
         return result, None
     where = f"L={chain.L} gamma={spec.gamma}"
     try:
-        tighter = bell_sv(chain, replace(spec, mass_threshold=GUARD_MASS), eta)
+        tighter = bell_sv(chain, guard, eta)
     except CapExceededError:
         return result, f"{where}: guard mass {GUARD_MASS} unreachable under cap {MAX_PHOTON_NUMBER}"
     drift = abs(tighter.bell - result.bell)
@@ -150,6 +152,8 @@ def cmd_sweep_settings(args: argparse.Namespace) -> int:
     lo, hi = args.L_range
     if args.N is not None:
         check_mass_threshold(args.mass)  # unused with --N, but echoed in config
+    else:
+        spec, guard = SVSpec(args.gamma, args.mass), SVSpec(args.gamma, GUARD_MASS)
     rows = []
     warnings: list[str] = []
     metadata: dict = {}
@@ -157,7 +161,7 @@ def cmd_sweep_settings(args: argparse.Namespace) -> int:
         if args.N is not None:
             res = bell_fixed_N(args.N, make_chain(L), args.eta)
         else:
-            res, warning = _sv_bell_with_guard(make_chain(L), SVSpec(args.gamma, args.mass), args.eta)
+            res, warning = _sv_bell_with_guard(make_chain(L), spec, guard, args.eta)
             if warning:
                 warnings.append(warning)
             metadata["mass"] = res.mass
@@ -179,22 +183,27 @@ def cmd_sweep_eta(args: argparse.Namespace) -> int:
 def cmd_heatmap(args: argparse.Namespace) -> int:
     etas = _eta_grid(*args.eta_range)
     # Reject a bad efficiency, gain or mass anywhere in the grid, and a mass
-    # that the largest gain cannot reach, before the first cell.
+    # that the largest gain cannot reach, before the first cell.  Gains rise
+    # along the grid, so its two ends stand for every gain.
     for eta in etas:
         check_efficiency(eta)
     chain = make_chain(args.L)
-    specs = [SVSpec(gamma, args.mass) for gamma in _grid(*args.gamma_range)]
-    n_max_for(specs[-1])
+    gammas = _grid(*args.gamma_range)
+    SVSpec(gammas[0], args.mass)
+    n_max_for(SVSpec(gammas[-1], args.mass))
     rows = []
     warnings: list[str] = []
     truncation: dict[str, list] = {}
-    for spec in specs:
+    for gamma in gammas:
+        # Both specs of a row keep their two angles' lossless tables, so each
+        # efficiency of the row only thins them; the tables go with the row.
+        spec, guard = SVSpec(gamma, args.mass), SVSpec(gamma, GUARD_MASS)
         for eta in etas:
-            res, warning = _sv_bell_with_guard(chain, spec, eta)
+            res, warning = _sv_bell_with_guard(chain, spec, guard, eta)
             if warning:
                 warnings.append(warning)
-            truncation[repr(spec.gamma)] = [res.n_max, res.mass]
-            rows.append((spec.gamma, eta, res.bell))
+            truncation[repr(gamma)] = [res.n_max, res.mass]
+            rows.append((gamma, eta, res.bell))
     metadata: dict = {"truncation": truncation}
     if warnings:
         metadata["convergence_warnings"] = warnings

@@ -59,7 +59,8 @@ class JointCountDistribution:
     ``probs[n, m]`` is the probability that Alice registers n photons and
     Bob m photons; ``mass`` is the declared total (1 up to rounding for
     lossless fixed-N tables, the truncated weight sum for mixtures).  Treat
-    ``probs`` as read-only (fixed-N tables are shared and frozen).
+    ``probs`` as read-only: fixed-N tables, and the lossless squeezed-vacuum
+    tables that ``sv_mixture`` returns at eta = 1, are shared and frozen.
     """
 
     probs: np.ndarray

@@ -15,7 +15,7 @@ the distribution just declares the mass it covers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,11 +43,18 @@ def check_mass_threshold(mass_threshold: float) -> None:
 class SVSpec:
     """Gain and truncation mass of the squeezed-vacuum state.
 
-    The mixture never goes above MAX_PHOTON_NUMBER photons per beam.
+    The mixture never goes above MAX_PHOTON_NUMBER photons per beam.  Each
+    spec keeps the frozen lossless mixture tables of the last two angles
+    ``sv_mixture`` used it at, so the adjacent and closing tables of a chain
+    are built once per spec and only thinned at each efficiency.  The memo
+    lives and dies with the object: it takes no part in the constructor,
+    ``==``, ``hash`` or ``repr``, and ``replace`` or a new equal spec starts
+    empty.  Threads sharing a spec may build a table twice, never a wrong one.
     """
 
     gamma: float
     mass_threshold: float = 0.99
+    _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_gain(self.gamma)
@@ -59,7 +66,13 @@ def lambda_sq(N: int, gamma: float) -> float:
     if N < 0:
         raise ValueError(f"photon number per beam must be nonnegative, got {N}")
     _check_gain(gamma)
-    return (N + 1) * math.tanh(gamma) ** (2 * N) / math.cosh(gamma) ** 4
+    weight = (N + 1) * math.tanh(gamma) ** (2 * N)
+    try:
+        return weight / math.cosh(gamma) ** 4
+    except OverflowError:
+        # Above gamma ~ 178.1 cosh^4 overflows, but there cosh = e^gamma / 2
+        # to double precision, so the weight is (N+1) tanh^(2N) 16 e^(-4 gamma).
+        return weight * 16.0 * math.exp(-4.0 * gamma)
 
 
 def mean_photons_per_beam(gamma: float) -> float:
@@ -91,16 +104,24 @@ def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistri
 
     Weighted mixture of the lossless fixed-N tables up to the truncation
     point, thinned once at efficiency eta (thinning is linear).  The declared
-    mass is the truncated weight sum (weights are not renormalized).
+    mass is the truncated weight sum (weights are not renormalized).  The
+    lossless mixture is built once per spec and angle and kept by ``spec``
+    (see SVSpec); at eta = 1 that shared, frozen table is returned itself.
     """
     check_efficiency(eta)
     _check_angle(theta)
-    n_max = n_max_for(spec)
-    weights = [lambda_sq(n, spec.gamma) for n in range(n_max + 1)]
-    probs = np.zeros((n_max + 1, n_max + 1))
-    for n, weight in enumerate(weights):
-        probs[: n + 1, : n + 1] += weight * joint_distribution(n, theta).probs
-    mixture = JointCountDistribution(probs=probs, mass=math.fsum(weights))
+    mixture = spec._mixtures.pop(theta, None)
+    if mixture is None:
+        n_max = n_max_for(spec)
+        weights = [lambda_sq(n, spec.gamma) for n in range(n_max + 1)]
+        probs = np.zeros((n_max + 1, n_max + 1))
+        for n, weight in enumerate(weights):
+            probs[: n + 1, : n + 1] += weight * joint_distribution(n, theta).probs
+        probs.setflags(write=False)
+        mixture = JointCountDistribution(probs=probs, mass=math.fsum(weights))
+    spec._mixtures[theta] = mixture  # now the most recently used angle
+    for oldest in list(spec._mixtures)[:-2]:
+        spec._mixtures.pop(oldest, None)
     if eta < 1.0:
         mixture = replace(binomial_thin(mixture, eta), mass=mixture.mass)
     return mixture

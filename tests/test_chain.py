@@ -111,6 +111,12 @@ def test_sv_asymptotic_examples():
     assert rhs_sv_asymptotic(gamma) / math.exp(2 * gamma) == pytest.approx(0.25, abs=1e-10)
 
 
+@pytest.mark.parametrize("gamma", [120.0, 300.0])
+def test_sv_asymptotic_stays_finite_at_high_gain(gamma):
+    # sinh(2g)^3 alone overflows above g ~ 118.3; the value does not until g ~ 354.
+    assert rhs_sv_asymptotic(gamma) == pytest.approx(math.exp(2 * gamma) / 4, rel=1e-12)
+
+
 def test_sv_asymptotic_matches_weighted_series():
     for gamma in [0.3, 0.8]:
         total = 0.0

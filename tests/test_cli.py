@@ -10,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import svbell.cli
-from svbell.cli import main, run_verification
+import svbell.sv
+from svbell.cli import GUARD_MASS, main, run_verification
 from svbell.oracle import mc_thin
+from svbell.sv import SVSpec, n_max_for
 
 
 def _counting(calls, name, fn):
@@ -98,6 +100,21 @@ def test_dist_cap_exceeded_exit_code(capsys):
     )
     assert code == 3
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "--gamma", "200", "--theta", "0"],
+        ["sweep-settings", "--gamma", "200", "--L-range", "2:3"],
+        ["heatmap", "--L", "2", "--gamma-range", "200:200:1", "--eta-range", "0.9:1:0.1"],
+    ],
+)
+def test_gains_past_the_float_range_of_cosh4_exit_3(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -252,6 +269,21 @@ def test_heatmap_rows_and_signs(capsys):
     assert cells[(0.1, 1.0)] < 0.0  # violation at high efficiency, small gain
     assert abs(cells[(0.1, 1.0)]) < 0.01  # vacuum limit: bell -> 0
     assert "truncation" in metadata
+
+
+def test_heatmap_builds_each_row_mixture_once(capsys, monkeypatch):
+    calls = []
+    counted = _counting(calls, "joint_distribution", svbell.sv.joint_distribution)
+    monkeypatch.setattr(svbell.sv, "joint_distribution", counted)
+    argv = ["heatmap", "--L", "3", "--gamma-range", "0.7:0.7:0.1", "--eta-range", "0.5:1.0:0.05"]
+    n_max, n_max_guard = n_max_for(SVSpec(0.7)), n_max_for(SVSpec(0.7, GUARD_MASS))
+    # Two angles, each built once at the run mass and once at the guard mass;
+    # the tables go with the command, so running it again builds them again.
+    for runs in (1, 2):
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len(parse_csv(out)[2]) == 11
+        assert len(calls) == runs * 2 * ((n_max + 1) + (n_max_guard + 1))
 
 
 def test_heatmap_rejects_an_unreachable_mass_before_the_first_cell(capsys, compute_calls):

@@ -1,14 +1,17 @@
 """Squeezed-vacuum weights, truncation policy, mixtures, and correlations."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fresh_rotation import fresh_rotation
 from svbell.chain import rhs_sv_asymptotic
 from svbell.errors import CapExceededError
+from svbell.loss import binomial_thin
 from svbell.oracle import mc_thin
-from svbell.singlet import joint_distribution
+from svbell.singlet import JointCountDistribution, joint_distribution
 from svbell.sv import (
     SVSpec,
     correlation_visibility,
@@ -53,6 +56,20 @@ def test_partial_sums_monotone():
     assert np.all(np.diff(partial) >= 0.0)
     assert partial[-1] <= 1.0 + 1e-12
     assert partial[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_weights_keep_their_bits_below_the_float_range_of_cosh4():
+    for gamma in [1e-9, 0.3, 0.8, 1.5, 20.0, 178.0]:
+        for n in [0, 1, 7, 60]:
+            assert lambda_sq(n, gamma) == (n + 1) * math.tanh(gamma) ** (2 * n) / math.cosh(gamma) ** 4
+
+
+@pytest.mark.parametrize("gamma", [178.2, 200.0, 800.0, 1e308])
+def test_weights_past_the_float_range_of_cosh4_are_negligible(gamma):
+    # cosh(gamma)^4 overflows above gamma ~ 178.1; the weights underflow instead.
+    assert all(0.0 <= lambda_sq(n, gamma) < 1e-300 for n in [0, 1, 60])
+    with pytest.raises(CapExceededError):
+        n_max_for(SVSpec(gamma))
 
 
 def test_truncation_point_small_gain():
@@ -123,6 +140,64 @@ def test_mixture_mass_equals_truncated_weight_sum():
     expected_mass = math.fsum(lambda_sq(n, 0.8) for n in range(dist.max_count + 1))
     assert dist.mass == pytest.approx(expected_mass, abs=1e-12)
     assert dist.probs.sum() == pytest.approx(expected_mass, abs=1e-9)
+
+
+def fresh_mixture(theta, spec, eta):
+    """sv_mixture's table built with no shared state: fresh singlet tables, thinned."""
+    size = n_max_for(spec) + 1
+    probs = np.zeros((size, size))
+    for n in range(size):
+        probs[: n + 1, : n + 1] += lambda_sq(n, spec.gamma) * (fresh_rotation(n, theta) ** 2 / (n + 1))
+    return binomial_thin(JointCountDistribution(probs, 1.0), eta).probs if eta < 1.0 else probs
+
+
+def test_kept_mixture_matches_a_fresh_build_at_every_efficiency():
+    spec, theta = SVSpec(0.9), math.pi / 12
+    etas = [i / 10 for i in range(11)]
+    expected = [fresh_mixture(theta, spec, eta) for eta in etas]
+    mass = math.fsum(lambda_sq(n, spec.gamma) for n in range(n_max_for(spec) + 1))
+    for _ in range(2):  # the first call builds the lossless table; every later one reuses it
+        for eta, probs in zip(etas, expected):
+            dist = sv_mixture(theta, spec, eta)
+            assert np.array_equal(dist.probs, probs)
+            assert dist.mass == mass
+
+
+def test_kept_mixture_is_shared_and_read_only():
+    spec = SVSpec(0.8)
+    table = sv_mixture(0.3, spec)
+    assert sv_mixture(0.3, spec) is table
+    with pytest.raises(ValueError):
+        table.probs[0, 0] = 1.0
+    thinned = sv_mixture(0.3, spec, 0.5)
+    thinned.probs[0, 0] = 1.0  # a thinned table is the caller's own
+    assert sv_mixture(0.3, spec) is table and table.probs[0, 0] != 1.0
+
+
+def test_a_spec_keeps_the_last_two_angles_it_was_used_at():
+    spec = SVSpec(0.8)
+    first, second = sv_mixture(0.1, spec), sv_mixture(0.2, spec)
+    assert sv_mixture(0.1, spec) is first
+    third = sv_mixture(0.3, spec)  # 0.2 is the least recently used: it goes
+    assert list(spec._mixtures) == [0.1, 0.3]
+    assert sv_mixture(0.1, spec) is first and sv_mixture(0.3, spec) is third
+    rebuilt = sv_mixture(0.2, spec, 0.7)
+    assert rebuilt.probs is not second.probs and list(spec._mixtures) == [0.3, 0.2]
+    for theta in np.linspace(0.0, 0.5 * math.pi, 9):
+        sv_mixture(float(theta), spec)
+        assert len(spec._mixtures) <= 2
+
+
+def test_the_kept_tables_belong_to_one_spec_object():
+    spec = SVSpec(0.8)
+    before = hash(spec)
+    table = sv_mixture(0.3, spec)
+    assert spec == SVSpec(0.8) and hash(spec) == before == hash(SVSpec(0.8))
+    assert repr(spec) == "SVSpec(gamma=0.8, mass_threshold=0.99)"
+    for other in [SVSpec(0.8), replace(spec), replace(spec, mass_threshold=0.999)]:
+        assert other._mixtures == {}
+        assert sv_mixture(0.3, other) is not table
+    assert np.array_equal(sv_mixture(0.3, SVSpec(0.8)).probs, table.probs)
 
 
 def test_lossy_mixture_against_monte_carlo():
