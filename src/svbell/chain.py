@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .loss import binomial_thin, check_efficiency
-from .singlet import joint_distribution, mean_abs_difference
+from .loss import check_efficiency
+# joint_distribution is unused here; perfbench/test_perfbench.py reads it from this module.
+from .singlet import _check_photon_number, joint_distribution, mean_abs_difference
 from .sv import SVSpec, _check_gain, sv_mixture
 
 
@@ -37,10 +38,11 @@ class ChainSpec:
 class BellBreakdown:
     """LHS, RHS and Bell parameter of one chain evaluation.
 
-    ``bell`` always equals ``lhs - rhs`` exactly as stored.  ``n_max`` and
-    ``mass`` are set for the squeezed vacuum only: the truncation point and
-    the weight sum its tables declare (weights up to ``n_max``, not
-    renormalized).
+    ``bell`` always equals ``lhs - rhs`` exactly as stored.  Fixed-N values
+    are exact finite sums and leave ``n_max`` and ``mass`` unset.  For the
+    squeezed vacuum they are read off truncated tables, and ``n_max`` and
+    ``mass`` are the truncation point and the weight sum those tables
+    declare (weights up to ``n_max``, not renormalized).
     """
 
     lhs: float
@@ -61,22 +63,31 @@ def make_chain(L: int) -> ChainSpec:
     )
 
 
-def _breakdown(chain: ChainSpec, near, far, n_max=None, mass=None) -> BellBreakdown:
-    """Chained inequality on the adjacent-angle (near) and closing-angle (far) tables."""
-    lhs = (2 * chain.L - 1) * mean_abs_difference(near)
-    rhs = mean_abs_difference(far)
-    return BellBreakdown(lhs, rhs, lhs - rhs, n_max, mass)
+def _mean_distance(N: int, theta: float, eta: float) -> float:
+    """Exact <|m - n|> of the 2N-photon singlet at angle theta, efficiency eta.
+
+    1/(N+1) sum_{k<N} R_k [2 eta (1-eta) (N-k) + eta^2 sin^2(theta) (N+1-k) (N-k)],
+    where R_0 = 1, R_1 = b, (k+1) R_{k+1} = (2k+1) b R_k - k c^2 R_{k-1},
+    b = 1 - 2 eta (1-eta) - 2 eta^2 sin^2(theta) and c^2 = (1 - 2 eta)^2: the
+    tanh(g)^2 expansion of the Gaussian closed form <|m - n|> = 2A/sqrt(1+4A)
+    (Weedbrook et al., RMP 84, 621 (2012)).  No division by c, so eta = 1/2 is fine.
+    """
+    lost, crossed = 2.0 * eta * (1.0 - eta), eta * eta * math.sin(theta) ** 2
+    b, c_sq = 1.0 - lost - 2.0 * crossed, (1.0 - 2.0 * eta) ** 2
+    total, r_prev, r = 0.0, 0.0, 1.0
+    for k in range(N):
+        total += r * (N - k) * (lost + crossed * (N + 1 - k))
+        r, r_prev = ((2 * k + 1) * b * r - k * c_sq * r_prev) / (k + 1), r
+    return total / (N + 1)
 
 
 def bell_fixed_N(N: int, chain: ChainSpec, eta: float = 1.0) -> BellBreakdown:
-    """Bell breakdown for the 2N-photon singlet at efficiency eta."""
+    """Bell breakdown for the 2N-photon singlet at efficiency eta, as exact finite sums."""
     check_efficiency(eta)
-    near = joint_distribution(N, chain.theta)
-    far = joint_distribution(N, chain.theta_prime)
-    if eta < 1.0:
-        near = binomial_thin(near, eta)
-        far = binomial_thin(far, eta)
-    return _breakdown(chain, near, far)
+    _check_photon_number(N)
+    lhs = (2 * chain.L - 1) * _mean_distance(N, chain.theta, eta)
+    rhs = _mean_distance(N, chain.theta_prime, eta)
+    return BellBreakdown(lhs, rhs, lhs - rhs)
 
 
 def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
@@ -89,7 +100,9 @@ def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
     """
     near = sv_mixture(chain.theta, spec, eta)
     far = sv_mixture(chain.theta_prime, spec, eta)
-    return _breakdown(chain, near, far, near.max_count, near.mass)
+    lhs = (2 * chain.L - 1) * mean_abs_difference(near)
+    rhs = mean_abs_difference(far)
+    return BellBreakdown(lhs, rhs, lhs - rhs, near.max_count, near.mass)
 
 
 def asymptotic_bell_fixed_N(N: int) -> float:

@@ -131,9 +131,12 @@ def cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _sv_bell_with_guard(
-    chain: ChainSpec, spec: SVSpec, guard: SVSpec, eta: float
+    chain: ChainSpec, spec: SVSpec, guard: SVSpec, eta: float, name_eta: bool = False
 ) -> tuple[BellBreakdown, Optional[str]]:
-    """bell_sv at spec, checked against the same state at the guard mass."""
+    """bell_sv at spec, checked against the same state at the guard mass.
+
+    Drift warnings name eta if ``name_eta``; an unreachable guard mass does not.
+    """
     result = bell_sv(chain, spec, eta)
     if spec.mass_threshold >= GUARD_MASS:
         return result, None
@@ -144,6 +147,8 @@ def _sv_bell_with_guard(
         return result, f"{where}: guard mass {GUARD_MASS} unreachable under cap {MAX_PHOTON_NUMBER}"
     drift = abs(tighter.bell - result.bell)
     if drift > GUARD_TOL:
+        if name_eta:
+            where += f" eta={eta}"
         return result, f"{where}: bell moved {drift:.2e} between mass {spec.mass_threshold} and {GUARD_MASS}"
     return result, None
 
@@ -199,8 +204,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         # efficiency of the row only thins them; the tables go with the row.
         spec, guard = SVSpec(gamma, args.mass), SVSpec(gamma, GUARD_MASS)
         for eta in etas:
-            res, warning = _sv_bell_with_guard(chain, spec, guard, eta)
-            if warning:
+            res, warning = _sv_bell_with_guard(chain, spec, guard, eta, name_eta=True)
+            if warning and warning not in warnings:  # an unreachable guard: once per gain
                 warnings.append(warning)
             truncation[repr(gamma)] = [res.n_max, res.mass]
             rows.append((gamma, eta, res.bell))

@@ -144,9 +144,8 @@ def intensity_correlation(theta_a: float, theta_b: float, gamma: float) -> float
 def correlation_visibility(gamma: float) -> float:
     """Visibility (max - min) / (max + min) of the correlation fringe.
 
-    Equals 1 at vanishing gain and decays to 1/3 (thermal contrast) in the
-    high-gain limit.
+    Equals 1 / (1 + 2 tanh(gamma)^2): 1 at vanishing gain, decaying to 1/3
+    (thermal contrast) in the high-gain limit, finite at every gain.
     """
-    top = intensity_correlation(0.0, 0.0, gamma)
-    bottom = intensity_correlation(0.0, 0.5 * math.pi, gamma)
-    return (top - bottom) / (top + bottom)
+    _check_gain(gamma)
+    return 1.0 / (1.0 + 2.0 * math.tanh(gamma) ** 2)

@@ -5,16 +5,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import svbell.chain
+import svbell.loss
 from svbell.chain import (
+    _mean_distance,
     asymptotic_bell_fixed_N,
     bell_fixed_N,
     bell_sv,
     make_chain,
     rhs_sv_asymptotic,
 )
+from svbell.errors import PhotonNumberRangeError
+from svbell.loss import binomial_thin
+from svbell.singlet import joint_distribution, mean_abs_difference
 from svbell.sv import SVSpec, lambda_sq, sv_mixture
 
 
@@ -65,6 +71,73 @@ def test_bell_nonincreasing_in_efficiency():
     chain = make_chain(2)
     values = [bell_fixed_N(1, chain, eta).bell for eta in np.linspace(0.7, 1.0, 13)]
     assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    N=st.integers(0, 60),
+    theta=st.floats(0.0, math.pi / 2),
+    eta=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+)
+@example(N=60, theta=math.pi / 2, eta=0.5)
+@example(N=60, theta=0.0, eta=0.0)
+@example(N=60, theta=math.pi / 4, eta=1.0)
+def test_mean_distance_matches_the_thinned_table(N, theta, eta):
+    table = mean_abs_difference(binomial_thin(joint_distribution(N, theta), eta))
+    # A priori bound: one rounding per cell of the (N+1) x (N+1) table.
+    bound = (N + 1) ** 2 * 2.0**-52 * max(1.0, table)
+    assert abs(_mean_distance(N, theta, eta) - table) <= bound
+
+
+@pytest.mark.parametrize(
+    "gamma, eta, theta",
+    [(0.3, 1.0, 0.4), (0.8, 0.9, math.pi / 8), (1.2, 0.5, 1.3), (0.6, 0.75, 0.0)],
+)
+def test_weighted_fixed_N_sums_give_the_gaussian_closed_form(gamma, eta, theta):
+    # The fixed-N sums are the tanh(g)^2 expansion of 2A / sqrt(1 + 4A),
+    # A = eta s^2 (1 - eta + eta c^2 sin^2 theta): two exact paths agree.
+    s, c = math.sinh(gamma), math.cosh(gamma)
+    a = eta * s**2 * (1.0 - eta + eta * c**2 * math.sin(theta) ** 2)
+    gaussian = 2.0 * a / math.sqrt(1.0 + 4.0 * a)
+    series = math.fsum(lambda_sq(n, gamma) * _mean_distance(n, theta, eta) for n in range(600))
+    # lambda_sq rounds tanh(g)^(2N) / cosh(g)^4 to a few ulp, which sets this
+    # tolerance; the sums alone agree with 40-digit arithmetic to about 1e-16.
+    assert series == pytest.approx(gaussian, rel=2e-15)
+
+
+def test_two_photon_two_settings_efficiency_threshold_is_exact():
+    # B(eta) = 2 eta (1 - eta) + eta^2 (1 - sqrt 2) = eta (2 - (1 + sqrt 2) eta),
+    # which changes sign at eta = 2 / (1 + sqrt 2) = 2 sqrt 2 - 2.
+    chain = make_chain(2)
+    threshold = 2.0 * math.sqrt(2.0) - 2.0
+    for eta in [0.3, 0.75, 0.9, 1.0]:
+        expected = eta * (2.0 - (1.0 + math.sqrt(2.0)) * eta)
+        assert bell_fixed_N(1, chain, eta).bell == pytest.approx(expected, abs=1e-15)
+    assert abs(bell_fixed_N(1, chain, threshold).bell) <= 1e-15
+    assert bell_fixed_N(1, chain, threshold - 1e-12).bell > 0.0
+    assert bell_fixed_N(1, chain, threshold + 1e-12).bell < 0.0
+
+
+def test_bell_fixed_N_builds_and_thins_no_table(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("bell_fixed_N must not build or thin a count table")
+
+    monkeypatch.setattr(svbell.chain, "joint_distribution", forbidden)
+    monkeypatch.setattr(svbell.loss, "binomial_thin", forbidden)
+    result = bell_fixed_N(60, make_chain(7), 0.5)
+    assert result.bell == result.lhs - result.rhs
+    assert bell_fixed_N(1, make_chain(2)).bell == pytest.approx(1.0 - math.sqrt(2.0), abs=1e-15)
+
+
+def test_bell_fixed_N_keeps_its_range_checks():
+    chain = make_chain(2)
+    with pytest.raises(PhotonNumberRangeError):
+        bell_fixed_N(61, chain)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bell_fixed_N(-1, chain)
+    for eta in [-0.1, 1.5, math.nan]:
+        with pytest.raises(ValueError, match="detection efficiency"):
+            bell_fixed_N(1, chain, eta)
 
 
 def test_asymptotic_values():

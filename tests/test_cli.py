@@ -295,6 +295,44 @@ def test_heatmap_rejects_an_unreachable_mass_before_the_first_cell(capsys, compu
     assert compute_calls == []
 
 
+def test_heatmap_names_an_unreachable_guard_once_per_gain(capsys):
+    # Mass 0.99 is reachable at gain 1.7, the guard's 0.999 is not, at any eta.
+    argv = ["heatmap", "--L", "3", "--gamma-range", "1.7:1.7:0.1", "--eta-range", "0.5:1.0:0.1"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    metadata, _, rows = parse_csv(out)
+    assert len(rows) == 6
+    assert metadata["convergence_warnings"] == [
+        f"L=3 gamma=1.7: guard mass {GUARD_MASS} unreachable under cap 60"
+    ]
+
+
+def test_heatmap_drift_warnings_name_their_cell(capsys):
+    argv = ["heatmap", "--L", "2", "--gamma-range", "0.2:0.3:0.1", "--eta-range", "0.5:1.0:0.05"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    metadata, _, rows = parse_csv(out)
+    warnings = metadata["convergence_warnings"]
+    assert warnings and all("bell moved" in w for w in warnings)
+    cells = {f"L=2 gamma={gamma} eta={eta}" for gamma, eta, _ in rows}
+    named = [w.partition(":")[0] for w in warnings]
+    assert len(set(named)) == len(named) and set(named) <= cells
+    assert named[0] == "L=2 gamma=0.2 eta=0.5"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-eta", "--N", "61", "--L", "2", "--eta-range", "0.9:1:0.1"],
+        ["sweep-settings", "--N", "61", "--L-range", "2:3"],
+    ],
+)
+def test_fixed_N_sweeps_keep_the_photon_number_range(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: photon number per beam 61 exceeds supported range N <= 60\n"
+
+
 @pytest.mark.parametrize(
     "argv,keys",
     [

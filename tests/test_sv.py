@@ -237,6 +237,19 @@ def test_intensity_correlation_against_truncated_fock_sum():
         assert total == pytest.approx(intensity_correlation(0.0, delta, gamma), abs=1e-8)
 
 
+@pytest.mark.parametrize("gamma", [178.0, 180.0, 360.0, 1e300])
+def test_visibility_stays_finite_at_any_gain(gamma):
+    # The fringe's sinh^2 cosh^2 overflows near gamma 178; the visibility does not.
+    assert abs(correlation_visibility(gamma) - 1.0 / 3.0) <= 1e-15
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.8, 6.0, 177.0])
+def test_visibility_is_the_fringe_contrast(gamma):
+    top = intensity_correlation(0.0, 0.0, gamma)
+    bottom = intensity_correlation(0.0, 0.5 * math.pi, gamma)
+    assert correlation_visibility(gamma) == pytest.approx((top - bottom) / (top + bottom), rel=1e-15)
+
+
 def test_visibility_limits():
     assert correlation_visibility(0.05) >= 0.99
     assert correlation_visibility(6.0) == pytest.approx(1.0 / 3.0, abs=1e-3)
