@@ -27,11 +27,21 @@ from .sv import SVSpec, _check_gain, sv_mixture
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Number of settings per side and the derived relative angles."""
+    """Number of settings per side (L >= 2) and the relative angles it sets."""
 
     L: int
-    theta: float
-    theta_prime: float
+
+    def __post_init__(self) -> None:
+        if self.L < 2:
+            raise ValueError(f"chained inequality needs at least 2 settings, got L={self.L}")
+
+    @property
+    def theta(self) -> float:
+        return math.pi / (4 * self.L)
+
+    @property
+    def theta_prime(self) -> float:
+        return (2 * self.L - 1) * math.pi / (4 * self.L)
 
 
 @dataclass(frozen=True)
@@ -54,13 +64,7 @@ class BellBreakdown:
 
 def make_chain(L: int) -> ChainSpec:
     """Settings geometry for an L-setting chain (L >= 2)."""
-    if L < 2:
-        raise ValueError(f"chained inequality needs at least 2 settings, got L={L}")
-    return ChainSpec(
-        L=L,
-        theta=math.pi / (4 * L),
-        theta_prime=(2 * L - 1) * math.pi / (4 * L),
-    )
+    return ChainSpec(L)
 
 
 def _mean_distance(N: int, theta: float, eta: float) -> float:

@@ -15,6 +15,7 @@ unreachable below the 60-photon limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -333,6 +334,7 @@ def _add_truncation_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mass", type=float, default=0.99, help="truncation mass threshold")
 
 
+@functools.cache  # built once per process: each add_argument asks for the terminal size
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="svbell",

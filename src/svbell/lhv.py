@@ -52,18 +52,6 @@ def polygon_check_batch(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     return aligned + stepped - closing
 
 
-def empirical_distance(samples_v: Sequence[float], samples_w: Sequence[float]) -> float:
-    """Mean |V_k - W_k| over paired samples; a metric on outcome sequences."""
-    if len(samples_v) != len(samples_w):
-        raise ValueError(
-            f"paired samples must have equal length, "
-            f"got {len(samples_v)} and {len(samples_w)}"
-        )
-    v = np.asarray(samples_v, dtype=float)
-    w = np.asarray(samples_w, dtype=float)
-    return float(np.mean(np.abs(v - w)))
-
-
 def lhv_minimum(L: int, cap: int) -> float:
     """Exhaustive minimum of polygon_check over all strategies.
 

@@ -1,7 +1,8 @@
 """D_N(theta) grown from D_0 = [[1]] with no shared state, for pinning the cache.
 
 The same recursion, operation for operation, as ``svbell.singlet._step``, so
-a table read from the library's per-angle ladder must equal it bit for bit.
+a table read from the library's cached rotation steps must equal it bit for
+bit.
 """
 
 import math

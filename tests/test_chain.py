@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import svbell.chain
 import svbell.loss
 from svbell.chain import (
+    ChainSpec,
     _mean_distance,
     asymptotic_bell_fixed_N,
     bell_fixed_N,
@@ -45,6 +46,17 @@ def test_make_chain_rejects_short_chains():
     for L in [-1, 0, 1]:
         with pytest.raises(ValueError):
             make_chain(L)
+
+
+def test_a_chain_is_its_number_of_settings():
+    # The angles follow from L alone, so no chain carries angles of its own.
+    with pytest.raises(ValueError, match="at least 2 settings, got L=1"):
+        ChainSpec(1)
+    for L in [2, 3, 7, 10_000]:
+        chain = make_chain(L)
+        assert chain == ChainSpec(L)
+        assert chain.theta == math.pi / (4 * L)
+        assert chain.theta_prime == (2 * L - 1) * math.pi / (4 * L)
 
 
 def test_two_photon_two_settings_closed_form():

@@ -356,6 +356,25 @@ def test_config_echoes_every_parsed_flag_but_the_output_ones(argv, keys, fmt, ca
     assert config["command"] == argv[0]
 
 
+def test_one_parser_serves_commands_back_to_back(capsys):
+    # The parser is built once per process; an argparse error in between
+    # leaves nothing behind for the next command.
+    assert svbell.cli.build_parser() is svbell.cli.build_parser()
+    code, out, _ = run_cli(["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.9:1:0.1"], capsys)
+    assert code == 0
+    assert parse_csv(out)[0]["config"] == {
+        "command": "sweep-eta", "N": 1, "L": 2, "eta_range": [0.9, 1.0, 0.1]
+    }
+    code, out, err = run_cli(["dist", "--N", "1", "--gamma", "0.5", "--theta", "0.1"], capsys)
+    assert (code, out) == (2, "")
+    assert "not allowed with argument" in err
+    code, out, _ = run_cli(["dist", "--N", "1", "--theta", "0.3"], capsys)
+    assert code == 0
+    assert parse_csv(out)[0]["config"] == {
+        "command": "dist", "N": 1, "gamma": None, "theta": 0.3, "eta": 1.0, "mass": 0.99
+    }
+
+
 def test_outputs_are_deterministic(capsys, tmp_path):
     argv = ["sweep-settings", "--gamma", "0.6", "--L-range", "2:5"]
     _, first, _ = run_cli(argv, capsys)

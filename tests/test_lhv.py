@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from svbell.errors import EnumerationBudgetError
 from svbell.lhv import (
-    empirical_distance,
     lhv_minimum,
     polygon_check,
     polygon_check_batch,
@@ -62,23 +61,6 @@ def test_polygon_inequality_property(rows):
     batch = polygon_check_batch(alice, bob)
     assert np.all(batch >= 0)
     assert [float(v) for v in batch] == [polygon_check(list(a), list(b)) for a, b in zip(alice, bob)]
-
-
-def test_empirical_distance_axioms():
-    rng = np.random.default_rng(7)
-    x = rng.integers(0, 20, size=5000)
-    y = rng.integers(0, 20, size=5000)
-    z = rng.integers(0, 20, size=5000)
-    assert empirical_distance(x, x) == 0.0
-    assert empirical_distance(x, y) == empirical_distance(y, x)
-    assert empirical_distance(x, y) >= 0.0
-    assert empirical_distance(x, z) <= empirical_distance(x, y) + empirical_distance(y, z) + 1e-12
-
-
-def test_empirical_distance_examples():
-    assert empirical_distance([0, 1], [1, 0]) == 1.0
-    with pytest.raises(ValueError):
-        empirical_distance([1, 2, 3], [1, 2])
 
 
 def test_triangle_inequality_samplewise():

@@ -1,10 +1,12 @@
 """Closed-form singlet statistics against hand-derived tables and the oracle."""
 
+import gc
 import math
 import sys
 import threading
-from collections import OrderedDict
+import weakref
 from contextlib import contextmanager
+from functools import lru_cache
 from unittest.mock import patch
 
 import numpy as np
@@ -68,21 +70,29 @@ def test_cached_tables_are_frozen():
     dist = joint_distribution(2, 0.3)
     with pytest.raises(ValueError):
         dist.probs[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        singlet._rotation(2, 0.3)[0][0, 0] = 5.0
     assert abs(joint_distribution(2, 0.3).mass - 1.0) <= 1e-12
     # The whole table, mass included, is built once and shared.
     assert joint_distribution(2, 0.3) is dist
     with pytest.raises(ValueError):
         _distances(3)[0, 1] = 7
+    # Amplitudes are the caller's own copy of the shared D.
+    amps = singlet_amplitudes(2, 0.3)
+    amps[0, 0] = 5.0
+    assert singlet_amplitudes(2, 0.3)[0, 0] != 5.0
+
+
+MAX_PAIRS = singlet._rotation.cache_info().maxsize
+BUILD_PAIR = singlet._rotation.__wrapped__  # one step, uncached
 
 
 @contextmanager
-def empty_ladder_cache(max_tables=singlet._MAX_TABLES):
-    with patch.multiple(singlet, _ladders=OrderedDict(), _MAX_TABLES=max_tables):
-        yield singlet._ladders
-
-
-def cached_tables(ladders):
-    return [table for _, tables in ladders.values() for table in tables]
+def empty_rotation_cache(maxsize=MAX_PAIRS, build=BUILD_PAIR):
+    # The step looks _rotation up as a module global, so it recurses through
+    # this cache.
+    with patch.object(singlet, "_rotation", lru_cache(maxsize)(build)) as rotation:
+        yield rotation
 
 
 @settings(max_examples=60, deadline=None)
@@ -97,15 +107,14 @@ def cached_tables(ladders):
         max_size=30,
     ),
     order=st.sampled_from(["as drawn", "increasing N", "decreasing N"]),
-    max_tables=st.sampled_from([61, 150, singlet._MAX_TABLES]),
+    max_pairs=st.sampled_from([61, 150, MAX_PAIRS]),
 )
-def test_ladder_tables_are_the_fresh_tables(requests, order, max_tables):
-    # Any order of (N, theta) requests, with ladders dropped and regrown
-    # under a small cache, gives the table a from-scratch build gives.
+def test_ladder_tables_are_the_fresh_tables(requests, order, max_pairs):
+    # Any order of (N, theta) requests, with pairs dropped and rebuilt under
+    # a small cache, gives the table a from-scratch build gives.
     if order != "as drawn":
         requests.sort(key=lambda r: r[0], reverse=order == "decreasing N")
-    seen = {}
-    with empty_ladder_cache(max_tables) as ladders:
+    with empty_rotation_cache(max_pairs) as rotation:
         for N, theta, amplitudes in requests:
             d = fresh_rotation(N, theta)
             if amplitudes:
@@ -117,38 +126,35 @@ def test_ladder_tables_are_the_fresh_tables(requests, order, max_tables):
             assert dist.mass == float(dist.probs.sum())
             assert not dist.probs.flags.writeable
             assert joint_distribution(N, theta) is dist
-            tables = ladders[theta][1]
-            earlier = seen.get((N, theta))
-            if earlier and earlier[1] is tables:  # not dropped since: the same shared table
-                assert earlier[0] is dist
-            seen[(N, theta)] = (dist, tables)
-        assert len(cached_tables(ladders)) <= max_tables
+        assert rotation.cache_info().currsize <= max_pairs
 
 
 def test_ladder_cache_is_bounded():
-    # Ladders at more angles than fit: the least recently grown go, and what
-    # stays is no more than 512 tables of N = 60, the bound of the
-    # per-(N, theta) cache the ladders replaced.
+    # Tables at more angles than fit hold no more than 512 tables of N = 60,
+    # D and table alike: every pair the cache let go is freed.
+    held = []
+
+    def recorded(N, theta):
+        d, table = BUILD_PAIR(N, theta)
+        held.extend([weakref.ref(d), weakref.ref(table.probs)])
+        return d, table
+
     thetas = [float(t) for t in np.linspace(0.1, 1.4, 30)]
-    with empty_ladder_cache() as ladders:
-        for theta in thetas:
-            joint_distribution(20, theta)
-        kept = list(ladders)
-        assert kept == thetas[-24:]  # 24 ladders of 21 tables fit in 512
-        joint_distribution(40, kept[0])  # grown, so the newest: the next oldest goes
-        assert list(ladders) == kept[2:] + kept[:1]
+    with empty_rotation_cache(build=recorded) as rotation:
         for theta in thetas:
             joint_distribution(MAX_PHOTON_NUMBER, theta)
-        tables = cached_tables(ladders)
-        assert len(tables) <= singlet._MAX_TABLES
-        # Each paused ladder also holds its top D, the size of its last table.
-        cached_bytes = sum(table.probs.nbytes for table in tables)
-        cached_bytes += sum(own[-1].probs.nbytes for _, own in ladders.values())
-        assert cached_bytes <= 512 * (MAX_PHOTON_NUMBER + 1) ** 2 * 8
-        for theta in thetas:  # tiny ladders at many angles are bounded by count
+        gc.collect()
+        live = [array for array in (ref() for ref in held) if array is not None]
+        assert len(live) == 2 * rotation.cache_info().currsize <= 2 * MAX_PAIRS
+        bound = 512 * (MAX_PHOTON_NUMBER + 1) ** 2 * 8
+        assert sum(array.nbytes for array in live) <= bound
+        # Worst case: every kept pair is two 61 x 61 float arrays.
+        assert max(array.nbytes for array in live) == (MAX_PHOTON_NUMBER + 1) ** 2 * 8
+        assert 2 * MAX_PAIRS * (MAX_PHOTON_NUMBER + 1) ** 2 * 8 <= bound
+        for theta in thetas:  # tiny tables at many angles are bounded by count
             for n in range(3):
                 joint_distribution(n, theta / 7)
-        assert len(cached_tables(ladders)) <= singlet._MAX_TABLES
+        assert rotation.cache_info().currsize <= MAX_PAIRS
 
 
 def test_one_angle_costs_one_step_per_photon(monkeypatch):
@@ -160,11 +166,11 @@ def test_one_angle_costs_one_step_per_photon(monkeypatch):
         return step(*args)
 
     monkeypatch.setattr(singlet, "_step", counted)
-    with empty_ladder_cache():
+    with empty_rotation_cache():
         for n in range(MAX_PHOTON_NUMBER + 1):
             joint_distribution(n, 0.7)
         assert steps == list(range(MAX_PHOTON_NUMBER))
-        for n in reversed(range(MAX_PHOTON_NUMBER + 1)):  # all read from the ladder
+        for n in reversed(range(MAX_PHOTON_NUMBER + 1)):  # all read from the cache
             joint_distribution(n, 0.7)
         assert len(steps) == MAX_PHOTON_NUMBER
 
@@ -187,7 +193,7 @@ def test_threads_sharing_the_ladders_get_the_tables_they_ask_for():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with empty_ladder_cache(max_tables=61):  # ladders dropped and regrown often
+        with empty_rotation_cache(61):  # pairs dropped and rebuilt often
             threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
             for thread in threads:
                 thread.start()
