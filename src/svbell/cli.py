@@ -29,7 +29,7 @@ from .chain import BellBreakdown, ChainSpec, bell_fixed_N, bell_sv, make_chain
 from .errors import CapExceededError
 from .lhv import lhv_minimum, polygon_check_batch
 from .loss import binomial_thin, check_efficiency
-from .oracle import MAX_ORACLE_PHOTON_NUMBER, mc_thin, oracle_joint_distribution
+from .oracle import MAX_MC_SAMPLES, MAX_ORACLE_PHOTON_NUMBER, mc_thin, oracle_joint_distribution
 from .singlet import MAX_PHOTON_NUMBER, joint_distribution
 from .sv import SVSpec, check_mass_threshold, n_max_for, sv_mixture
 
@@ -225,8 +225,8 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 200
     """
     if not 0 <= oracle_max_N <= MAX_ORACLE_PHOTON_NUMBER:
         raise ValueError(f"oracle_max_N must lie in [0, {MAX_ORACLE_PHOTON_NUMBER}], got {oracle_max_N}")
-    if mc_samples < 1:
-        raise ValueError(f"mc_samples must be positive, got {mc_samples}")
+    if not 1 <= mc_samples <= MAX_MC_SAMPLES:
+        raise ValueError(f"mc_samples must lie in [1, {MAX_MC_SAMPLES}], got {mc_samples}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     suites = []
 
@@ -264,8 +264,9 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 200
     )
 
     minima = [lhv_minimum(2, 3), lhv_minimum(3, 2)]
-    alice = rng.integers(0, 13, size=(100_000, 4))
-    bob = rng.integers(0, 13, size=(100_000, 4))
+    # Values 0..12 keep every difference in int8; the sums widen to int64.
+    alice = rng.integers(0, 13, size=(100_000, 4), dtype=np.int8)
+    bob = rng.integers(0, 13, size=(100_000, 4), dtype=np.int8)
     random_min = float(polygon_check_batch(alice, bob).min())
     suites.append(
         {

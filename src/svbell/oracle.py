@@ -6,8 +6,13 @@ Two independent computation paths live here:
   multinomial expansion of rotated number states, giving projection
   amplitudes by sparse inner product with exact integer binomials, and
 * a seeded Monte-Carlo realization of Bernoulli detector loss: one
-  multinomial draw of how many samples fall in each cell, then an
-  independent binomial thinning draw for every sample of each cell.
+  multinomial draw of how many samples fall in each cell, then the photons
+  of each cell are detected one at a time, with one binomial draw per photon
+  for each group of samples that has seen the same number of detections so
+  far.  Every photon of every sample is still an independent Bernoulli(eta)
+  event, so the law is that of one draw per sample (a seed gives another
+  stream than such draws did), but the number of draws depends only on the
+  table size, never on the number of samples.
 
 Neither path shares code with the closed-form modules; that independence is
 the point.  Scale is deliberately small (N <= 10).
@@ -24,6 +29,9 @@ from .singlet import JointCountDistribution
 
 # Oracle scale: exact enumeration stays cheap and obviously correct here.
 MAX_ORACLE_PHOTON_NUMBER = 10
+
+# Largest Monte-Carlo sample count: the sampler counts in int64.
+MAX_MC_SAMPLES = 2**63 - 1
 
 FockVector = dict[tuple[int, int, int, int], float]
 
@@ -134,23 +142,45 @@ def oracle_joint_distribution(
     return probs
 
 
+def _detect(rng: np.random.Generator, groups: np.ndarray, photons: int, eta: float) -> np.ndarray:
+    """Detection-count histograms of groups of samples that each see ``photons``.
+
+    ``groups`` holds sample counts of any shape; the result appends an axis of
+    length ``photons + 1`` whose entry j counts the samples of that group with
+    j detections.  Photons are resolved one at a time: of the samples with j
+    detections so far, Binomial(count, eta) detect the next one and move to
+    j + 1, so each sample ends with a Binomial(photons, eta) count.
+    """
+    h = np.zeros(groups.shape + (photons + 1,), dtype=np.int64)
+    h[..., 0] = groups
+    for k in range(photons):
+        hit = rng.binomial(h[..., : k + 1], eta)
+        h[..., : k + 1] -= hit
+        h[..., 1 : k + 2] += hit
+    return h
+
+
 def mc_thin(
     dist: JointCountDistribution, eta: float, samples: int, seed: int
 ) -> JointCountDistribution:
     """Empirical loss channel: sample joint counts, thin each binomially.
 
     One multinomial draw spreads ``samples`` i.i.d. (n, m) pairs over the
-    cells of ``dist`` (normalized by its mass); each sample of cell (n, m)
-    then gets its own Binomial(n, eta), Binomial(m, eta) pair, and the
-    results are histogrammed.  The output is rescaled by the input mass so
-    it estimates the same table that the exact channel produces.
-    Deterministic for a fixed seed.  Earlier versions drew a cell per
+    cells of ``dist`` (normalized by its mass).  The k samples of cell (n, m)
+    then lose Alice's n photons one at a time, one binomial draw per photon
+    for each group of samples with the same detections so far, and Bob's m
+    photons the same way inside each of Alice's groups; that fills the
+    cell's (n+1) x (m+1) block of counts.  Each sample thus gets independent
+    Binomial(n, eta), Binomial(m, eta) counts, as if drawn one by one, at a
+    cost that does not depend on ``samples``.  The output is rescaled by the
+    input mass so it estimates the same table that the exact channel
+    produces.  Deterministic for a fixed seed.  Earlier versions drew per
     sample: the law is the same, but a seed now gives a different stream.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"detection efficiency must lie in [0, 1], got {eta}")
-    if samples < 1:
-        raise ValueError(f"need at least one sample, got {samples}")
+    if not 1 <= samples <= MAX_MC_SAMPLES:
+        raise ValueError(f"samples must lie in [1, {MAX_MC_SAMPLES}], got {samples}")
     flat = dist.probs.ravel()
     if not np.all(flat >= 0.0):
         raise ValueError("probabilities must be nonnegative and not NaN")
@@ -161,11 +191,10 @@ def mc_thin(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     size = dist.max_count + 1
     cells = rng.multinomial(samples, flat / dist.mass)
-    counts = np.zeros(size * size, dtype=np.int64)
+    counts = np.zeros((size, size), dtype=np.int64)
     for cell in np.flatnonzero(cells):
         n, m = divmod(int(cell), size)
-        x = rng.binomial(n, eta, size=cells[cell])
-        y = rng.binomial(m, eta, size=cells[cell])
-        counts += np.bincount(x * size + y, minlength=size * size)
-    probs = counts.reshape(size, size) * (dist.mass / samples)
+        alice = _detect(rng, cells[cell], n, eta)
+        counts[: n + 1, : m + 1] += _detect(rng, alice, m, eta)
+    probs = counts * (dist.mass / samples)
     return JointCountDistribution(probs=probs, mass=float(probs.sum()))

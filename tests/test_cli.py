@@ -451,10 +451,19 @@ def test_verify_passes_and_is_deterministic(capsys):
 @pytest.mark.parametrize("seed", [9, 20])
 def test_verify_passes_on_seeds_that_tripped_the_per_cell_threshold(seed):
     # Max |z| over both 4 x 4 tables exceeded 3 at these seeds (3.46 and
-    # 3.72) when mc_thin drew a cell per sample. One multinomial draw of the
-    # cells gives another stream, with 2.52 and 2.47 here; the seeds stay as
-    # regression cases for the Bonferroni threshold.
+    # 3.72) when mc_thin drew a cell per sample. Drawing the cells in one
+    # multinomial, then one binomial per photon per group of samples, gives
+    # another stream, with 2.32 and 2.93 here; the seeds stay as regression
+    # cases for the Bonferroni threshold.
     assert run_verification(seed=seed)["passed"]
+
+
+@pytest.mark.parametrize("samples", ["0", str(2**63), "100000000000000000000"])
+def test_verify_sample_count_out_of_range_exits_2(samples, capsys, compute_calls):
+    code, out, err = run_cli(["verify", "--mc-samples", samples], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: mc_samples must lie in [1, {2**63 - 1}], got {samples}\n"
+    assert compute_calls == ["run_verification"]  # no suite ran
 
 
 @pytest.mark.parametrize("seed", [0, 9, 20])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -37,6 +37,29 @@ def test_polygon_check_batch_matches_scalar():
     batch = polygon_check_batch(alice, bob)
     for i in range(200):
         assert batch[i] == polygon_check(list(alice[i]), list(bob[i]))
+
+
+_EXTREMES = (
+    np.array([[0, 0, 0, 0], [12, 0, 12, 0], [0, 12, 0, 12]], dtype=np.int8),
+    np.array([[12, 12, 12, 12], [0, 12, 0, 12], [12, 0, 12, 0]], dtype=np.int8),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(1, 20).flatmap(
+        lambda rows: st.tuples(
+            *[arrays(np.int8, (rows, 4), elements=st.integers(0, 12)) for _ in range(2)]
+        )
+    )
+)
+@example(_EXTREMES)
+def test_polygon_check_batch_is_the_same_on_int8_strategies(rows):
+    # verify draws its random strategies as int8 values in 0..12.
+    alice, bob = rows
+    narrow = polygon_check_batch(alice, bob)
+    assert narrow.dtype == np.int64
+    assert np.array_equal(narrow, polygon_check_batch(alice.astype(np.int64), bob.astype(np.int64)))
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])

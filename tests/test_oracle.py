@@ -194,9 +194,56 @@ def test_mc_thin_validates_arguments():
         mc_thin(dist, 1.5, 100, seed=0)
     with pytest.raises(ValueError):
         mc_thin(dist, 0.5, 0, seed=0)
+    with pytest.raises(ValueError):
+        mc_thin(dist, 0.5, 2**63, seed=0)
     # Sums to 0.9 under a declared mass of 1; a negative entry (the table
     # still sums to 1); a NaN entry.
     invalid = ([[0.5, 0.0], [0.0, 0.4]], [[0.6, -0.1], [0.0, 0.5]], [[0.6, math.nan], [0.0, 0.4]])
     for probs in invalid:
         with pytest.raises(ValueError):
             mc_thin(JointCountDistribution(probs=np.array(probs), mass=1.0), 0.5, 100, seed=0)
+
+
+def _thinned_support(probs, eta):
+    """Cells that Bernoulli(eta) loss can reach from the nonzero cells of probs."""
+    support = probs > 0.0
+    if eta == 0.0:
+        reach = np.zeros_like(support)
+        reach[0, 0] = support.any()
+        return reach
+    if eta == 1.0:
+        return support
+    # (a, b) is reachable when some (n, m) >= (a, b) holds mass.
+    return np.flip(np.logical_or.accumulate(np.logical_or.accumulate(support[::-1, ::-1], 0), 1), (0, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(0, 10),
+    theta=st.floats(0.0, math.pi / 2),
+    eta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    samples=st.integers(1, 10**6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mc_thin_counts_stay_on_the_thinned_support(N, theta, eta, samples, seed):
+    dist = joint_distribution(N, theta)
+    empirical = mc_thin(dist, eta, samples, seed=seed)
+    counts = empirical.probs * (samples / dist.mass)
+    assert np.all(np.abs(counts - np.rint(counts)) <= 1e-6)
+    assert np.rint(counts).sum() == samples
+    assert np.all(empirical.probs[~_thinned_support(dist.probs, eta)] == 0.0)
+    if eta == 0.0:
+        assert empirical.probs[0, 0] == pytest.approx(dist.mass, rel=1e-12)
+    if eta == 1.0:
+        # Without loss every sample stays in its cell; a cell expecting 50 or
+        # more samples is missed with probability below e^-50.
+        assert np.all(empirical.probs[dist.probs * samples >= 50.0] > 0.0)
+
+
+def test_mc_thin_cost_does_not_grow_with_the_samples():
+    # A sampler that draws per sample cannot even allocate 2^62 results.
+    dist = joint_distribution(3, math.pi / 8)
+    samples = 2**62
+    empirical = mc_thin(dist, 0.83, samples, seed=7)
+    counts = empirical.probs * (samples / dist.mass)
+    assert counts.sum() == pytest.approx(samples, rel=1e-12)
