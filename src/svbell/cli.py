@@ -5,7 +5,8 @@ rows ordered lexicographically in the sweep variables); JSON mirrors it.
 Every output embeds its configuration (every parsed flag except --format
 and --out) and truncation mass, so any figure can be regenerated from its
 own data file.  The parser checks the syntax and size of each range; every
-value is checked by the library code that uses it.
+value is checked by the library code that uses it, and a heatmap's cell
+count by the command.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments or an
 unwritable --out path (found before any computation), 3 truncation mass
@@ -40,7 +41,7 @@ _HALF_PI = 0.5 * math.pi
 GUARD_MASS = 0.999
 GUARD_TOL = 1e-3
 
-# Largest number of points a --*-range grid may hold.
+# Largest number of points a --*-range grid, or a heatmap's cells, may hold.
 MAX_GRID_POINTS = 10**6
 
 
@@ -74,14 +75,10 @@ def _parse_float_range(text: str) -> tuple[float, float, float]:
 
 
 def _grid(lo: float, hi: float, step: float) -> list[float]:
+    # lo + i * step can overshoot hi by an ulp (0.09 + 13 * 0.07 > 1.0, out of
+    # range for an efficiency), so every point is clamped to hi.
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
-
-
-def _eta_grid(lo: float, hi: float, step: float) -> list[float]:
-    # lo + i * step can overshoot hi by an ulp (0.09 + 13 * 0.07 > 1.0), out of
-    # range for an efficiency.  Gains keep the points earlier outputs printed.
-    return [min(eta, hi) for eta in _grid(lo, hi, step)]
+    return [min(lo + i * step, hi) for i in range(count)]
 
 
 def _write(out: Optional[str], text: str) -> None:
@@ -181,20 +178,21 @@ def cmd_sweep_settings(args: argparse.Namespace) -> int:
 
 def cmd_sweep_eta(args: argparse.Namespace) -> int:
     chain = make_chain(args.L)
-    rows = [(eta, bell_fixed_N(args.N, chain, eta).bell) for eta in _eta_grid(*args.eta_range)]
+    rows = [(eta, bell_fixed_N(args.N, chain, eta).bell) for eta in _grid(*args.eta_range)]
     _emit(args, {}, ("eta", "bell"), rows)
     return 0
 
 
 def cmd_heatmap(args: argparse.Namespace) -> int:
-    etas = _eta_grid(*args.eta_range)
-    # Reject a bad efficiency, gain or mass anywhere in the grid, and a mass
-    # that the largest gain cannot reach, before the first cell.  Gains rise
-    # along the grid, so its two ends stand for every gain.
+    # Reject too many cells, a bad efficiency, gain or mass anywhere in the
+    # grid, and a mass that the largest gain cannot reach, before the first
+    # cell.  Gains rise along the grid, so its two ends stand for every gain.
+    gammas, etas = _grid(*args.gamma_range), _grid(*args.eta_range)
+    if len(gammas) * len(etas) > MAX_GRID_POINTS:
+        raise ValueError(f"grid has {len(gammas)} x {len(etas)} cells, more than {MAX_GRID_POINTS}")
     for eta in etas:
         check_efficiency(eta)
     chain = make_chain(args.L)
-    gammas = _grid(*args.gamma_range)
     SVSpec(gammas[0], args.mass)
     n_max_for(SVSpec(gammas[-1], args.mass))
     rows = []
@@ -227,6 +225,8 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 200
         raise ValueError(f"oracle_max_N must lie in [0, {MAX_ORACLE_PHOTON_NUMBER}], got {oracle_max_N}")
     if not 1 <= mc_samples <= MAX_MC_SAMPLES:
         raise ValueError(f"mc_samples must lie in [1, {MAX_MC_SAMPLES}], got {mc_samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     suites = []
 

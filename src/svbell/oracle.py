@@ -3,8 +3,9 @@
 Two independent computation paths live here:
 
 * a four-mode Fock-space construction of the 2N-photon singlet plus explicit
-  multinomial expansion of rotated number states, giving projection
-  amplitudes by sparse inner product with exact integer binomials, and
+  multinomial expansion of rotated number states, giving one signed
+  amplitude table by sparse inner product with exact integer binomials;
+  its square is the joint count table, and
 * a seeded Monte-Carlo realization of Bernoulli detector loss: one
   multinomial draw of how many samples fall in each cell, then the photons
   of each cell are detected one at a time, with one binomial draw per photon
@@ -88,33 +89,6 @@ def _rotated_number_state(j: int, k: int, phi: float) -> list[float]:
     return coeffs
 
 
-def rotated_projection_amplitude(
-    state: FockVector,
-    N: int,
-    n: int,
-    m: int,
-    theta: float,
-    theta_alice: float = 0.0,
-) -> float:
-    """Overlap of ``state`` with rotated local number states.
-
-    Projects onto |n_{H+theta_alice}, (N-n)_{V+theta_alice}>_a together with
-    |(N-m)_{H+theta}, m_{V+theta}>_b.  With the default theta_alice = 0 this
-    is the amplitude behind p(n, m | theta); a nonzero theta_alice checks
-    that joint statistics depend on the polarizer angles only through their
-    difference.
-    """
-    if N > MAX_ORACLE_PHOTON_NUMBER:
-        raise PhotonNumberRangeError(
-            f"oracle supports N <= {MAX_ORACLE_PHOTON_NUMBER}, got {N}"
-        )
-    if not (0 <= n <= N and 0 <= m <= N):
-        raise ValueError(f"counts must lie in [0, {N}], got n={n}, m={m}")
-    alice = _rotated_number_state(n, N - n, theta_alice)
-    bob = _rotated_number_state(N - m, m, theta)
-    return _overlap(state, alice, bob)
-
-
 def _overlap(state: FockVector, alice: list[float], bob: list[float]) -> float:
     """Inner product of ``state`` with Alice's and Bob's expanded states."""
     total = 0.0
@@ -123,23 +97,29 @@ def _overlap(state: FockVector, alice: list[float], bob: list[float]) -> float:
     return total
 
 
-def oracle_joint_distribution(
-    N: int, theta: float, theta_alice: float = 0.0
-) -> np.ndarray:
-    """Full (N+1) x (N+1) joint count table computed by brute force.
+def oracle_amplitudes(N: int, theta: float, theta_alice: float = 0.0) -> np.ndarray:
+    """Signed (N+1) x (N+1) overlap table of the singlet, by brute force.
 
-    Each of the N+1 rotated number states per observer is expanded once and
-    paired with every state of the other observer.
+    Entry (n, m) projects the 2N-photon singlet onto
+    |n_{H+theta_alice}, (N-n)_{V+theta_alice}>_a together with
+    |(N-m)_{H+theta}, m_{V+theta}>_b.  Each of the N+1 rotated number states
+    per observer is expanded once and paired with every state of the other
+    observer.  A nonzero theta_alice checks that joint statistics depend on
+    the polarizer angles only through their difference.
     """
     state = build_singlet(N)
     alice = [_rotated_number_state(n, N - n, theta_alice) for n in range(N + 1)]
     bob = [_rotated_number_state(N - m, m, theta) for m in range(N + 1)]
-    probs = np.zeros((N + 1, N + 1))
+    amps = np.zeros((N + 1, N + 1))
     for n in range(N + 1):
         for m in range(N + 1):
-            amp = _overlap(state, alice[n], bob[m])
-            probs[n, m] = amp * amp
-    return probs
+            amps[n, m] = _overlap(state, alice[n], bob[m])
+    return amps
+
+
+def oracle_joint_distribution(N: int, theta: float, theta_alice: float = 0.0) -> np.ndarray:
+    """Full (N+1) x (N+1) joint count table: the square of ``oracle_amplitudes``."""
+    return oracle_amplitudes(N, theta, theta_alice) ** 2
 
 
 def _detect(rng: np.random.Generator, groups: np.ndarray, photons: int, eta: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 """The package's public names: exactly the ones the README documents."""
 
+import ast
 from pathlib import Path
 
 import svbell
@@ -24,8 +25,28 @@ def test_all_is_exactly_the_public_names():
             assert getattr(svbell, name) is getattr(getattr(svbell, module), name)
 
 
-def test_readme_library_section_documents_every_public_name():
+def _readme_library_section():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    library = readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+    return readme.split("## Library", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_library_section_documents_every_public_name():
+    library = _readme_library_section()
     for name in svbell.__all__:
         assert f"`{name}`" in library, name
+
+
+def test_readme_library_example_runs_and_its_component_sum_is_the_bell_value():
+    block = _readme_library_section().split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    sums = []
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr):
+            value = eval(source, namespace)
+            if source.startswith("sum("):
+                sums.append(value)
+        else:
+            exec(source, namespace)
+    assert len(sums) == 1
+    assert abs(sums[0] - namespace["result"].bell) <= 1e-12

@@ -11,7 +11,7 @@ import pytest
 
 import svbell.cli
 import svbell.sv
-from svbell.cli import GUARD_MASS, main, run_verification
+from svbell.cli import GUARD_MASS, MAX_GRID_POINTS, main, run_verification
 from svbell.oracle import mc_thin
 from svbell.sv import SVSpec, n_max_for
 
@@ -221,15 +221,20 @@ def test_sweep_settings_sv_metadata(capsys):
     [
         ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.09:1.0:0.07"],
         ["heatmap", "--L", "2", "--gamma-range", "0.1:0.1:0.1", "--eta-range", "0.09:1.0:0.07"],
+        ["heatmap", "--L", "2", "--gamma-range", "0.1:1.4:0.1", "--eta-range", "1.0:1.0:0.1"],
     ],
 )
 def test_efficiency_grid_never_overshoots_its_upper_bound(argv, capsys):
-    # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, an invalid efficiency.
+    # 0.09 + 13 * 0.07 rounds to 1.0000000000000002, an invalid efficiency;
+    # 0.1 + 13 * 0.1 to 1.4000000000000001, a gain above the requested one.
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     _, header, rows = parse_csv(out)
     assert len(rows) == 14
-    assert float(rows[-1][header.index("eta")]) == 1.0
+    for flag, text in zip(argv, argv[1:]):
+        if flag.endswith("-range"):
+            column = [float(row[header.index(flag[2:].removesuffix("-range"))]) for row in rows]
+            assert max(column) == column[-1] == float(text.split(":")[1])
 
 
 def test_sweep_eta_brackets_the_threshold(capsys):
@@ -293,6 +298,28 @@ def test_heatmap_rejects_an_unreachable_mass_before_the_first_cell(capsys, compu
     assert out == ""
     assert err.startswith("error: ")
     assert compute_calls == []
+
+
+def test_heatmap_rejects_too_many_cells_before_the_first_cell(capsys, compute_calls):
+    # 18 gains x 500,001 efficiencies: each axis is within the parser's bound,
+    # the product is not.  The largest gain cannot reach mass 0.995 either,
+    # which would exit 3; the cell count is checked first.
+    argv = ["heatmap", "--L", "3", "--gamma-range", "0.1:1.8:0.1", "--eta-range", "0.5:1.0:1e-6"]
+    code, out, err = run_cli(argv + ["--mass", "0.995"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: grid has 18 x 500001 cells, more than {MAX_GRID_POINTS}\n"
+    assert compute_calls == []
+
+
+def test_heatmap_cell_bound_admits_exactly_max_grid_points(capsys, monkeypatch):
+    monkeypatch.setattr(svbell.cli, "MAX_GRID_POINTS", 6)
+    argv = ["heatmap", "--L", "2", "--gamma-range", "0.1:0.2:0.1"]
+    code, out, _ = run_cli(argv + ["--eta-range", "0.8:1.0:0.1"], capsys)
+    assert code == 0
+    assert len(parse_csv(out)[2]) == 6
+    code, out, err = run_cli(argv + ["--eta-range", "0.7:1.0:0.1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: grid has 2 x 4 cells, more than 6\n"
 
 
 def test_heatmap_names_an_unreachable_guard_once_per_gain(capsys):
@@ -463,6 +490,13 @@ def test_verify_sample_count_out_of_range_exits_2(samples, capsys, compute_calls
     code, out, err = run_cli(["verify", "--mc-samples", samples], capsys)
     assert (code, out) == (2, "")
     assert err == f"error: mc_samples must lie in [1, {2**63 - 1}], got {samples}\n"
+    assert compute_calls == ["run_verification"]  # no suite ran
+
+
+def test_verify_negative_seed_exits_2(capsys, compute_calls):
+    code, out, err = run_cli(["verify", "--seed", "-1"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: seed must be nonnegative, got -1\n"
     assert compute_calls == ["run_verification"]  # no suite ran
 
 

@@ -10,15 +10,12 @@ from hypothesis import strategies as st
 
 from svbell.errors import PhotonNumberRangeError
 from svbell.loss import binomial_thin
-from svbell.oracle import (
-    build_singlet,
-    mc_thin,
-    oracle_joint_distribution,
-    rotated_projection_amplitude,
-)
+from svbell.oracle import build_singlet, mc_thin, oracle_amplitudes, oracle_joint_distribution
 from svbell.singlet import JointCountDistribution, joint_distribution, singlet_amplitudes
 
 ANGLE_GRID = [0.0, math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
+# Both polarizers turned: (Alice's angle, Bob's angle).
+SHARED_ROTATIONS = [(0.3, 0.75), (0.2, 1.5), (math.pi / 16, 3 * math.pi / 16), (1.1, 1.1)]
 
 
 def test_build_singlet_vacuum():
@@ -53,23 +50,20 @@ def test_build_singlet_range_error():
 
 
 def test_rotated_projection_two_photon_hand_values():
-    state = build_singlet(1)
     theta = 0.61
     # |1_{H+t}, 0> = cos t |1,0> + sin t |0,1>; overlap picks the +1/sqrt(2) term.
-    amp = rotated_projection_amplitude(state, 1, 0, 0, theta)
-    assert amp == pytest.approx(math.cos(theta) / math.sqrt(2.0), abs=1e-14)
-    amp = rotated_projection_amplitude(state, 1, 0, 1, theta)
-    assert amp == pytest.approx(-math.sin(theta) / math.sqrt(2.0), abs=1e-14)
+    amps = oracle_amplitudes(1, theta)
+    assert amps[0, 0] == pytest.approx(math.cos(theta) / math.sqrt(2.0), abs=1e-14)
+    assert amps[0, 1] == pytest.approx(-math.sin(theta) / math.sqrt(2.0), abs=1e-14)
 
 
 @pytest.mark.parametrize("N", range(7))
 def test_identity_rotation_recovers_fock_coefficients(N):
-    state = build_singlet(N)
+    amps = oracle_amplitudes(N, 0.0)
     for n in range(N + 1):
         for m in range(N + 1):
-            amp = rotated_projection_amplitude(state, N, n, m, 0.0)
             expected = ((-1.0) ** n) / math.sqrt(N + 1) if m == n else 0.0
-            assert amp == pytest.approx(expected, abs=1e-13)
+            assert amps[n, m] == pytest.approx(expected, abs=1e-13)
 
 
 @pytest.mark.parametrize("N", range(9))
@@ -81,10 +75,7 @@ def test_oracle_matches_closed_form(N, theta):
 
 
 @pytest.mark.parametrize("N", range(7))
-@pytest.mark.parametrize(
-    "theta_a,theta_b",
-    [(0.3, 0.75), (0.2, 1.5), (math.pi / 16, 3 * math.pi / 16), (1.1, 1.1)],
-)
+@pytest.mark.parametrize("theta_a,theta_b", SHARED_ROTATIONS)
 def test_joint_statistics_depend_only_on_relative_angle(N, theta_a, theta_b):
     absolute = oracle_joint_distribution(N, theta_b, theta_a)
     relative = joint_distribution(N, theta_b - theta_a).probs
@@ -107,14 +98,17 @@ def test_joint_statistics_depend_only_on_relative_angle_property(N, theta_a, rel
 
 
 def test_amplitude_level_agreement():
-    # Not just probabilities: signs of the two independent paths agree too.
-    for N in range(5):
-        closed = singlet_amplitudes(N, 0.37)
-        for n in range(N + 1):
-            for m in range(N + 1):
-                brute = rotated_projection_amplitude(build_singlet(N), N, n, m, 0.37)
-                assert closed[n, m] == pytest.approx(brute, abs=1e-12)
-                assert np.sign(closed[n, m]) == np.sign(brute)
+    # Not just probabilities: signs of the two independent paths agree too,
+    # wherever the amplitude is not zero to rounding: at relative angles 0,
+    # pi/4 and pi/2 some cells vanish, and either path may round them to a
+    # value near 1e-16 of either sign.
+    for N in range(11):
+        for theta_a, theta_b in [(0.0, theta) for theta in ANGLE_GRID + [0.37]] + SHARED_ROTATIONS:
+            closed = singlet_amplitudes(N, theta_b - theta_a)
+            brute = oracle_amplitudes(N, theta_b, theta_a)
+            assert np.max(np.abs(closed - brute)) <= 1e-12, (N, theta_a, theta_b)
+            nonzero = np.abs(closed) > 1e-12
+            assert np.array_equal(np.sign(closed[nonzero]), np.sign(brute[nonzero])), (N, theta_a, theta_b)
 
 
 def _delta_distribution(n, m, size):

@@ -109,7 +109,7 @@ def empty_rotation_cache(maxsize=MAX_PAIRS, build=BUILD_PAIR):
     order=st.sampled_from(["as drawn", "increasing N", "decreasing N"]),
     max_pairs=st.sampled_from([61, 150, MAX_PAIRS]),
 )
-def test_ladder_tables_are_the_fresh_tables(requests, order, max_pairs):
+def test_rotation_cache_tables_are_the_fresh_tables(requests, order, max_pairs):
     # Any order of (N, theta) requests, with pairs dropped and rebuilt under
     # a small cache, gives the table a from-scratch build gives.
     if order != "as drawn":
@@ -129,7 +129,7 @@ def test_ladder_tables_are_the_fresh_tables(requests, order, max_pairs):
         assert rotation.cache_info().currsize <= max_pairs
 
 
-def test_ladder_cache_is_bounded():
+def test_rotation_cache_is_bounded():
     # Tables at more angles than fit hold no more than 512 tables of N = 60,
     # D and table alike: every pair the cache let go is freed.
     held = []
@@ -175,7 +175,7 @@ def test_one_angle_costs_one_step_per_photon(monkeypatch):
         assert len(steps) == MAX_PHOTON_NUMBER
 
 
-def test_threads_sharing_the_ladders_get_the_tables_they_ask_for():
+def test_threads_sharing_the_rotation_cache_get_the_tables_they_ask_for():
     thetas = [0.2, 0.9, 1.3]
     expected = {(N, t): fresh_rotation(N, t) ** 2 / (N + 1) for N in range(40) for t in thetas}
     wrong = []
