@@ -16,6 +16,7 @@ are provided alongside the finite-L evaluation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,13 +28,15 @@ from .sv import SVSpec, _check_gain, sv_mixture
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Number of settings per side (L >= 2) and the relative angles it sets."""
+    """Number of settings per side (2 <= L <= max float / (2 pi)) and the angles it sets."""
 
     L: int
 
     def __post_init__(self) -> None:
         if self.L < 2:
             raise ValueError(f"chained inequality needs at least 2 settings, got L={self.L}")
+        if self.L > sys.float_info.max / (2.0 * math.pi):
+            raise ValueError(f"L={self.L} is too large for float angles: (2L-1) pi overflows")
 
     @property
     def theta(self) -> float:

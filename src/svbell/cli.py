@@ -9,8 +9,8 @@ value is checked by the library code that uses it, and a heatmap's cell
 count by the command.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments or an
-unwritable --out path (found before any computation), 3 truncation mass
-unreachable below the 60-photon limit.
+unwritable --out path (found before any computation), 3 the weights up to
+60 photons per beam sum to less than --mass.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chain import BellBreakdown, ChainSpec, bell_fixed_N, bell_sv, make_chain
-from .errors import CapExceededError
 from .lhv import lhv_minimum, polygon_check_batch
 from .loss import binomial_thin, check_efficiency
 from .oracle import MAX_MC_SAMPLES, MAX_ORACLE_PHOTON_NUMBER, mc_thin, oracle_joint_distribution
 from .singlet import MAX_PHOTON_NUMBER, joint_distribution
-from .sv import SVSpec, check_mass_threshold, n_max_for, sv_mixture
+from .sv import CapExceededError, SVSpec, check_mass_threshold, n_max_for, sv_mixture
 
 _HALF_PI = 0.5 * math.pi
 

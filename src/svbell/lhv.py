@@ -14,8 +14,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EnumerationBudgetError
-
 # Exhaustive enumeration budget: (cap+1)^(2L) strategies.
 MAX_ENUM_SETTINGS = 4
 MAX_ENUM_OUTCOME = 6
@@ -62,7 +60,7 @@ def lhv_minimum(L: int, cap: int) -> float:
     if L < 2 or cap < 0:
         raise ValueError(f"need L >= 2 and cap >= 0, got L={L}, cap={cap}")
     if L > MAX_ENUM_SETTINGS or cap > MAX_ENUM_OUTCOME:
-        raise EnumerationBudgetError(
+        raise ValueError(
             f"enumeration budget is L <= {MAX_ENUM_SETTINGS}, "
             f"cap <= {MAX_ENUM_OUTCOME}; got L={L}, cap={cap}"
         )

@@ -11,9 +11,8 @@ Two independent computation paths live here:
   of each cell are detected one at a time, with one binomial draw per photon
   for each group of samples that has seen the same number of detections so
   far.  Every photon of every sample is still an independent Bernoulli(eta)
-  event, so the law is that of one draw per sample (a seed gives another
-  stream than such draws did), but the number of draws depends only on the
-  table size, never on the number of samples.
+  event, so the law is that of one draw per sample, but the number of draws
+  depends only on the table size, never on the number of samples.
 
 Neither path shares code with the closed-form modules; that independence is
 the point.  Scale is deliberately small (N <= 10).
@@ -25,7 +24,6 @@ import math
 
 import numpy as np
 
-from .errors import PhotonNumberRangeError
 from .singlet import JointCountDistribution
 
 # Oracle scale: exact enumeration stays cheap and obviously correct here.
@@ -46,7 +44,7 @@ def build_singlet(N: int) -> FockVector:
     if N < 0:
         raise ValueError(f"photon number per beam must be nonnegative, got {N}")
     if N > MAX_ORACLE_PHOTON_NUMBER:
-        raise PhotonNumberRangeError(
+        raise ValueError(
             f"oracle supports N <= {MAX_ORACLE_PHOTON_NUMBER}, got {N}"
         )
     norm = 1.0 / math.sqrt(N + 1)
@@ -154,8 +152,7 @@ def mc_thin(
     Binomial(n, eta), Binomial(m, eta) counts, as if drawn one by one, at a
     cost that does not depend on ``samples``.  The output is rescaled by the
     input mass so it estimates the same table that the exact channel
-    produces.  Deterministic for a fixed seed.  Earlier versions drew per
-    sample: the law is the same, but a seed now gives a different stream.
+    produces.  Deterministic for a fixed seed.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"detection efficiency must lie in [0, 1], got {eta}")

@@ -39,8 +39,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PhotonNumberRangeError
-
 # Largest photon number per beam the count tables support; callers reject
 # larger values instead of silently extrapolating.
 MAX_PHOTON_NUMBER = 60
@@ -71,7 +69,7 @@ def _check_photon_number(N: int) -> None:
     if N < 0:
         raise ValueError(f"photon number per beam must be nonnegative, got {N}")
     if N > MAX_PHOTON_NUMBER:
-        raise PhotonNumberRangeError(
+        raise ValueError(
             f"photon number per beam {N} exceeds supported range "
             f"N <= {MAX_PHOTON_NUMBER}"
         )

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import CapExceededError
 from .loss import binomial_thin, check_efficiency
 from .singlet import (
     MAX_PHOTON_NUMBER,
@@ -35,8 +34,9 @@ def _check_gain(gamma: float) -> None:
 
 
 def check_mass_threshold(mass_threshold: float) -> None:
-    if not 0.0 < mass_threshold <= 1.0:
-        raise ValueError(f"mass threshold must lie in (0, 1], got {mass_threshold}")
+    # The weights of the infinite mixture never sum to 1, so 1 is unreachable.
+    if not 0.0 < mass_threshold < 1.0:
+        raise ValueError(f"mass threshold must lie in (0, 1), got {mass_threshold}")
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,15 @@ def mean_photons_per_beam(gamma: float) -> float:
     return 2.0 * math.sinh(gamma) ** 2
 
 
+class CapExceededError(RuntimeError):
+    """The weights up to MAX_PHOTON_NUMBER photons per beam sum to less than the mass threshold."""
+
+
 def n_max_for(spec: SVSpec) -> int:
     """Smallest N_max whose cumulative weight reaches the mass threshold.
 
-    Raises CapExceededError when the threshold is unreachable at
-    MAX_PHOTON_NUMBER photons per beam, i.e. the gain is too high for the
-    requested mass.
+    Raises CapExceededError when the weights up to MAX_PHOTON_NUMBER photons
+    per beam sum to less than the threshold.
     """
     cumulative = 0.0
     for n in range(MAX_PHOTON_NUMBER + 1):
@@ -93,9 +96,8 @@ def n_max_for(spec: SVSpec) -> int:
         if cumulative >= spec.mass_threshold:
             return n
     raise CapExceededError(
-        f"cumulative singlet weight {cumulative:.6f} at N = {MAX_PHOTON_NUMBER} "
-        f"is below the requested mass {spec.mass_threshold}; "
-        f"gain {spec.gamma} is too high for the {MAX_PHOTON_NUMBER}-photon limit"
+        f"at gain {spec.gamma}, the singlet weights up to N = {MAX_PHOTON_NUMBER} "
+        f"sum to {cumulative!r}, below the requested mass {spec.mass_threshold}"
     )
 
 

@@ -1,6 +1,7 @@
 """Chained-inequality geometry, Bell parameters, and closed-form limits."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,6 @@ from svbell.chain import (
     make_chain,
     rhs_sv_asymptotic,
 )
-from svbell.errors import PhotonNumberRangeError
 from svbell.loss import binomial_thin
 from svbell.singlet import joint_distribution, mean_abs_difference
 from svbell.sv import SVSpec, lambda_sq, sv_mixture
@@ -57,6 +57,16 @@ def test_a_chain_is_its_number_of_settings():
         assert chain == ChainSpec(L)
         assert chain.theta == math.pi / (4 * L)
         assert chain.theta_prime == (2 * L - 1) * math.pi / (4 * L)
+
+
+def test_a_chain_needs_float_angles():
+    # (2L - 1) pi stays finite up to L = max float / (2 pi), and no further.
+    largest = int(sys.float_info.max / (2 * math.pi))
+    chain = make_chain(largest)
+    assert 0.0 < chain.theta < 1e-307 and chain.theta_prime == math.pi / 2
+    for L in [largest + 1, 10**308, 10**400]:
+        with pytest.raises(ValueError, match=f"L={L} is too large for float angles"):
+            make_chain(L)
 
 
 def test_two_photon_two_settings_closed_form():
@@ -143,7 +153,7 @@ def test_bell_fixed_N_builds_and_thins_no_table(monkeypatch):
 
 def test_bell_fixed_N_keeps_its_range_checks():
     chain = make_chain(2)
-    with pytest.raises(PhotonNumberRangeError):
+    with pytest.raises(ValueError, match="exceeds supported range"):
         bell_fixed_N(61, chain)
     with pytest.raises(ValueError, match="nonnegative"):
         bell_fixed_N(-1, chain)

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import svbell.cli
 import svbell.sv
@@ -159,7 +163,59 @@ def test_invalid_arguments_exit_2(argv, capsys):
 def test_invalid_mass_message_is_the_same_for_both_states(state, capsys):
     code, out, err = run_cli(["dist", *state, "--theta", "0.1", "--mass", "5"], capsys)
     assert (code, out) == (2, "")
-    assert err == "error: mass threshold must lie in (0, 1], got 5.0\n"
+    assert err == "error: mass threshold must lie in (0, 1), got 5.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "--gamma", "0.01", "--theta", "0", "--mass", "1"],  # exited 3
+        ["dist", "--N", "1", "--theta", "0", "--mass", "1"],
+        ["sweep-settings", "--gamma", "0.1", "--L-range", "2:2", "--mass", "1"],  # exited 0
+        ["heatmap", "--L", "2", "--gamma-range", "0.1:0.1:0.1", "--eta-range", "1:1:0.1", "--mass", "1"],
+    ],
+)
+def test_mass_1_is_invalid(argv, capsys, compute_calls):
+    # The weights of the infinite mixture never sum to 1; rounding decided
+    # whether a finite sum reached it.
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: mass threshold must lie in (0, 1), got 1.0\n"
+    assert compute_calls == []
+
+
+def test_an_unreachable_mass_states_the_weight_sum_in_full(capsys):
+    argv = ["dist", "--gamma", "0.744", "--theta", "0", "--mass", "0.999999999999999"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    total = 0.0
+    for n in range(61):
+        total += svbell.sv.lambda_sq(n, 0.744)
+    assert total < 0.999999999999999 and f"{total:.6f}" == "1.000000"
+    assert err == (
+        f"error: at gain 0.744, the singlet weights up to N = 60 sum to {total!r}, "
+        "below the requested mass 0.999999999999999\n"
+    )
+
+
+LARGE_L = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-eta", "--N", "1", "--L", LARGE_L, "--eta-range", "0.9:1:0.1"],
+        ["sweep-settings", "--N", "1", "--L-range", f"{LARGE_L}:{LARGE_L}"],
+        ["sweep-settings", "--gamma", "0.8", "--L-range", f"{LARGE_L}:{LARGE_L}"],
+        ["heatmap", "--L", LARGE_L, "--gamma-range", "0.8:0.8:0.1", "--eta-range", "0.9:1:0.1"],
+    ],
+)
+def test_an_L_too_large_for_float_angles_exits_2(argv, capsys, compute_calls):
+    # Each exited 1 with an OverflowError from the angle pi / (4L).
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: L={LARGE_L} is too large for float angles: (2L-1) pi overflows\n"
+    assert compute_calls == []
 
 
 @pytest.mark.parametrize(
@@ -525,3 +581,54 @@ def test_verify_respects_oracle_budget(capsys):
     )
     assert code == 0
     assert json.loads(out)["oracle_max_N"] == 8
+
+
+HALF_PI = 0.5 * math.pi
+# Integers up to 10**400 of either sign, small ones (the valid ranges) often.
+_INTS = st.one_of(st.integers(-3, 70), st.integers(-(10**400), 10**400)).map(str)
+_FLOATS = st.one_of(
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 5e-324, 1e308, 0.0, 1.0, HALF_PI]
+        + [math.nextafter(x, d) for x in (1.0, HALF_PI) for d in (0.0, 4.0)]
+    ),
+    st.floats(-0.5, 2.5),
+    st.floats(),
+).map(repr)
+_INT_POINT = _INTS.map(lambda x: f"{x}:{x}")
+_FLOAT_POINT = st.tuples(_FLOATS, _FLOATS).map(lambda p: f"{p[0]}:{p[0]}:{p[1]}")
+# Required and optional flags of each subcommand; every range holds one point at most.
+_COMMANDS = {
+    "dist": ({"theta": _FLOATS}, {"eta": _FLOATS, "mass": _FLOATS}),
+    "sweep-settings": ({"L-range": _INT_POINT}, {"eta": _FLOATS, "mass": _FLOATS}),
+    "sweep-eta": ({"N": _INTS, "L": _INTS, "eta-range": _FLOAT_POINT}, {}),
+    "heatmap": ({"L": _INTS, "gamma-range": _FLOAT_POINT, "eta-range": _FLOAT_POINT}, {"mass": _FLOATS}),
+    "verify": ({}, {"oracle-max-N": _INTS, "seed": _INTS, "mc-samples": _INTS}),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    flags = dict(required)
+    if command in ("dist", "sweep-settings"):  # exactly one of --N and --gamma
+        flags.update(draw(st.sampled_from([{"N": _INTS}, {"gamma": _FLOATS}])))
+    flags.update({name: values for name, values in optional.items() if draw(st.booleans())})
+    # --flag=value, so that argparse does not take a value such as -inf for a flag.
+    return [command] + [f"--{name}={draw(values)}" for name, values in flags.items()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_argv())
+@example(argv=["sweep-eta", "--N=1", f"--L={LARGE_L}", "--eta-range=0.9:1:0.1"])
+def test_every_command_line_exits_0_to_3(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse errors
+            code = exc.code
+    assert code in (0, 1, 2, 3)
+    if code >= 2:
+        assert stdout.getvalue() == ""
+        assert "error: " in stderr.getvalue() and "Traceback" not in stderr.getvalue()

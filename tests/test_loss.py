@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from fresh_rotation import fresh_rotation
 from svbell.chain import bell_sv, make_chain
-from svbell.errors import PhotonNumberRangeError
 from svbell.loss import _thinning_table, binomial_thin, thinning_matrix
 from svbell.oracle import mc_thin
 from svbell.singlet import (
@@ -152,7 +151,7 @@ def test_thinning_cache_is_bounded():
 
 
 def test_thinning_matrix_size_validation():
-    with pytest.raises(PhotonNumberRangeError):
+    with pytest.raises(ValueError, match="exceeds supported range"):
         thinning_matrix(MAX_PHOTON_NUMBER + 1, 0.5)
     with pytest.raises(ValueError):
         thinning_matrix(-1, 0.5)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from svbell.errors import PhotonNumberRangeError
 from svbell.loss import binomial_thin
 from svbell.oracle import build_singlet, mc_thin, oracle_amplitudes, oracle_joint_distribution
 from svbell.singlet import JointCountDistribution, joint_distribution, singlet_amplitudes
@@ -45,7 +44,7 @@ def test_build_singlet_normalized(N):
 
 
 def test_build_singlet_range_error():
-    with pytest.raises(PhotonNumberRangeError):
+    with pytest.raises(ValueError, match="oracle supports N <= 10"):
         build_singlet(11)
 
 

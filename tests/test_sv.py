@@ -8,11 +8,11 @@ import pytest
 
 from fresh_rotation import fresh_rotation
 from svbell.chain import rhs_sv_asymptotic
-from svbell.errors import CapExceededError
 from svbell.loss import binomial_thin
 from svbell.oracle import mc_thin
 from svbell.singlet import JointCountDistribution, joint_distribution
 from svbell.sv import (
+    CapExceededError,
     SVSpec,
     correlation_visibility,
     intensity_correlation,
@@ -99,6 +99,8 @@ def test_spec_validation():
         SVSpec(gamma=0.0)
     with pytest.raises(ValueError):
         SVSpec(gamma=0.5, mass_threshold=0.0)
+    with pytest.raises(ValueError, match="must lie in \\(0, 1\\)"):
+        SVSpec(gamma=0.5, mass_threshold=1.0)  # the weights never sum to 1
     with pytest.raises(ValueError):
         lambda_sq(-1, 0.5)
 
