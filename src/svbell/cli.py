@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,7 +28,13 @@ import numpy as np
 from .chain import BellBreakdown, ChainSpec, bell_fixed_N, bell_sv, make_chain
 from .lhv import lhv_minimum, polygon_check_batch
 from .loss import binomial_thin, check_efficiency
-from .oracle import MAX_MC_SAMPLES, MAX_ORACLE_PHOTON_NUMBER, mc_thin, oracle_joint_distribution
+from .oracle import (
+    MAX_MC_SAMPLES,
+    MAX_ORACLE_PHOTON_NUMBER,
+    l1_deviation_bound,
+    mc_thin,
+    oracle_joint_distribution,
+)
 from .singlet import MAX_PHOTON_NUMBER, joint_distribution
 from .sv import CapExceededError, SVSpec, check_mass_threshold, n_max_for, sv_mixture
 
@@ -214,7 +219,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     return 0
 
 
-def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 200_000) -> dict:
+def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10**10) -> dict:
     """Run the oracle-equivalence, LHV, normalization and loss suites.
 
     Deterministic for a fixed seed; returns a report dict with one entry per
@@ -263,7 +268,7 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 200
     )
 
     minima = [lhv_minimum(2, 3), lhv_minimum(3, 2)]
-    # Values 0..12 keep every difference in int8; the sums widen to int64.
+    # Drawn as int8 to keep the batch small; polygon_check_batch widens to int64.
     alice = rng.integers(0, 13, size=(100_000, 4), dtype=np.int8)
     bob = rng.integers(0, 13, size=(100_000, 4), dtype=np.int8)
     random_min = float(polygon_check_batch(alice, bob).min())
@@ -276,27 +281,27 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 200
         }
     )
 
+    # alpha is split over both efficiencies, so a correct channel fails the
+    # suite with probability at most alpha at any sample count.
     dist = joint_distribution(3, math.pi / 8)
     efficiencies = (0.5, 0.83)
-    worst_sigma = 0.0
+    alpha = 1e-3
+    eps = l1_deviation_bound(dist.probs.size, mc_samples, alpha / len(efficiencies))
+    worst_l1 = 0.0
     for eta in efficiencies:
         exact = binomial_thin(dist, eta)
         empirical = mc_thin(dist, eta, mc_samples, seed=seed + 1)
-        sigma = np.sqrt(np.maximum(exact.probs * (1.0 - exact.probs), 1e-300) / mc_samples)
-        worst_sigma = max(worst_sigma, float(np.max(np.abs(empirical.probs - exact.probs) / sigma)))
-    # Bonferroni threshold over every cell of both tables: a correct channel
-    # fails the whole suite, not each cell, with probability about 1e-3.
-    cells = len(efficiencies) * dist.probs.size
-    sigma_threshold = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * cells))
+        worst_l1 = max(worst_l1, float(np.abs(empirical.probs - exact.probs).sum()))
     twice = binomial_thin(binomial_thin(dist, 0.9), 0.8)
     once = binomial_thin(dist, 0.72)
     semigroup = float(np.max(np.abs(twice.probs - once.probs)))
     suites.append(
         {
             "name": "loss_channel",
-            "passed": bool(worst_sigma <= sigma_threshold and semigroup <= 1e-10),
-            "worst_sigma": worst_sigma,
-            "sigma_threshold": sigma_threshold,
+            "passed": bool(worst_l1 < eps and semigroup <= 1e-10),
+            "alpha": alpha,
+            "eps": eps,
+            "worst_l1": worst_l1,
             "semigroup_diff": semigroup,
         }
     )
@@ -378,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the verification suites")
     verify.add_argument("--oracle-max-N", type=int, default=6, dest="oracle_max_N")
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--mc-samples", type=int, default=200_000, dest="mc_samples")
+    verify.add_argument("--mc-samples", type=int, default=10**10, dest="mc_samples")
     verify.add_argument("--out", metavar="PATH", default=None)
     verify.set_defaults(func=cmd_verify)
 

@@ -39,15 +39,28 @@ def polygon_check(alice_values: Sequence[int], bob_values: Sequence[int]) -> flo
 
 
 def polygon_check_batch(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """Vectorized polygon_check over rows of strategy matrices."""
+    """Vectorized polygon_check over rows of strategy matrices.
+
+    Sums the chain's 2L terms one column pair at a time.  Integer inputs are
+    widened to int64 before any difference is taken, so narrow types cannot
+    overflow; float inputs give a float result.
+    """
     alice = np.asarray(alice)
     bob = np.asarray(bob)
     if alice.shape != bob.shape:
         raise ValueError("strategy matrices must have matching shapes")
-    aligned = np.abs(bob - alice).sum(axis=1)
-    stepped = np.abs(bob[:, 1:] - alice[:, :-1]).sum(axis=1)
-    closing = np.abs(bob[:, 0] - alice[:, -1])
-    return aligned + stepped - closing
+    wide = np.int64 if np.result_type(alice, bob).kind in "biu" else None
+
+    def distance(i: int, j: int) -> np.ndarray:
+        diff = np.subtract(bob[:, i], alice[:, j], dtype=wide)
+        return np.abs(diff, out=diff)
+
+    total = distance(0, 0)
+    for i in range(1, alice.shape[1]):
+        total += distance(i, i)
+        total += distance(i, i - 1)
+    total -= distance(0, -1)
+    return total
 
 
 def lhv_minimum(L: int, cap: int) -> float:

@@ -3,9 +3,13 @@
 Two independent computation paths live here:
 
 * a four-mode Fock-space construction of the 2N-photon singlet plus explicit
-  multinomial expansion of rotated number states, giving one signed
-  amplitude table by sparse inner product with exact integer binomials;
-  its square is the joint count table, and
+  binomial expansion of rotated number states.  The integer part of that
+  expansion (target index, power of cos, and signed weight from exact
+  integer binomials and factorials) depends on N alone and is built once
+  per N.  Each observer's N+1 rotated states at one angle are then one
+  gather of cos/sin monomials and one ``bincount``, and the signed
+  amplitude table is one matrix product over the entries of the singlet's
+  Fock vector; its square is the joint count table, and
 * a seeded Monte-Carlo realization of Bernoulli detector loss: one
   multinomial draw of how many samples fall in each cell, then the photons
   of each cell are detected one at a time, with one binomial draw per photon
@@ -21,6 +25,7 @@ the point.  Scale is deliberately small (N <= 10).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,45 +59,68 @@ def build_singlet(N: int) -> FockVector:
     }
 
 
-def _rotated_number_state(j: int, k: int, phi: float) -> list[float]:
-    """Coefficients of |j_{H+phi}, k_{V+phi}> in the (H, V) Fock basis.
+@lru_cache(maxsize=MAX_ORACLE_PHOTON_NUMBER + 1)
+def _expansion(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer part of the binomial expansion of every rotated N-photon state.
 
-    Entry w of the returned list multiplies |w, j+k-w>.  Derived by binomial
-    expansion of the rotated creation operators
+    The state |j_{H+phi}, k_{V+phi}>, k = N - j, comes from raising the
+    rotated creation operators
 
         c_{H+phi} = cos(phi) c_H + sin(phi) c_V
         c_{V+phi} = -sin(phi) c_H + cos(phi) c_V
 
-    raised to the j-th and k-th powers, with exact integer binomials.
+    to the j-th and k-th powers.  Term (p, q) of that expansion puts
+    (-1)^q C(j,p) C(k,q) sqrt(w! (N-w)! / (j! k!)) cos(phi)^a sin(phi)^(N-a)
+    on |w, N-w>, with w = p + q and a = p + k - q.  Returns, for every term
+    of every j, the flat target index j (N+1) + w, the power a and that
+    weight, as read-only arrays: a constant of N, built once.
     """
-    total = j + k
-    cos_p, sin_p = math.cos(phi), math.sin(phi)
-    coeffs = [0.0] * (total + 1)
-    for p in range(j + 1):
-        for q in range(k + 1):
-            w = p + q
-            coeffs[w] += (
-                math.comb(j, p)
-                * math.comb(k, q)
-                * cos_p**p
-                * sin_p ** (j - p)
-                * (-sin_p) ** q
-                * cos_p ** (k - q)
-                * math.sqrt(
-                    math.factorial(w)
-                    * math.factorial(total - w)
-                    / (math.factorial(j) * math.factorial(k))
+    index, power, weight = [], [], []
+    for j in range(N + 1):
+        k = N - j
+        for p in range(j + 1):
+            for q in range(k + 1):
+                w = p + q
+                index.append(j * (N + 1) + w)
+                power.append(p + k - q)
+                weight.append(
+                    (-1) ** q
+                    * math.comb(j, p)
+                    * math.comb(k, q)
+                    * math.sqrt(
+                        math.factorial(w)
+                        * math.factorial(N - w)
+                        / (math.factorial(j) * math.factorial(k))
+                    )
                 )
-            )
-    return coeffs
+    arrays = (np.array(index), np.array(power), np.array(weight))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
-def _overlap(state: FockVector, alice: list[float], bob: list[float]) -> float:
-    """Inner product of ``state`` with Alice's and Bob's expanded states."""
-    total = 0.0
-    for (a_h, _a_v, b_h, _b_v), amp in state.items():
-        total += amp * alice[a_h] * bob[b_h]
-    return total
+def _rotated_number_states(N: int, phi: float) -> np.ndarray:
+    """Row j: coefficients of |j_{H+phi}, (N-j)_{V+phi}> in the (H, V) Fock basis.
+
+    Entry (j, w) multiplies |w, N-w>.  One monomial cos^a sin^(N-a) per power
+    a, gathered onto ``_expansion(N)``'s terms and summed by target index.
+    """
+    index, power, weight = _expansion(N)
+    a = np.arange(N + 1)
+    monomials = math.cos(phi) ** a * math.sin(phi) ** (N - a)
+    sums = np.bincount(index, weights=weight * monomials[power], minlength=(N + 1) ** 2)
+    return sums.reshape(N + 1, N + 1)
+
+
+def _overlap(state: FockVector, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+    """Inner products of ``state`` with every pair of Alice's and Bob's states.
+
+    Entry (n, m) sums amp * alice[n, a_H] * bob[m, b_H] over the entries of
+    ``state``: one matrix product over its H occupations.
+    """
+    keys = np.array(list(state))
+    amps = np.fromiter(state.values(), dtype=float, count=len(state))
+    return (alice[:, keys[:, 0]] * amps) @ bob[:, keys[:, 2]].T
 
 
 def oracle_amplitudes(N: int, theta: float, theta_alice: float = 0.0) -> np.ndarray:
@@ -100,19 +128,15 @@ def oracle_amplitudes(N: int, theta: float, theta_alice: float = 0.0) -> np.ndar
 
     Entry (n, m) projects the 2N-photon singlet onto
     |n_{H+theta_alice}, (N-n)_{V+theta_alice}>_a together with
-    |(N-m)_{H+theta}, m_{V+theta}>_b.  Each of the N+1 rotated number states
-    per observer is expanded once and paired with every state of the other
-    observer.  A nonzero theta_alice checks that joint statistics depend on
-    the polarizer angles only through their difference.
+    |(N-m)_{H+theta}, m_{V+theta}>_b.  Each observer's N+1 rotated number
+    states are expanded once, as one matrix, and paired with every state of
+    the other observer.  A nonzero theta_alice checks that joint statistics
+    depend on the polarizer angles only through their difference.
     """
     state = build_singlet(N)
-    alice = [_rotated_number_state(n, N - n, theta_alice) for n in range(N + 1)]
-    bob = [_rotated_number_state(N - m, m, theta) for m in range(N + 1)]
-    amps = np.zeros((N + 1, N + 1))
-    for n in range(N + 1):
-        for m in range(N + 1):
-            amps[n, m] = _overlap(state, alice[n], bob[m])
-    return amps
+    alice = _rotated_number_states(N, theta_alice)
+    bob = _rotated_number_states(N, theta)[::-1]
+    return _overlap(state, alice, bob)
 
 
 def oracle_joint_distribution(N: int, theta: float, theta_alice: float = 0.0) -> np.ndarray:
@@ -136,6 +160,17 @@ def _detect(rng: np.random.Generator, groups: np.ndarray, photons: int, eta: flo
         h[..., : k + 1] -= hit
         h[..., 1 : k + 2] += hit
     return h
+
+
+def l1_deviation_bound(cells: int, samples: int, alpha: float) -> float:
+    """L1 radius that a correct sampler leaves with probability at most ``alpha``.
+
+    The empirical distribution of ``samples`` i.i.d. draws over ``cells``
+    cells obeys P(||p_hat - p||_1 >= eps) <= (2^k - 2) exp(-n eps^2 / 2)
+    (Weissman et al., HP Labs HPL-2003-97) at every sample count; this is
+    eps = sqrt(2 (k ln 2 + ln(1/alpha)) / n), with 2^k in place of 2^k - 2.
+    """
+    return math.sqrt(2.0 * (cells * math.log(2.0) + math.log(1.0 / alpha)) / samples)
 
 
 def mc_thin(

@@ -21,7 +21,7 @@ from svbell.chain import (
 )
 from svbell.lhv import lhv_minimum, polygon_check_batch
 from svbell.loss import binomial_thin
-from svbell.oracle import mc_thin, oracle_joint_distribution
+from svbell.oracle import l1_deviation_bound, mc_thin, oracle_joint_distribution
 from svbell.singlet import joint_distribution
 from svbell.sv import (
     SVSpec,
@@ -187,8 +187,10 @@ def test_criterion_10_loss_channel_correctness():
         samples = 1_000_000
         exact = binomial_thin(dist, eta)
         empirical = mc_thin(dist, eta, samples, seed=20240817)
-        sigma = np.sqrt(exact.probs * (1.0 - exact.probs) / samples)
-        assert np.all(np.abs(empirical.probs - exact.probs) <= 3.0 * sigma + 1e-12)
+        # L1 deviation bound at alpha = 1e-3: holds for a correct sampler
+        # with probability at least 1 - alpha at any seed.
+        l1 = np.abs(empirical.probs - exact.probs).sum()
+        assert l1 < l1_deviation_bound(exact.probs.size, samples, 1e-3)
         twice = binomial_thin(binomial_thin(dist, 0.9), 0.8)
         once = binomial_thin(dist, 0.72)
         assert np.max(np.abs(twice.probs - once.probs)) <= 1e-10

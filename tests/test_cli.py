@@ -537,7 +537,7 @@ def test_verify_passes_on_seeds_that_tripped_the_per_cell_threshold(seed):
     # 3.72) when mc_thin drew a cell per sample. Drawing the cells in one
     # multinomial, then one binomial per photon per group of samples, gives
     # another stream, with 2.32 and 2.93 here; the seeds stay as regression
-    # cases for the Bonferroni threshold.
+    # cases for the loss_channel threshold.
     assert run_verification(seed=seed)["passed"]
 
 
@@ -563,7 +563,31 @@ def test_verify_rejects_a_wrong_loss_channel(seed, monkeypatch):
     )
     suites = {s["name"]: s for s in run_verification(seed=seed)["suites"]}
     assert not suites["loss_channel"]["passed"]
-    assert suites["loss_channel"]["worst_sigma"] > suites["loss_channel"]["sigma_threshold"]
+    assert suites["loss_channel"]["worst_l1"] >= suites["loss_channel"]["eps"]
+
+
+@pytest.mark.parametrize("shift", [0.001, -0.001])
+def test_verify_rejects_an_efficiency_off_by_a_thousandth(shift, monkeypatch):
+    # At the default 10^10 samples eps is 6.1e-5; a channel 0.001 off lies
+    # about 1.7e-3 away in L1.
+    monkeypatch.setattr(
+        svbell.cli, "mc_thin", lambda dist, eta, samples, seed: mc_thin(dist, eta + shift, samples, seed)
+    )
+    report = run_verification(oracle_max_N=0)
+    assert report["mc_samples"] == 10**10
+    loss = {s["name"]: s for s in report["suites"]}["loss_channel"]
+    assert not loss["passed"]
+    assert loss["worst_l1"] >= loss["eps"]
+
+
+def test_verify_passes_at_ten_samples(capsys):
+    # The L1 bound holds at every sample count: a small n gives a large eps,
+    # not a false alarm (the per-cell z-score failed here).
+    code, out, _ = run_cli(["verify", "--mc-samples", "10"], capsys)
+    assert code == 0
+    loss = {s["name"]: s for s in json.loads(out)["suites"]}["loss_channel"]
+    assert (loss["passed"], loss["alpha"]) == (True, 1e-3)
+    assert loss["worst_l1"] < loss["eps"]
 
 
 def test_cli_import_needs_no_scipy():

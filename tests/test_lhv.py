@@ -38,6 +38,21 @@ def test_polygon_check_batch_matches_scalar():
         assert batch[i] == polygon_check(list(alice[i]), list(bob[i]))
 
 
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+def test_polygon_check_batch_matches_scalar_row_by_row(L, dtype):
+    rng = np.random.default_rng(L)
+    # int8's whole range: a difference taken in int8 would wrap around.
+    alice = rng.integers(-128, 128, size=(300, L)).astype(dtype)
+    bob = rng.integers(-128, 128, size=(300, L)).astype(dtype)
+    if dtype is np.float64:
+        alice += rng.uniform(-0.5, 0.5, size=alice.shape)
+    batch = polygon_check_batch(alice, bob)
+    assert batch.dtype == (np.float64 if dtype is np.float64 else np.int64)
+    expected = [polygon_check([float(v) for v in a], [float(v) for v in b]) for a, b in zip(alice, bob)]
+    assert np.allclose(batch, expected, rtol=0.0, atol=1e-9 if dtype is np.float64 else 0.0)
+
+
 _EXTREMES = (
     np.array([[0, 0, 0, 0], [12, 0, 12, 0], [0, 12, 0, 12]], dtype=np.int8),
     np.array([[12, 12, 12, 12], [0, 12, 0, 12], [12, 0, 12, 0]], dtype=np.int8),

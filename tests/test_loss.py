@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fresh_rotation import fresh_rotation
 from svbell.chain import bell_sv, make_chain
 from svbell.loss import _thinning_table, binomial_thin, thinning_matrix
-from svbell.oracle import mc_thin
+from svbell.oracle import l1_deviation_bound, mc_thin
 from svbell.singlet import (
     MAX_PHOTON_NUMBER,
     joint_distribution,
@@ -63,8 +63,8 @@ def test_two_photon_perfect_correlation_table():
     # cross-check by seeded Monte-Carlo realization of the same channel
     samples = 1_000_000
     empirical = mc_thin(joint_distribution(1, 0.0), eta, samples, seed=7)
-    sigma = np.sqrt(expected * (1.0 - expected) / samples)
-    assert np.all(np.abs(empirical.probs - expected) <= 3.0 * sigma + 1e-12)
+    # L1 deviation bound at alpha = 1e-3 over the 4 cells.
+    assert np.abs(empirical.probs - expected).sum() < l1_deviation_bound(4, samples, 1e-3)
 
 
 @pytest.mark.parametrize("N", [1, 3, 5])

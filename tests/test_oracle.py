@@ -1,7 +1,6 @@
 """Brute-force oracle tests: Fock construction, rotations, Monte-Carlo loss."""
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -9,7 +8,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from svbell.loss import binomial_thin
-from svbell.oracle import build_singlet, mc_thin, oracle_amplitudes, oracle_joint_distribution
+from svbell.oracle import (
+    _expansion,
+    _rotated_number_states,
+    build_singlet,
+    l1_deviation_bound,
+    mc_thin,
+    oracle_amplitudes,
+    oracle_joint_distribution,
+)
 from svbell.singlet import JointCountDistribution, joint_distribution, singlet_amplitudes
 
 ANGLE_GRID = [0.0, math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
@@ -63,6 +70,28 @@ def test_identity_rotation_recovers_fock_coefficients(N):
         for m in range(N + 1):
             expected = ((-1.0) ** n) / math.sqrt(N + 1) if m == n else 0.0
             assert amps[n, m] == pytest.approx(expected, abs=1e-13)
+
+
+@settings(max_examples=200, deadline=None)
+@given(N=st.integers(0, 10), phi=st.floats(allow_nan=False, allow_infinity=False))
+def test_rotated_number_states_are_orthogonal(N, phi):
+    states = _rotated_number_states(N, phi)
+    assert np.max(np.abs(states @ states.T - np.eye(N + 1))) <= 1e-12
+
+
+@pytest.mark.parametrize("N", range(11))
+def test_rotated_number_states_at_zero_angle_are_the_identity(N):
+    assert np.array_equal(_rotated_number_states(N, 0.0), np.eye(N + 1))
+
+
+def test_expansion_is_built_once_per_photon_number_and_read_only():
+    _expansion.cache_clear()
+    for theta_a, theta_b in SHARED_ROTATIONS:
+        oracle_amplitudes(5, theta_b, theta_a)
+    assert (_expansion.cache_info().hits, _expansion.cache_info().misses) == (7, 1)
+    for array in _expansion(5):
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 @pytest.mark.parametrize("N", range(9))
@@ -137,8 +166,9 @@ def test_mc_thin_marginal_is_binomial():
     empirical = mc_thin(_delta_distribution(3, 3, 4), 0.5, samples, seed=21)
     marginal = empirical.probs.sum(axis=1)
     expected = np.array([math.comb(3, k) for k in range(4)]) / 8
-    sigma = np.sqrt(expected * (1.0 - expected) / samples)
-    assert np.all(np.abs(marginal - expected) <= 3.0 * sigma)
+    # Alice's counts are samples i.i.d. draws over 4 cells: a correct sampler
+    # fails with probability at most alpha = 1e-3 at any seed.
+    assert np.abs(marginal - expected).sum() < l1_deviation_bound(4, samples, 1e-3)
 
 
 def test_mc_thin_joint_histogram_is_a_product_of_binomials():
@@ -154,11 +184,10 @@ def test_mc_thin_joint_histogram_is_a_product_of_binomials():
     expected = np.outer(
         [math.comb(3, k) / 8 for k in range(4)], [math.comb(2, k) / 4 for k in range(3)]
     )
-    sigma = np.sqrt(expected * (1.0 - expected) / samples)
-    # Bonferroni over the 12 support cells: a correct sampler fails with
-    # probability about 1e-3 at any seed.
-    threshold = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * expected.size))
-    assert np.all(np.abs(empirical.probs[:4, :3] - expected) <= threshold * sigma)
+    # L1 deviation bound over the 12 support cells: a correct sampler fails
+    # with probability at most alpha = 1e-3 at any seed.
+    l1 = np.abs(empirical.probs[:4, :3] - expected).sum()
+    assert l1 < l1_deviation_bound(expected.size, samples, 1e-3)
 
 
 @pytest.mark.parametrize("N,eta,seed", [
@@ -174,11 +203,19 @@ def test_mc_thin_matches_exact_channel(N, eta, seed):
     samples = 400_000
     exact = binomial_thin(dist, eta)
     empirical = mc_thin(dist, eta, samples, seed=seed)
-    sigma = np.sqrt(exact.probs * (1.0 - exact.probs) / samples)
-    inside = np.abs(empirical.probs - exact.probs) <= 3.0 * sigma + 1e-12
-    assert np.all(inside)
+    # A correct sampler fails with probability at most alpha = 1e-3 at any seed.
+    l1 = np.abs(empirical.probs - exact.probs).sum()
+    assert l1 < l1_deviation_bound(exact.probs.size, samples, 1e-3)
     # Cells outside the thinned support must be exactly empty.
     assert np.all(empirical.probs[exact.probs == 0.0] == 0.0)
+
+
+@pytest.mark.parametrize("cells,samples,alpha", [(1, 1, 0.5), (4, 10, 1e-3), (16, 10**10, 5e-4), (25, 10**6, 1e-9)])
+def test_l1_deviation_bound_solves_the_weissman_inequality(cells, samples, alpha):
+    # (2^k - 2) exp(-n eps^2 / 2) <= alpha, with equality when 2^k replaces 2^k - 2.
+    eps = l1_deviation_bound(cells, samples, alpha)
+    assert 2.0**cells * math.exp(-samples * eps**2 / 2.0) == pytest.approx(alpha, rel=1e-9)
+    assert (2.0**cells - 2.0) * math.exp(-samples * eps**2 / 2.0) <= alpha
 
 
 def test_mc_thin_validates_arguments():
