@@ -184,7 +184,7 @@ def test_criterion_10_loss_channel_correctness():
     with criterion(10, "loss channel against Monte-Carlo"):
         dist = joint_distribution(4, math.pi / 8)
         eta = 0.83
-        samples = 1_000_000
+        samples = 10**10
         exact = binomial_thin(dist, eta)
         empirical = mc_thin(dist, eta, samples, seed=20240817)
         # L1 deviation bound at alpha = 1e-3: holds for a correct sampler

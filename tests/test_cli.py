@@ -533,11 +533,7 @@ def test_verify_passes_and_is_deterministic(capsys):
 
 @pytest.mark.parametrize("seed", [9, 20])
 def test_verify_passes_on_seeds_that_tripped_the_per_cell_threshold(seed):
-    # Max |z| over both 4 x 4 tables exceeded 3 at these seeds (3.46 and
-    # 3.72) when mc_thin drew a cell per sample. Drawing the cells in one
-    # multinomial, then one binomial per photon per group of samples, gives
-    # another stream, with 2.32 and 2.93 here; the seeds stay as regression
-    # cases for the loss_channel threshold.
+    # Seeds on which an earlier per-cell z-score check raised false alarms.
     assert run_verification(seed=seed)["passed"]
 
 

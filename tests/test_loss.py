@@ -61,7 +61,7 @@ def test_two_photon_perfect_correlation_table():
     )
     assert np.max(np.abs(thinned.probs - expected)) <= 1e-12
     # cross-check by seeded Monte-Carlo realization of the same channel
-    samples = 1_000_000
+    samples = 10**10
     empirical = mc_thin(joint_distribution(1, 0.0), eta, samples, seed=7)
     # L1 deviation bound at alpha = 1e-3 over the 4 cells.
     assert np.abs(empirical.probs - expected).sum() < l1_deviation_bound(4, samples, 1e-3)

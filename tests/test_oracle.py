@@ -162,7 +162,7 @@ def test_mc_thin_without_loss_reproduces_distribution():
 
 
 def test_mc_thin_marginal_is_binomial():
-    samples = 1_000_000
+    samples = 10**10
     empirical = mc_thin(_delta_distribution(3, 3, 4), 0.5, samples, seed=21)
     marginal = empirical.probs.sum(axis=1)
     expected = np.array([math.comb(3, k) for k in range(4)]) / 8
@@ -172,7 +172,7 @@ def test_mc_thin_marginal_is_binomial():
 
 
 def test_mc_thin_joint_histogram_is_a_product_of_binomials():
-    samples = 1_000_000
+    samples = 10**10
     dist = _delta_distribution(3, 2, 5)
     empirical = mc_thin(dist, 0.5, samples, seed=23)
     counts = empirical.probs * samples / dist.mass
@@ -200,7 +200,7 @@ def test_mc_thin_joint_histogram_is_a_product_of_binomials():
 ])
 def test_mc_thin_matches_exact_channel(N, eta, seed):
     dist = joint_distribution(N, math.pi / 8)
-    samples = 400_000
+    samples = 10**10
     exact = binomial_thin(dist, eta)
     empirical = mc_thin(dist, eta, samples, seed=seed)
     # A correct sampler fails with probability at most alpha = 1e-3 at any seed.
