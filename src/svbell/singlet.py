@@ -25,10 +25,12 @@ Every off-diagonal contribution carries an explicit factor of c or s, so at
 theta = 0 the table is strictly diagonal (m = n) and at theta = pi/2
 strictly anti-diagonal (m = N - n), each nonzero entry equal to 1/(N+1).
 
-D_{n+1} depends on D_n and theta alone, so the cache keeps one step per
-(N, theta): a miss steps on from the cached N - 1, and the tables
-N = 0..n_max at one angle cost n_max steps in all, in any request order.  It
-holds at most 256 (D, table) pairs, 15.2 MB at N = 60.
+D_{n+1} depends on D_n and theta alone, so the cache that serves
+``joint_distribution`` keeps one step per (N, theta): a miss steps on from
+the cached N - 1, and the tables N = 0..n_max at one angle cost n_max steps
+in all, in any request order.  It holds at most 256 (D, table) pairs,
+15.2 MB at N = 60.  Verify's normalization check steps all its angles
+together in one stack instead, outside the cache.
 """
 
 from __future__ import annotations
@@ -89,21 +91,25 @@ def _cos_sin(theta: float) -> tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
-def _step(d: np.ndarray, c: float, s: float) -> np.ndarray:
-    """D_{n+1}(theta) from D_n(theta): one more photon through the rotation."""
-    n = len(d) - 1
+def _step(d: np.ndarray, c: float | np.ndarray, s: float | np.ndarray) -> np.ndarray:
+    """D_{n+1}(theta) from D_n(theta): one more photon through the rotation.
+
+    ``d`` may be a stack of shape (..., n+1, n+1), one D_n per angle, with
+    ``c`` and ``s`` broadcasting over its leading axes.
+    """
+    n = d.shape[-1] - 1
     # root[i] = sqrt(i) is the a+ factor on row i, root[n+1-i] the b+
     # factor; rows outside D_n contribute 0.
     root = np.sqrt(np.arange(n + 2.0))
-    zeros = np.zeros((1, n + 1))
-    up = root[:, None] * np.vstack([zeros, d])  # sqrt(i) D_n[i-1, k]
-    down = root[::-1, None] * np.vstack([d, zeros])  # sqrt(n+1-i) D_n[i, k]
+    zeros = np.zeros((*d.shape[:-2], 1, n + 1))
+    up = root[:, None] * np.concatenate([zeros, d], axis=-2)  # sqrt(i) D_n[i-1, k]
+    down = root[::-1, None] * np.concatenate([d, zeros], axis=-2)  # sqrt(n+1-i) D_n[i, k]
     # Columns k < half gain a b photon (norm sqrt(n+1-k)), the rest an
     # a photon on column k-1 (norm sqrt(k)).
     half = (n + 2) // 2
-    via_b = (c * down[:, :half] - s * up[:, :half]) / root[::-1][:half]
-    via_a = (c * up[:, half - 1 :] + s * down[:, half - 1 :]) / root[half:]
-    return np.hstack([via_b, via_a])
+    via_b = (c * down[..., :half] - s * up[..., :half]) / root[::-1][:half]
+    via_a = (c * up[..., half - 1 :] + s * down[..., half - 1 :]) / root[half:]
+    return np.concatenate([via_b, via_a], axis=-1)
 
 
 @lru_cache(maxsize=256)
@@ -114,6 +120,26 @@ def _rotation(N: int, theta: float) -> tuple[np.ndarray, JointCountDistribution]
     d.setflags(write=False)
     probs.setflags(write=False)
     return d, JointCountDistribution(probs=probs, mass=float(probs.sum()))
+
+
+def _table_masses(max_N: int, thetas: list[float]) -> np.ndarray:
+    """Masses of the tables N = 0..max_N at each angle, stepped together.
+
+    Entry [N, i] equals ``joint_distribution(N, thetas[i]).mass`` bit for
+    bit; the stacked D_N bypass the rotation cache and are not kept.
+    """
+    _check_photon_number(max_N)
+    for theta in thetas:
+        _check_angle(theta)
+    cos_sin = np.array([_cos_sin(theta) for theta in thetas]).reshape(-1, 2, 1, 1)
+    c, s = cos_sin[:, 0], cos_sin[:, 1]
+    d = np.ones((len(thetas), 1, 1))
+    masses = np.empty((max_N + 1, len(thetas)))
+    for N in range(max_N + 1):
+        if N:
+            d = _step(d, c, s)
+        masses[N] = (d**2 / (N + 1)).sum(axis=(-2, -1))
+    return masses
 
 
 def singlet_amplitudes(N: int, theta: float) -> np.ndarray:

@@ -9,14 +9,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import svbell.cli
 import svbell.sv
+from svbell import singlet
 from svbell.cli import GUARD_MASS, MAX_GRID_POINTS, main, run_verification
 from svbell.oracle import mc_thin
+from svbell.singlet import joint_distribution
 from svbell.sv import SVSpec, n_max_for
 
 
@@ -535,6 +538,23 @@ def test_verify_passes_and_is_deterministic(capsys):
 def test_verify_passes_on_seeds_that_tripped_the_per_cell_threshold(seed):
     # Seeds on which an earlier per-cell z-score check raised false alarms.
     assert run_verification(seed=seed)["passed"]
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_verify_normalization_is_the_worst_cached_table_mass(seed):
+    # The suite steps its 20 seeded angles together; each mass must be the
+    # one joint_distribution declares.
+    thetas = np.random.default_rng(np.random.SeedSequence(seed)).uniform(0.0, math.pi / 2, size=20)
+    expected = max(abs(joint_distribution(N, float(t)).mass - 1.0) for N in range(13) for t in thetas)
+    suites = {s["name"]: s for s in run_verification(oracle_max_N=0, seed=seed)["suites"]}
+    assert suites["normalization"]["worst_mass_error"] == expected
+
+
+def test_a_second_verify_reads_every_singlet_table_from_the_cache():
+    run_verification(oracle_max_N=10, seed=3)
+    misses = singlet._rotation.cache_info().misses
+    run_verification(oracle_max_N=10, seed=4)
+    assert singlet._rotation.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("samples", ["0", str(2**63), "100000000000000000000"])

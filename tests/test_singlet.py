@@ -2,6 +2,7 @@
 
 import gc
 import math
+import re
 import sys
 import threading
 import weakref
@@ -11,7 +12,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fresh_rotation import fresh_rotation
@@ -172,6 +173,55 @@ def test_one_angle_costs_one_step_per_photon(monkeypatch):
         for n in reversed(range(MAX_PHOTON_NUMBER + 1)):  # all read from the cache
             joint_distribution(n, 0.7)
         assert len(steps) == MAX_PHOTON_NUMBER
+
+
+# Stacks of 2-25 angles holding both endpoints, in any order.
+ANGLE_STACKS = st.lists(st.floats(0.0, HALF_PI), max_size=23).flatmap(
+    lambda rest: st.permutations([0.0, HALF_PI, *rest])
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(N=st.integers(0, MAX_PHOTON_NUMBER), thetas=ANGLE_STACKS)
+@example(N=MAX_PHOTON_NUMBER, thetas=[0.0])
+@example(N=MAX_PHOTON_NUMBER, thetas=[HALF_PI])
+def test_stacked_steps_are_the_fresh_rotations(N, thetas):
+    cos_sin = np.array([singlet._cos_sin(theta) for theta in thetas]).reshape(-1, 2, 1, 1)
+    d = np.ones((len(thetas), 1, 1))
+    for _ in range(N):
+        d = singlet._step(d, cos_sin[:, 0], cos_sin[:, 1])
+    assert d.shape == (len(thetas), N + 1, N + 1)
+    for slab, theta in zip(d, thetas):
+        assert np.array_equal(slab, fresh_rotation(N, theta))
+        if theta in (0.0, HALF_PI):
+            support = np.eye(N + 1, dtype=bool)
+            support = support if theta == 0.0 else np.fliplr(support)
+            assert np.all(slab[~support] == 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    max_N=st.integers(0, MAX_PHOTON_NUMBER),
+    thetas=st.lists(
+        st.one_of(st.sampled_from([0.0, HALF_PI]), st.floats(0.0, HALF_PI)), max_size=25
+    ),
+)
+def test_stacked_table_masses_are_the_cached_tables_masses(max_N, thetas):
+    masses = singlet._table_masses(max_N, thetas)
+    assert masses.shape == (max_N + 1, len(thetas))
+    for column, theta in zip(masses.T, thetas):
+        assert column.tolist() == [joint_distribution(N, theta).mass for N in range(max_N + 1)]
+
+
+def test_stacked_table_masses_check_their_arguments():
+    with pytest.raises(ValueError, match="^photon number per beam 61 exceeds supported range N <= 60$"):
+        singlet._table_masses(61, [0.1])
+    with pytest.raises(ValueError, match="^photon number per beam must be nonnegative, got -1$"):
+        singlet._table_masses(-1, [0.1])
+    too_wide = HALF_PI + 1e-6
+    message = f"relative polarizer angle must lie in [0, pi/2], got {too_wide}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        singlet._table_masses(2, [0.1, too_wide])
 
 
 def test_threads_sharing_the_rotation_cache_get_the_tables_they_ask_for():
