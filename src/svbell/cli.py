@@ -226,9 +226,10 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10*
       seeded angles, all angles stepped together;
     - oracle_equivalence: the tables equal the Fock oracle's within 1e-10 for
       N <= oracle_max_N at six fixed angles, and at three pairs of polarizer
-      angles the oracle depends only on their difference (N <= 6);
+      angles the oracle depends only on their difference (N <= 6); the
+      oracle builds each N's angles as one stack;
     - lhv_bound: the chained inequality's exhaustive local minimum is 0 at
-      (L, cap) = (2, 3) and (3, 2), and 100,000 seeded L = 2 strategies with
+      (L, cap) = (2, 3) and (3, 2), and 100,000 seeded L = 4 strategies with
       counts up to 12 never go below it;
     - loss_channel: Monte Carlo thinning of the N = 3 table at pi/8 lies
       within the L1 bound of the exact channel at efficiencies 0.5 and 0.83,
@@ -252,22 +253,20 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10*
         {"name": "normalization", "passed": bool(worst_mass <= 1e-9), "worst_mass_error": worst_mass}
     )
 
+    # One oracle stack per N, against the cached tables the CLI serves.
     angle_grid = [0.0, math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8, _HALF_PI]
     worst = 0.0
     for n in range(oracle_max_N + 1):
-        for theta in angle_grid:
-            diff = np.abs(
-                joint_distribution(n, theta).probs - oracle_joint_distribution(n, theta)
-            )
-            worst = max(worst, float(diff.max()))
+        closed = np.stack([joint_distribution(n, theta).probs for theta in angle_grid])
+        diff = np.abs(closed - oracle_joint_distribution(n, angle_grid))
+        worst = max(worst, float(diff.max()))
+    pairs = [(0.3, 0.75), (0.2, 1.5), (math.pi / 16, 3 * math.pi / 16)]
+    theta_a, theta_b = zip(*pairs)
     worst_rel = 0.0
     for n in range(min(oracle_max_N, 6) + 1):
-        for theta_a, theta_b in [(0.3, 0.75), (0.2, 1.5), (math.pi / 16, 3 * math.pi / 16)]:
-            diff = np.abs(
-                oracle_joint_distribution(n, theta_b, theta_a)
-                - joint_distribution(n, theta_b - theta_a).probs
-            )
-            worst_rel = max(worst_rel, float(diff.max()))
+        closed = np.stack([joint_distribution(n, b - a).probs for a, b in pairs])
+        diff = np.abs(oracle_joint_distribution(n, theta_b, theta_a) - closed)
+        worst_rel = max(worst_rel, float(diff.max()))
     suites.append(
         {
             "name": "oracle_equivalence",
@@ -278,10 +277,13 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10*
     )
 
     minima = [lhv_minimum(2, 3), lhv_minimum(3, 2)]
-    # Drawn as int8 to keep the batch small; polygon_check_batch widens to int64.
-    alice = rng.integers(0, 13, size=(100_000, 4), dtype=np.int8)
-    bob = rng.integers(0, 13, size=(100_000, 4), dtype=np.int8)
-    random_min = float(polygon_check_batch(alice, bob).min())
+    # 100,000 strategies of 4 settings per side, drawn and checked 10,000 at
+    # a time as int8 with one contiguous row per setting; polygon_check_batch
+    # widens each block to int64.
+    random_min = math.inf
+    for _ in range(10):
+        alice, bob = rng.integers(0, 13, size=(2, 4, 10_000), dtype=np.int8)
+        random_min = min(random_min, float(polygon_check_batch(alice.T, bob.T).min()))
     suites.append(
         {
             "name": "lhv_bound",

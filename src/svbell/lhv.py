@@ -18,6 +18,9 @@ import numpy as np
 MAX_ENUM_SETTINGS = 4
 MAX_ENUM_OUTCOME = 6
 
+# Most strategy rows lhv_minimum hands polygon_check_batch in one call.
+_BLOCK_ROWS = 2**16
+
 
 def polygon_check(alice_values: Sequence[int], bob_values: Sequence[int]) -> float:
     """Chain combination for one deterministic strategy; always >= 0.
@@ -43,12 +46,15 @@ def polygon_check_batch(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
 
     Sums the chain's 2L terms one column pair at a time.  Integer inputs are
     widened to int64 before any difference is taken, so narrow types cannot
-    overflow; float inputs give a float result.
+    overflow; float inputs give a float result.  Each side is a matrix with
+    one row per strategy and one column per setting, at least 2 of them.
     """
     alice = np.asarray(alice)
     bob = np.asarray(bob)
     if alice.shape != bob.shape:
         raise ValueError("strategy matrices must have matching shapes")
+    if alice.ndim != 2 or alice.shape[1] < 2:
+        raise ValueError("chained inequality needs at least 2 settings")
     wide = np.int64 if np.result_type(alice, bob).kind in "biu" else None
 
     def distance(i: int, j: int) -> np.ndarray:
@@ -66,9 +72,12 @@ def polygon_check_batch(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
 def lhv_minimum(L: int, cap: int) -> float:
     """Exhaustive minimum of polygon_check over all strategies.
 
-    Enumerates every assignment of integers in [0, cap] to the 2L settings.
-    Convexity extends the resulting bound to all local stochastic models.
-    The minimum is 0, attained by constant strategies.
+    Enumerates every assignment of integers in [0, cap] to the 2L settings,
+    (cap+1)^(2L) strategies in all: each side's (cap+1)^L value rows are
+    listed once, and blocks of Alice's rows are paired with all of Bob's,
+    at most 2^16 strategy rows per block.  Convexity extends the resulting
+    bound to all local stochastic models.  The minimum is 0, attained by
+    constant strategies.
     """
     if L < 2 or cap < 0:
         raise ValueError(f"need L >= 2 and cap >= 0, got L={L}, cap={cap}")
@@ -77,9 +86,15 @@ def lhv_minimum(L: int, cap: int) -> float:
             f"enumeration budget is L <= {MAX_ENUM_SETTINGS}, "
             f"cap <= {MAX_ENUM_OUTCOME}; got L={L}, cap={cap}"
         )
-    bob_all = np.array(list(product(range(cap + 1), repeat=L)), dtype=np.int64)
+    # One column per value row: the blocks built from it hold each setting
+    # as a contiguous row, which polygon_check_batch reads through .T views.
+    values = np.array(list(product(range(cap + 1), repeat=L)), dtype=np.int8).T
+    count = values.shape[1]
+    step = max(1, _BLOCK_ROWS // count)
     minimum = np.inf
-    for alice in product(range(cap + 1), repeat=L):
-        alice_row = np.broadcast_to(np.array(alice, dtype=np.int64), bob_all.shape)
-        minimum = min(minimum, float(polygon_check_batch(alice_row, bob_all).min()))
+    for start in range(0, count, step):
+        block = values[:, start : start + step]
+        alice = np.repeat(block, count, axis=1)
+        bob = np.tile(values, (1, block.shape[1]))
+        minimum = min(minimum, float(polygon_check_batch(alice.T, bob.T).min()))
     return minimum

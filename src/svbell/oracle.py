@@ -6,10 +6,12 @@ Two independent computation paths live here:
   binomial expansion of rotated number states.  The integer part of that
   expansion (target index, power of cos, and signed weight from exact
   integer binomials and factorials) depends on N alone and is built once
-  per N.  Each observer's N+1 rotated states at one angle are then one
-  gather of cos/sin monomials and one ``bincount``, and the signed
-  amplitude table is one matrix product over the entries of the singlet's
-  Fock vector; its square is the joint count table, and
+  per N.  Each observer's N+1 rotated states, at one angle or at every
+  angle of a stack, are then one gather of cos/sin monomials and one
+  ``bincount``, and the signed amplitude tables are one batched matrix
+  product over the entries of the singlet's Fock vector; their square is
+  the joint count table.  Each table of a stack is bitwise the table of
+  its angles alone, and ``verify`` builds one stack per N; and
 * a seeded Monte-Carlo realization of Bernoulli detector loss: one
   multinomial draw of how many samples fall in each cell, then the photons
   of each cell are detected one at a time, with one binomial draw per photon
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -99,31 +102,48 @@ def _expansion(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
-def _rotated_number_states(N: int, phi: float) -> np.ndarray:
+def _rotated_number_states(N: int, phi: float | Sequence[float]) -> np.ndarray:
     """Row j: coefficients of |j_{H+phi}, (N-j)_{V+phi}> in the (H, V) Fock basis.
 
     Entry (j, w) multiplies |w, N-w>.  One monomial cos^a sin^(N-a) per power
-    a, gathered onto ``_expansion(N)``'s terms and summed by target index.
+    a and angle, gathered onto ``_expansion(N)``'s terms and summed by target
+    index in one ``bincount`` whose index is offset by (N+1)^2 per angle.
+    ``phi`` may be an array of angles: the result then holds one table per
+    angle, each bitwise the table of that angle alone.
     """
     index, power, weight = _expansion(N)
+    angles = np.asarray(phi, dtype=float)
+    flat = angles.ravel().tolist()
+    # math's cos and sin, one angle at a time, as a scalar call takes them.
+    cos = np.array([math.cos(angle) for angle in flat])[:, None]
+    sin = np.array([math.sin(angle) for angle in flat])[:, None]
     a = np.arange(N + 1)
-    monomials = math.cos(phi) ** a * math.sin(phi) ** (N - a)
-    sums = np.bincount(index, weights=weight * monomials[power], minlength=(N + 1) ** 2)
-    return sums.reshape(N + 1, N + 1)
+    monomials = cos**a * sin ** (N - a)
+    size = (N + 1) ** 2
+    offsets = np.arange(0, angles.size * size, size)[:, None]
+    sums = np.bincount(
+        (index + offsets).ravel(),
+        weights=(weight * monomials.take(power, axis=1)).ravel(),
+        minlength=angles.size * size,
+    )
+    return sums.reshape(angles.shape + (N + 1, N + 1))
 
 
 def _overlap(state: FockVector, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """Inner products of ``state`` with every pair of Alice's and Bob's states.
 
     Entry (n, m) sums amp * alice[n, a_H] * bob[m, b_H] over the entries of
-    ``state``: one matrix product over its H occupations.
+    ``state``: one matrix product over its H occupations, batched over any
+    leading (broadcast) axes of the two stacks of states.
     """
     keys = np.array(list(state))
     amps = np.fromiter(state.values(), dtype=float, count=len(state))
-    return (alice[:, keys[:, 0]] * amps) @ bob[:, keys[:, 2]].T
+    return (alice[..., keys[:, 0]] * amps) @ np.swapaxes(bob[..., keys[:, 2]], -1, -2)
 
 
-def oracle_amplitudes(N: int, theta: float, theta_alice: float = 0.0) -> np.ndarray:
+def oracle_amplitudes(
+    N: int, theta: float | Sequence[float], theta_alice: float | Sequence[float] = 0.0
+) -> np.ndarray:
     """Signed (N+1) x (N+1) overlap table of the singlet, by brute force.
 
     Entry (n, m) projects the 2N-photon singlet onto
@@ -132,15 +152,24 @@ def oracle_amplitudes(N: int, theta: float, theta_alice: float = 0.0) -> np.ndar
     states are expanded once, as one matrix, and paired with every state of
     the other observer.  A nonzero theta_alice checks that joint statistics
     depend on the polarizer angles only through their difference.
+
+    ``theta`` and ``theta_alice`` may be arrays of angles that broadcast
+    together; the result then stacks one table per angle pair, each bitwise
+    the table of that pair alone.
     """
     state = build_singlet(N)
     alice = _rotated_number_states(N, theta_alice)
-    bob = _rotated_number_states(N, theta)[::-1]
+    bob = _rotated_number_states(N, theta)[..., ::-1, :]
     return _overlap(state, alice, bob)
 
 
-def oracle_joint_distribution(N: int, theta: float, theta_alice: float = 0.0) -> np.ndarray:
-    """Full (N+1) x (N+1) joint count table: the square of ``oracle_amplitudes``."""
+def oracle_joint_distribution(
+    N: int, theta: float | Sequence[float], theta_alice: float | Sequence[float] = 0.0
+) -> np.ndarray:
+    """Full (N+1) x (N+1) joint count table: the square of ``oracle_amplitudes``.
+
+    Like it, takes arrays of angles and returns one table per angle pair.
+    """
     return oracle_amplitudes(N, theta, theta_alice) ** 2
 
 

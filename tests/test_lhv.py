@@ -6,7 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from svbell import lhv
 from svbell.lhv import (
+    MAX_ENUM_OUTCOME,
+    MAX_ENUM_SETTINGS,
     lhv_minimum,
     polygon_check,
     polygon_check_batch,
@@ -27,6 +30,17 @@ def test_polygon_check_validates_input():
         polygon_check([1, 2], [1, 2, 3])
     with pytest.raises(ValueError):
         polygon_check([1], [2])
+
+
+def test_polygon_check_batch_validates_input():
+    # One setting per side has no chain: no vacuous zeros.
+    with pytest.raises(ValueError, match="at least 2 settings"):
+        polygon_check_batch([[3], [5]], [[0], [9]])
+    for alice, bob in [([3, 5], [0, 9]), (np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))]:
+        with pytest.raises(ValueError, match="at least 2 settings"):
+            polygon_check_batch(alice, bob)
+    with pytest.raises(ValueError, match="matching shapes"):
+        polygon_check_batch([[1, 2]], [[1, 2, 3]])
 
 
 def test_polygon_check_batch_matches_scalar():
@@ -76,6 +90,21 @@ def test_polygon_check_batch_is_the_same_on_int8_strategies(rows):
     assert np.array_equal(narrow, polygon_check_batch(alice.astype(np.int64), bob.astype(np.int64)))
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    st.tuples(st.integers(2, 6), st.integers(0, 20)).flatmap(
+        lambda shape: st.tuples(
+            *[arrays(np.int8, shape, elements=st.integers(-128, 127)) for _ in range(2)]
+        )
+    )
+)
+def test_polygon_check_batch_is_the_same_on_transposed_views(rows):
+    # verify and lhv_minimum pass one contiguous row per setting, as .T views.
+    alice, bob = rows
+    view = polygon_check_batch(alice.T, bob.T)
+    assert np.array_equal(view, polygon_check_batch(np.ascontiguousarray(alice.T), np.ascontiguousarray(bob.T)))
+
+
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
 def test_polygon_check_nonnegative_on_random_strategies(L):
     rng = np.random.default_rng(100 + L)
@@ -109,9 +138,40 @@ def test_triangle_inequality_samplewise():
         assert np.all(np.abs(v - z) <= np.abs(v - w) + np.abs(w - z))
 
 
-@pytest.mark.parametrize("L,cap", [(2, 0), (2, 1), (3, 2), (2, 4), (3, 4)])
+@pytest.mark.parametrize("L,cap", [(2, 0), (2, 1), (3, 2), (2, 4), (3, 4), (4, 6)])
 def test_exhaustive_minimum_is_zero(L, cap):
     assert lhv_minimum(L, cap) == 0.0
+
+
+def _record_batches(monkeypatch, keep_rows):
+    """Wrap lhv's polygon_check_batch; list each call's rows, or just their number."""
+    calls = []
+    check = lhv.polygon_check_batch
+
+    def recording(alice, bob):
+        calls.append(np.hstack([alice, bob]) if keep_rows else len(alice))
+        return check(alice, bob)
+
+    monkeypatch.setattr(lhv, "polygon_check_batch", recording)
+    return calls
+
+
+@pytest.mark.parametrize("L,cap,blocks", [(2, 3, 1), (3, 2, 1), (4, 3, 1), (3, 6, 2), (4, 4, 7)])
+def test_enumeration_checks_every_strategy_once(monkeypatch, L, cap, blocks):
+    calls = _record_batches(monkeypatch, keep_rows=True)
+    assert lhv_minimum(L, cap) == 0.0
+    assert len(calls) == blocks
+    assert all(len(rows) <= 2**16 for rows in calls)
+    # Each strategy as one base-(cap+1) number of its 2L values.
+    codes = np.concatenate(calls).astype(np.int64) @ (cap + 1) ** np.arange(2 * L)
+    assert np.array_equal(np.sort(codes), np.arange((cap + 1) ** (2 * L)))
+
+
+def test_enumeration_at_the_budget_edge_stays_in_blocks(monkeypatch):
+    sizes = _record_batches(monkeypatch, keep_rows=False)
+    assert lhv_minimum(MAX_ENUM_SETTINGS, MAX_ENUM_OUTCOME) == 0.0
+    assert sum(sizes) == (MAX_ENUM_OUTCOME + 1) ** (2 * MAX_ENUM_SETTINGS)
+    assert max(sizes) <= 2**16
 
 
 def test_enumeration_budget():

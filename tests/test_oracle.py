@@ -94,6 +94,37 @@ def test_expansion_is_built_once_per_photon_number_and_read_only():
             array[0] = 0
 
 
+# Any finite angle, with the grid's ends (where cos or sin is exactly 0 or 1) often.
+_ANGLES = st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(0, 10), thetas=st.lists(_ANGLES, min_size=1, max_size=8), data=st.data())
+def test_stacked_oracle_slices_equal_scalar_calls(N, thetas, data):
+    # theta_alice is one angle for the whole stack or one angle per table.
+    theta_alice = data.draw(
+        st.one_of(_ANGLES, st.lists(_ANGLES, min_size=len(thetas), max_size=len(thetas)))
+    )
+    alices = theta_alice if isinstance(theta_alice, list) else [theta_alice] * len(thetas)
+    stacked = oracle_amplitudes(N, thetas, theta_alice)
+    assert stacked.shape == (len(thetas), N + 1, N + 1)
+    for table, theta, theta_a in zip(stacked, thetas, alices):
+        scalar = oracle_amplitudes(N, theta, theta_a)
+        assert scalar.shape == (N + 1, N + 1)
+        assert np.array_equal(table, scalar)
+    assert np.array_equal(oracle_joint_distribution(N, thetas, theta_alice), stacked**2)
+
+
+@pytest.mark.parametrize("N", [0, 4])
+def test_stacked_rotated_number_states_keep_the_angle_shape(N):
+    assert _rotated_number_states(N, 0.3).shape == (N + 1, N + 1)
+    assert _rotated_number_states(N, []).shape == (0, N + 1, N + 1)
+    grid = np.array(ANGLE_GRID).reshape(2, 3)
+    stacked = _rotated_number_states(N, grid)
+    assert stacked.shape == (2, 3, N + 1, N + 1)
+    assert np.array_equal(stacked[1, 2], _rotated_number_states(N, math.pi / 2))
+
+
 @pytest.mark.parametrize("N", range(9))
 @pytest.mark.parametrize("theta", ANGLE_GRID)
 def test_oracle_matches_closed_form(N, theta):
