@@ -3,23 +3,23 @@
 The chained inequality is a polygon inequality for the distance |a - b| on
 outcome values.  Any local deterministic strategy (a fixed count for every
 setting) satisfies it term by term, and local stochastic models are convex
-mixtures of deterministic ones, so an exhaustive minimum of 0 over
-deterministic strategies certifies the bound for all local models.
+mixtures of deterministic ones, so a minimum of 0 over every deterministic
+strategy certifies the bound for all local models.  That minimum is a
+shortest path along the chain's 2L settings, m_1 - n_1 - m_2 - ... - n_L,
+minus the closing term (Braunstein and Caves, Ann. Phys. 202, 22 (1990)),
+found exactly by a min-plus recursion instead of listing strategies.
 """
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-# Exhaustive enumeration budget: (cap+1)^(2L) strategies.
-MAX_ENUM_SETTINGS = 4
-MAX_ENUM_OUTCOME = 6
-
-# Most strategy rows lhv_minimum hands polygon_check_batch in one call.
-_BLOCK_ROWS = 2**16
+# Largest chain and count that lhv_minimum takes: each of its 2L - 2 steps
+# costs (cap+1)^3 additions.
+MAX_LHV_SETTINGS = 60
+MAX_LHV_OUTCOME = 60
 
 
 def polygon_check(alice_values: Sequence[int], bob_values: Sequence[int]) -> float:
@@ -41,60 +41,33 @@ def polygon_check(alice_values: Sequence[int], bob_values: Sequence[int]) -> flo
     return float(aligned + stepped - closing)
 
 
-def polygon_check_batch(alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """Vectorized polygon_check over rows of strategy matrices.
+def _chain_minimum(cost: np.ndarray, L: int) -> np.generic:
+    """Minimum of the chain combination over every strategy, for a symmetric cost.
 
-    Sums the chain's 2L terms one column pair at a time.  Integer inputs are
-    widened to int64 before any difference is taken, so narrow types cannot
-    overflow; float inputs give a float result.  Each side is a matrix with
-    one row per strategy and one column per setting, at least 2 of them.
+    ``reach[a, b]`` is the cheapest path from m_1 = a to the latest setting
+    at b; each min-plus step adds the next edge of m_1 - n_1 - ... - n_L,
+    and the closing term ``cost[a, b]`` is subtracted at the end.
     """
-    alice = np.asarray(alice)
-    bob = np.asarray(bob)
-    if alice.shape != bob.shape:
-        raise ValueError("strategy matrices must have matching shapes")
-    if alice.ndim != 2 or alice.shape[1] < 2:
-        raise ValueError("chained inequality needs at least 2 settings")
-    wide = np.int64 if np.result_type(alice, bob).kind in "biu" else None
-
-    def distance(i: int, j: int) -> np.ndarray:
-        diff = np.subtract(bob[:, i], alice[:, j], dtype=wide)
-        return np.abs(diff, out=diff)
-
-    total = distance(0, 0)
-    for i in range(1, alice.shape[1]):
-        total += distance(i, i)
-        total += distance(i, i - 1)
-    total -= distance(0, -1)
-    return total
+    reach = cost
+    for _ in range(2 * L - 2):
+        reach = np.min(reach[:, :, None] + cost[None, :, :], axis=1)
+    return np.min(reach - cost)
 
 
 def lhv_minimum(L: int, cap: int) -> float:
-    """Exhaustive minimum of polygon_check over all strategies.
+    """Exact minimum of polygon_check over all strategies with counts in [0, cap].
 
-    Enumerates every assignment of integers in [0, cap] to the 2L settings,
-    (cap+1)^(2L) strategies in all: each side's (cap+1)^L value rows are
-    listed once, and blocks of Alice's rows are paired with all of Bob's,
-    at most 2^16 strategy rows per block.  Convexity extends the resulting
-    bound to all local stochastic models.  The minimum is 0, attained by
-    constant strategies.
+    Covers all (cap+1)^(2L) strategies in integers, at a cost of
+    (2L - 2) (cap+1)^3 additions.  Convexity extends the resulting bound to
+    all local stochastic models.  The minimum is 0, attained by constant
+    strategies.
     """
     if L < 2 or cap < 0:
         raise ValueError(f"need L >= 2 and cap >= 0, got L={L}, cap={cap}")
-    if L > MAX_ENUM_SETTINGS or cap > MAX_ENUM_OUTCOME:
+    if L > MAX_LHV_SETTINGS or cap > MAX_LHV_OUTCOME:
         raise ValueError(
-            f"enumeration budget is L <= {MAX_ENUM_SETTINGS}, "
-            f"cap <= {MAX_ENUM_OUTCOME}; got L={L}, cap={cap}"
+            f"local-bound budget is L <= {MAX_LHV_SETTINGS}, "
+            f"cap <= {MAX_LHV_OUTCOME}; got L={L}, cap={cap}"
         )
-    # One column per value row: the blocks built from it hold each setting
-    # as a contiguous row, which polygon_check_batch reads through .T views.
-    values = np.array(list(product(range(cap + 1), repeat=L)), dtype=np.int8).T
-    count = values.shape[1]
-    step = max(1, _BLOCK_ROWS // count)
-    minimum = np.inf
-    for start in range(0, count, step):
-        block = values[:, start : start + step]
-        alice = np.repeat(block, count, axis=1)
-        bob = np.tile(values, (1, block.shape[1]))
-        minimum = min(minimum, float(polygon_check_batch(alice.T, bob.T).min()))
-    return minimum
+    counts = np.arange(cap + 1)
+    return float(_chain_minimum(np.abs(counts[:, None] - counts[None, :]), L))

@@ -222,6 +222,8 @@ def mc_thin(
         raise ValueError(f"detection efficiency must lie in [0, 1], got {eta}")
     if not 1 <= samples <= MAX_MC_SAMPLES:
         raise ValueError(f"samples must lie in [1, {MAX_MC_SAMPLES}], got {samples}")
+    if not 0.0 < dist.mass < math.inf:
+        raise ValueError(f"declared mass must be positive and finite, got {dist.mass}")
     flat = dist.probs.ravel()
     if not np.all(flat >= 0.0):
         raise ValueError("probabilities must be nonnegative and not NaN")

@@ -623,6 +623,37 @@ def test_verify_respects_oracle_budget(capsys):
     assert json.loads(out)["oracle_max_N"] == 8
 
 
+@pytest.mark.parametrize("oracle_max_N", [7, 10])
+def test_verify_checks_invariance_at_every_oracle_size(oracle_max_N, monkeypatch):
+    # An oracle whose last invariance pair is wrong at oracle_max_N alone.
+    oracle = svbell.cli.oracle_joint_distribution
+
+    def skewed(N, theta, theta_alice):
+        tables = oracle(N, theta, theta_alice)
+        if N == oracle_max_N:
+            tables[-1] += 1e-9
+        return tables
+
+    monkeypatch.setattr(svbell.cli, "oracle_joint_distribution", skewed)
+    suites = {s["name"]: s for s in run_verification(oracle_max_N=oracle_max_N)["suites"]}
+    suite = suites["oracle_equivalence"]
+    assert not suite["passed"]
+    assert suite["worst_invariance_diff"] > 1e-10 >= suite["worst_abs_diff"]
+
+
+def test_verify_reports_exact_local_minima():
+    suite = {s["name"]: s for s in run_verification(oracle_max_N=0)["suites"]}["lhv_bound"]
+    assert suite == {
+        "name": "lhv_bound",
+        "passed": True,
+        "minima": [
+            {"L": 2, "cap": 3, "minimum": 0.0},
+            {"L": 3, "cap": 2, "minimum": 0.0},
+            {"L": 4, "cap": 12, "minimum": 0.0},
+        ],
+    }
+
+
 HALF_PI = 0.5 * math.pi
 # Integers up to 10**400 of either sign, small ones (the valid ranges) often.
 _INTS = st.one_of(st.integers(-3, 70), st.integers(-(10**400), 10**400)).map(str)

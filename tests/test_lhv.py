@@ -1,19 +1,14 @@
-"""Distance axioms, polygon inequality, and the exhaustive local bound."""
+"""Distance axioms, polygon inequality, and the exact local bound."""
+
+from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svbell import lhv
-from svbell.lhv import (
-    MAX_ENUM_OUTCOME,
-    MAX_ENUM_SETTINGS,
-    lhv_minimum,
-    polygon_check,
-    polygon_check_batch,
-)
+from svbell.lhv import MAX_LHV_OUTCOME, MAX_LHV_SETTINGS, _chain_minimum, lhv_minimum, polygon_check
 
 
 def test_polygon_check_constant_strategy():
@@ -32,85 +27,14 @@ def test_polygon_check_validates_input():
         polygon_check([1], [2])
 
 
-def test_polygon_check_batch_validates_input():
-    # One setting per side has no chain: no vacuous zeros.
-    with pytest.raises(ValueError, match="at least 2 settings"):
-        polygon_check_batch([[3], [5]], [[0], [9]])
-    for alice, bob in [([3, 5], [0, 9]), (np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))]:
-        with pytest.raises(ValueError, match="at least 2 settings"):
-            polygon_check_batch(alice, bob)
-    with pytest.raises(ValueError, match="matching shapes"):
-        polygon_check_batch([[1, 2]], [[1, 2, 3]])
-
-
-def test_polygon_check_batch_matches_scalar():
-    rng = np.random.default_rng(3)
-    alice = rng.integers(0, 9, size=(200, 4))
-    bob = rng.integers(0, 9, size=(200, 4))
-    batch = polygon_check_batch(alice, bob)
-    for i in range(200):
-        assert batch[i] == polygon_check(list(alice[i]), list(bob[i]))
-
-
-@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
-def test_polygon_check_batch_matches_scalar_row_by_row(L, dtype):
-    rng = np.random.default_rng(L)
-    # int8's whole range: a difference taken in int8 would wrap around.
-    alice = rng.integers(-128, 128, size=(300, L)).astype(dtype)
-    bob = rng.integers(-128, 128, size=(300, L)).astype(dtype)
-    if dtype is np.float64:
-        alice += rng.uniform(-0.5, 0.5, size=alice.shape)
-    batch = polygon_check_batch(alice, bob)
-    assert batch.dtype == (np.float64 if dtype is np.float64 else np.int64)
-    expected = [polygon_check([float(v) for v in a], [float(v) for v in b]) for a, b in zip(alice, bob)]
-    assert np.allclose(batch, expected, rtol=0.0, atol=1e-9 if dtype is np.float64 else 0.0)
-
-
-_EXTREMES = (
-    np.array([[0, 0, 0, 0], [12, 0, 12, 0], [0, 12, 0, 12]], dtype=np.int8),
-    np.array([[12, 12, 12, 12], [0, 12, 0, 12], [12, 0, 12, 0]], dtype=np.int8),
-)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.integers(1, 20).flatmap(
-        lambda rows: st.tuples(
-            *[arrays(np.int8, (rows, 4), elements=st.integers(0, 12)) for _ in range(2)]
-        )
-    )
-)
-@example(_EXTREMES)
-def test_polygon_check_batch_is_the_same_on_int8_strategies(rows):
-    # verify draws its random strategies as int8 values in 0..12.
-    alice, bob = rows
-    narrow = polygon_check_batch(alice, bob)
-    assert narrow.dtype == np.int64
-    assert np.array_equal(narrow, polygon_check_batch(alice.astype(np.int64), bob.astype(np.int64)))
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.tuples(st.integers(2, 6), st.integers(0, 20)).flatmap(
-        lambda shape: st.tuples(
-            *[arrays(np.int8, shape, elements=st.integers(-128, 127)) for _ in range(2)]
-        )
-    )
-)
-def test_polygon_check_batch_is_the_same_on_transposed_views(rows):
-    # verify and lhv_minimum pass one contiguous row per setting, as .T views.
-    alice, bob = rows
-    view = polygon_check_batch(alice.T, bob.T)
-    assert np.array_equal(view, polygon_check_batch(np.ascontiguousarray(alice.T), np.ascontiguousarray(bob.T)))
-
-
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
 def test_polygon_check_nonnegative_on_random_strategies(L):
     rng = np.random.default_rng(100 + L)
-    alice = rng.integers(0, 13, size=(200_000, L))
-    bob = rng.integers(0, 13, size=(200_000, L))
-    assert polygon_check_batch(alice, bob).min() >= 0
+    alice = rng.integers(0, 13, size=(2_000, L)).tolist()
+    bob = rng.integers(0, 13, size=(2_000, L)).tolist()
+    assert min(polygon_check(a, b) for a, b in zip(alice, bob)) >= 0
+    # ... and so does every strategy with counts 0..12, not just these.
+    assert lhv_minimum(L, 12) == 0.0
 
 
 @st.composite
@@ -124,9 +48,8 @@ def _strategy_rows(draw):
 @given(_strategy_rows())
 def test_polygon_inequality_property(rows):
     alice, bob = rows
-    batch = polygon_check_batch(alice, bob)
-    assert np.all(batch >= 0)
-    assert [float(v) for v in batch] == [polygon_check(list(a), list(b)) for a, b in zip(alice, bob)]
+    values = [polygon_check(a.tolist(), b.tolist()) for a, b in zip(alice, bob)]
+    assert min(values) >= lhv_minimum(alice.shape[1], 60) == 0.0
 
 
 def test_triangle_inequality_samplewise():
@@ -138,46 +61,47 @@ def test_triangle_inequality_samplewise():
         assert np.all(np.abs(v - z) <= np.abs(v - w) + np.abs(w - z))
 
 
-@pytest.mark.parametrize("L,cap", [(2, 0), (2, 1), (3, 2), (2, 4), (3, 4), (4, 6)])
+@pytest.mark.parametrize(
+    "L,cap",
+    [(2, 0), (2, 1), (3, 2), (2, 4), (3, 4), (4, 6), (4, 12), (MAX_LHV_SETTINGS, MAX_LHV_OUTCOME)],
+)
 def test_exhaustive_minimum_is_zero(L, cap):
     assert lhv_minimum(L, cap) == 0.0
 
 
-def _record_batches(monkeypatch, keep_rows):
-    """Wrap lhv's polygon_check_batch; list each call's rows, or just their number."""
-    calls = []
-    check = lhv.polygon_check_batch
-
-    def recording(alice, bob):
-        calls.append(np.hstack([alice, bob]) if keep_rows else len(alice))
-        return check(alice, bob)
-
-    monkeypatch.setattr(lhv, "polygon_check_batch", recording)
-    return calls
+def _brute_force(L, cap, check=polygon_check):
+    """Minimum of ``check`` over every strategy, listed one by one."""
+    return min(check(v[:L], v[L:]) for v in product(range(cap + 1), repeat=2 * L))
 
 
-@pytest.mark.parametrize("L,cap,blocks", [(2, 3, 1), (3, 2, 1), (4, 3, 1), (3, 6, 2), (4, 4, 7)])
-def test_enumeration_checks_every_strategy_once(monkeypatch, L, cap, blocks):
-    calls = _record_batches(monkeypatch, keep_rows=True)
-    assert lhv_minimum(L, cap) == 0.0
-    assert len(calls) == blocks
-    assert all(len(rows) <= 2**16 for rows in calls)
-    # Each strategy as one base-(cap+1) number of its 2L values.
-    codes = np.concatenate(calls).astype(np.int64) @ (cap + 1) ** np.arange(2 * L)
-    assert np.array_equal(np.sort(codes), np.arange((cap + 1) ** (2 * L)))
+@pytest.mark.parametrize(
+    "L,cap", [(2, 0), (2, 1), (2, 3), (2, 4), (3, 2), (3, 4), (3, 6), (4, 3), (4, 4)]
+)
+def test_minimum_is_the_brute_force_minimum(L, cap):
+    assert lhv_minimum(L, cap) == _brute_force(L, cap)
 
 
-def test_enumeration_at_the_budget_edge_stays_in_blocks(monkeypatch):
-    sizes = _record_batches(monkeypatch, keep_rows=False)
-    assert lhv_minimum(MAX_ENUM_SETTINGS, MAX_ENUM_OUTCOME) == 0.0
-    assert sum(sizes) == (MAX_ENUM_OUTCOME + 1) ** (2 * MAX_ENUM_SETTINGS)
-    assert max(sizes) <= 2**16
+def _squared_check(alice, bob):
+    """polygon_check with |x - y|^2, which is no distance, in place of |x - y|."""
+    aligned = sum((m - n) ** 2 for n, m in zip(alice, bob))
+    stepped = sum((bob[i + 1] - alice[i]) ** 2 for i in range(len(alice) - 1))
+    return aligned + stepped - (bob[0] - alice[-1]) ** 2
+
+
+@pytest.mark.parametrize("L,cap,expected", [(2, 3, -6), (3, 2, -2), (2, 4, -10)])
+def test_recursion_finds_the_violations_of_a_cost_that_is_no_distance(L, cap, expected):
+    # Without the triangle inequality the chain can be beaten, and the
+    # recursion finds the same negative minimum as listing every strategy.
+    # At (2, 4) one step too many would find -12: 0-1-2-3-4 beats 0-1-2-4.
+    counts = np.arange(cap + 1)
+    squared = (counts[:, None] - counts[None, :]) ** 2
+    assert _chain_minimum(squared, L) == _brute_force(L, cap, _squared_check) == expected
 
 
 def test_enumeration_budget():
-    with pytest.raises(ValueError, match="enumeration budget"):
-        lhv_minimum(5, 2)
-    with pytest.raises(ValueError, match="enumeration budget"):
-        lhv_minimum(2, 7)
+    with pytest.raises(ValueError, match="local-bound budget"):
+        lhv_minimum(MAX_LHV_SETTINGS + 1, 2)
+    with pytest.raises(ValueError, match="local-bound budget"):
+        lhv_minimum(2, MAX_LHV_OUTCOME + 1)
     with pytest.raises(ValueError, match="need L >= 2"):
         lhv_minimum(1, 2)

@@ -263,6 +263,10 @@ def test_mc_thin_validates_arguments():
     for probs in invalid:
         with pytest.raises(ValueError):
             mc_thin(JointCountDistribution(probs=np.array(probs), mass=1.0), 0.5, 100, seed=0)
+    # A declared mass that is not positive and finite: no division by it.
+    for mass in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            mc_thin(JointCountDistribution(probs=np.zeros((2, 2)), mass=mass), 0.5, 100, seed=0)
 
 
 def _thinned_support(probs, eta):
