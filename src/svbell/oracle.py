@@ -4,14 +4,14 @@ Two independent computation paths live here:
 
 * a four-mode Fock-space construction of the 2N-photon singlet plus explicit
   binomial expansion of rotated number states.  The integer part of that
-  expansion (target index, power of cos, and signed weight from exact
-  integer binomials and factorials) depends on N alone and is built once
-  per N.  Each observer's N+1 rotated states, at one angle or at every
-  angle of a stack, are then one gather of cos/sin monomials and one
-  ``bincount``, and the signed amplitude tables are one batched matrix
-  product over the entries of the singlet's Fock vector; their square is
-  the joint count table.  Each table of a stack is bitwise the table of
-  its angles alone, and ``verify`` builds one stack per N; and
+  expansion (signed weights from exact integer binomials and factorials,
+  one per power of cos and target cell) depends on N alone and is built
+  once per N as one matrix.  Each observer's N+1 rotated states at an
+  angle are then its row of cos/sin monomials times that matrix, and the
+  signed amplitude tables are one batched matrix product over the entries
+  of the singlet's Fock vector; their square is the joint count table.
+  Each table of a stack of angles is bitwise the table of its angles
+  alone, and ``verify`` builds one stack per N; and
 * a seeded Monte-Carlo realization of Bernoulli detector loss: one
   multinomial draw of how many samples fall in each cell, then the photons
   of each cell are detected one at a time, with one binomial draw per photon
@@ -27,6 +27,7 @@ the point.  Scale is deliberately small (N <= 10).
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -63,7 +64,7 @@ def build_singlet(N: int) -> FockVector:
 
 
 @lru_cache(maxsize=MAX_ORACLE_PHOTON_NUMBER + 1)
-def _expansion(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _expansion(N: int) -> np.ndarray:
     """Integer part of the binomial expansion of every rotated N-photon state.
 
     The state |j_{H+phi}, k_{V+phi}>, k = N - j, comes from raising the
@@ -74,19 +75,18 @@ def _expansion(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     to the j-th and k-th powers.  Term (p, q) of that expansion puts
     (-1)^q C(j,p) C(k,q) sqrt(w! (N-w)! / (j! k!)) cos(phi)^a sin(phi)^(N-a)
-    on |w, N-w>, with w = p + q and a = p + k - q.  Returns, for every term
-    of every j, the flat target index j (N+1) + w, the power a and that
-    weight, as read-only arrays: a constant of N, built once.
+    on |w, N-w>, with w = p + q and a = p + k - q.  Returns the read-only
+    (N+1) x (N+1)^2 matrix whose entry (a, j (N+1) + w) is that weight:
+    (w, a) fixes (p, q), so each term has a cell of its own.  A constant of
+    N, built once.
     """
-    index, power, weight = [], [], []
+    weights = np.zeros((N + 1, (N + 1) ** 2))
     for j in range(N + 1):
         k = N - j
         for p in range(j + 1):
             for q in range(k + 1):
                 w = p + q
-                index.append(j * (N + 1) + w)
-                power.append(p + k - q)
-                weight.append(
+                weights[p + k - q, j * (N + 1) + w] = (
                     (-1) ** q
                     * math.comb(j, p)
                     * math.comb(k, q)
@@ -96,37 +96,30 @@ def _expansion(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
                         / (math.factorial(j) * math.factorial(k))
                     )
                 )
-    arrays = (np.array(index), np.array(power), np.array(weight))
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    weights.flags.writeable = False
+    return weights
 
 
 def _rotated_number_states(N: int, phi: float | Sequence[float]) -> np.ndarray:
     """Row j: coefficients of |j_{H+phi}, (N-j)_{V+phi}> in the (H, V) Fock basis.
 
-    Entry (j, w) multiplies |w, N-w>.  One monomial cos^a sin^(N-a) per power
-    a and angle, gathered onto ``_expansion(N)``'s terms and summed by target
-    index in one ``bincount`` whose index is offset by (N+1)^2 per angle.
-    ``phi`` may be an array of angles: the result then holds one table per
-    angle, each bitwise the table of that angle alone.
+    Entry (j, w) multiplies |w, N-w>.  The row of monomials cos^a sin^(N-a)
+    of each angle times ``_expansion(N)``, reshaped.  ``phi`` may be an
+    array of angles: the result then holds one table per angle, each its own
+    one-row matrix product and so bitwise the table of that angle alone.
+    Raises ``ValueError`` for an angle that is not finite.
     """
-    index, power, weight = _expansion(N)
     angles = np.asarray(phi, dtype=float)
     flat = angles.ravel().tolist()
+    for angle in flat:
+        if not math.isfinite(angle):
+            raise ValueError(f"polarizer angles must be finite, got {angle}")
     # math's cos and sin, one angle at a time, as a scalar call takes them.
-    cos = np.array([math.cos(angle) for angle in flat])[:, None]
-    sin = np.array([math.sin(angle) for angle in flat])[:, None]
+    cos = np.array([math.cos(angle) for angle in flat])[:, None, None]
+    sin = np.array([math.sin(angle) for angle in flat])[:, None, None]
     a = np.arange(N + 1)
     monomials = cos**a * sin ** (N - a)
-    size = (N + 1) ** 2
-    offsets = np.arange(0, angles.size * size, size)[:, None]
-    sums = np.bincount(
-        (index + offsets).ravel(),
-        weights=(weight * monomials.take(power, axis=1)).ravel(),
-        minlength=angles.size * size,
-    )
-    return sums.reshape(angles.shape + (N + 1, N + 1))
+    return (monomials @ _expansion(N)).reshape(angles.shape + (N + 1, N + 1))
 
 
 def _overlap(state: FockVector, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
@@ -199,6 +192,10 @@ def l1_deviation_bound(cells: int, samples: int, alpha: float) -> float:
     (Weissman et al., HP Labs HPL-2003-97) at every sample count; this is
     eps = sqrt(2 (k ln 2 + ln(1/alpha)) / n), with 2^k in place of 2^k - 2.
     """
+    if cells < 1 or samples < 1:
+        raise ValueError(f"cells and samples must be at least 1, got {cells} and {samples}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     return math.sqrt(2.0 * (cells * math.log(2.0) + math.log(1.0 / alpha)) / samples)
 
 
@@ -220,6 +217,7 @@ def mc_thin(
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"detection efficiency must lie in [0, 1], got {eta}")
+    samples = operator.index(samples)
     if not 1 <= samples <= MAX_MC_SAMPLES:
         raise ValueError(f"samples must lie in [1, {MAX_MC_SAMPLES}], got {samples}")
     if not 0.0 < dist.mass < math.inf:

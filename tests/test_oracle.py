@@ -89,9 +89,18 @@ def test_expansion_is_built_once_per_photon_number_and_read_only():
     for theta_a, theta_b in SHARED_ROTATIONS:
         oracle_amplitudes(5, theta_b, theta_a)
     assert (_expansion.cache_info().hits, _expansion.cache_info().misses) == (7, 1)
-    for array in _expansion(5):
-        with pytest.raises(ValueError):
-            array[0] = 0
+    weights = _expansion(5)
+    assert weights.shape == (6, 36)
+    with pytest.raises(ValueError):
+        weights[0, 0] = 0
+
+
+@pytest.mark.parametrize("N", range(11))
+def test_expansion_gives_every_term_a_cell_of_its_own(N):
+    # Rotated state j has (j + 1) (N - j + 1) terms (p, q); two sharing a
+    # cell would leave fewer nonzero entries.
+    terms = sum((j + 1) * (N - j + 1) for j in range(N + 1))
+    assert np.count_nonzero(_expansion(N)) == terms
 
 
 # Any finite angle, with the grid's ends (where cos or sin is exactly 0 or 1) often.
@@ -99,7 +108,7 @@ _ANGLES = st.one_of(st.sampled_from([0.0, math.pi / 2]), st.floats(allow_nan=Fal
 
 
 @settings(max_examples=100, deadline=None)
-@given(N=st.integers(0, 10), thetas=st.lists(_ANGLES, min_size=1, max_size=8), data=st.data())
+@given(N=st.integers(0, 10), thetas=st.lists(_ANGLES, min_size=1, max_size=40), data=st.data())
 def test_stacked_oracle_slices_equal_scalar_calls(N, thetas, data):
     # theta_alice is one angle for the whole stack or one angle per table.
     theta_alice = data.draw(
@@ -113,6 +122,14 @@ def test_stacked_oracle_slices_equal_scalar_calls(N, thetas, data):
         assert scalar.shape == (N + 1, N + 1)
         assert np.array_equal(table, scalar)
     assert np.array_equal(oracle_joint_distribution(N, thetas, theta_alice), stacked**2)
+
+
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_oracle_rejects_angles_that_are_not_finite(angle):
+    for call in (oracle_amplitudes, oracle_joint_distribution):
+        for theta, theta_alice in [(angle, 0.0), ([0.1, angle], 0.0), (0.1, angle), (0.1, [0.2, angle])]:
+            with pytest.raises(ValueError, match=f"finite, got {angle}"):
+                call(2, theta, theta_alice)
 
 
 @pytest.mark.parametrize("N", [0, 4])
@@ -249,6 +266,12 @@ def test_l1_deviation_bound_solves_the_weissman_inequality(cells, samples, alpha
     assert (2.0**cells - 2.0) * math.exp(-samples * eps**2 / 2.0) <= alpha
 
 
+@pytest.mark.parametrize("cells,samples,alpha", [(0, 10, 1e-3), (4, 0, 1e-3), (4, 10, 0.0), (4, 10, 1.0), (4, 10, 2.0), (4, 10, math.nan)])
+def test_l1_deviation_bound_validates_arguments(cells, samples, alpha):
+    with pytest.raises(ValueError):
+        l1_deviation_bound(cells, samples, alpha)
+
+
 def test_mc_thin_validates_arguments():
     dist = joint_distribution(1, 0.0)
     with pytest.raises(ValueError):
@@ -257,6 +280,11 @@ def test_mc_thin_validates_arguments():
         mc_thin(dist, 0.5, 0, seed=0)
     with pytest.raises(ValueError):
         mc_thin(dist, 0.5, 2**63, seed=0)
+    # A fractional sample count: multinomial would draw 10 and the rescale
+    # divide by 10.5.  numpy integers stay valid.
+    with pytest.raises(TypeError):
+        mc_thin(dist, 0.5, 10.5, seed=0)
+    assert mc_thin(dist, 0.5, np.int64(10), seed=0).mass == pytest.approx(1.0)
     # Sums to 0.9 under a declared mass of 1; a negative entry (the table
     # still sums to 1); a NaN entry.
     invalid = ([[0.5, 0.0], [0.0, 0.4]], [[0.6, -0.1], [0.0, 0.5]], [[0.6, math.nan], [0.0, 0.4]])
