@@ -16,6 +16,7 @@ are provided alongside the finite-L evaluation.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -23,17 +24,17 @@ from typing import Optional
 from .loss import check_efficiency
 # joint_distribution is unused here; perfbench/test_perfbench.py reads it from this module.
 from .singlet import _check_photon_number, joint_distribution, mean_abs_difference
-from .sv import SVSpec, _check_gain, sv_mixture
+from .sv import _MAX_GAIN_E2, SVSpec, _check_gain, sv_mixture
 
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """Number of settings per side (2 <= L <= max float / (2 pi)) and the angles it sets."""
+    """Integer number of settings per side (2 <= L <= max float / (2 pi)) and the angles it sets."""
 
     L: int
 
     def __post_init__(self) -> None:
-        if self.L < 2:
+        if operator.index(self.L) < 2:
             raise ValueError(f"chained inequality needs at least 2 settings, got L={self.L}")
         if self.L > sys.float_info.max / (2.0 * math.pi):
             raise ValueError(f"L={self.L} is too large for float angles: (2L-1) pi overflows")
@@ -118,7 +119,7 @@ def asymptotic_bell_fixed_N(N: int) -> float:
     The adjacent terms vanish while the closing term saturates, leaving
     -(N^2/2 + N + 1/2)/(N+1) for odd N and -(N^2/2 + N)/(N+1) for even N.
     """
-    if N < 0:
+    if operator.index(N) < 0:
         raise ValueError(f"photon number per beam must be nonnegative, got {N}")
     if N % 2:
         return -(N + 1) / 2.0
@@ -130,8 +131,9 @@ def rhs_sv_asymptotic(gamma: float) -> float:
 
     Summing the fixed-N limits with weights lambda_N^2 gives
     sinh(2 gamma)^3 / sinh(4 gamma) = sinh(2 gamma) tanh(2 gamma) / 2; the
-    Bell parameter approaches its negative since the LHS vanishes.  The
-    second form stays finite up to gamma of about 354.
+    Bell parameter approaches its negative since the LHS vanishes.  Defined
+    for 0 < gamma <= asinh(max float) / 2 ~ 355.24, where sinh(2 gamma)
+    still fits a float; a larger gain raises ValueError.
     """
-    _check_gain(gamma)
+    _check_gain(gamma, _MAX_GAIN_E2)
     return math.sinh(2.0 * gamma) * math.tanh(2.0 * gamma) / 2.0

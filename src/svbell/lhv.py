@@ -12,6 +12,7 @@ found exactly by a min-plus recursion instead of listing strategies.
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -62,6 +63,7 @@ def lhv_minimum(L: int, cap: int) -> float:
     all local stochastic models.  The minimum is 0, attained by constant
     strategies.
     """
+    L, cap = operator.index(L), operator.index(cap)
     if L < 2 or cap < 0:
         raise ValueError(f"need L >= 2 and cap >= 0, got L={L}, cap={cap}")
     if L > MAX_LHV_SETTINGS or cap > MAX_LHV_OUTCOME:

@@ -36,6 +36,7 @@ together in one stack instead, outside the cache.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,7 +69,8 @@ class JointCountDistribution:
 
 
 def _check_photon_number(N: int) -> None:
-    if N < 0:
+    # operator.index rejects a non-integral N, which _rotation would recurse on forever.
+    if operator.index(N) < 0:
         raise ValueError(f"photon number per beam must be nonnegative, got {N}")
     if N > MAX_PHOTON_NUMBER:
         raise ValueError(

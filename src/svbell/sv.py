@@ -15,6 +15,8 @@ the distribution just declares the mass it covers.
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,9 +30,19 @@ from .singlet import (
 )
 
 
-def _check_gain(gamma: float) -> None:
+# Largest gains at which the closed forms below are finite floats: 2 sinh(gamma)^2
+# and sinh(2 gamma) grow like e^(2 gamma) and pass the largest float above
+# asinh(max) / 2 ~ 355.24; the fringe peak sinh(gamma)^2 cosh(2 gamma) grows
+# like e^(4 gamma) / 8 and passes it above log(8 max) / 4 ~ 177.97.
+_MAX_GAIN_E2 = math.asinh(sys.float_info.max) / 2
+_MAX_GAIN_E4 = (math.log(sys.float_info.max) + math.log(8.0)) / 4
+
+
+def _check_gain(gamma: float, max_gain: float = math.inf) -> None:
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gain must be positive and finite, got {gamma}")
+    if gamma > max_gain:
+        raise ValueError(f"gain must be at most {max_gain!r} for this value to fit a float, got {gamma}")
 
 
 def check_mass_threshold(mass_threshold: float) -> None:
@@ -63,7 +75,7 @@ class SVSpec:
 
 def lambda_sq(N: int, gamma: float) -> float:
     """Weight of the 2N-photon singlet in the squeezed vacuum."""
-    if N < 0:
+    if operator.index(N) < 0:
         raise ValueError(f"photon number per beam must be nonnegative, got {N}")
     _check_gain(gamma)
     weight = (N + 1) * math.tanh(gamma) ** (2 * N)
@@ -76,7 +88,12 @@ def lambda_sq(N: int, gamma: float) -> float:
 
 
 def mean_photons_per_beam(gamma: float) -> float:
-    """Mean photon count per beam, sum_N lambda_N^2 N = 2 sinh(gamma)^2."""
+    """Mean photon count per beam, sum_N lambda_N^2 N = 2 sinh(gamma)^2.
+
+    Defined for 0 < gamma <= asinh(max float) / 2 ~ 355.24; a larger gain
+    overflows a float and raises ValueError.
+    """
+    _check_gain(gamma, _MAX_GAIN_E2)
     return 2.0 * math.sinh(gamma) ** 2
 
 
@@ -135,9 +152,11 @@ def intensity_correlation(theta_a: float, theta_b: float, gamma: float) -> float
     The closed form sinh^2 cosh^2 cos^2(theta_a - theta_b) + sinh^4 shows
     the interferometric contrast that CHSH-style correlator tests rely on:
     the angle-independent sinh^4 pedestal grows faster than the modulated
-    term, so the visibility degrades with gain.
+    term, so the visibility degrades with gain.  Defined for
+    0 < gamma <= log(8 max float) / 4 ~ 177.97 at every angle; a larger gain
+    overflows a float and raises ValueError.
     """
-    _check_gain(gamma)
+    _check_gain(gamma, _MAX_GAIN_E4)
     sinh_sq = math.sinh(gamma) ** 2
     cosh_sq = math.cosh(gamma) ** 2
     return sinh_sq * cosh_sq * math.cos(theta_a - theta_b) ** 2 + sinh_sq**2

@@ -1,27 +1,14 @@
 """The package's public names: exactly the ones the README documents."""
 
 import ast
+import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import svbell
-
-PUBLIC = {
-    "chain": ["BellBreakdown", "bell_fixed_N", "bell_sv", "make_chain", "rhs_sv_asymptotic"],
-    "singlet": ["JointCountDistribution", "MAX_PHOTON_NUMBER", "joint_distribution", "mean_abs_difference"],
-    "sv": ["CapExceededError", "SVSpec", "lambda_sq", "sv_mixture"],
-    "loss": ["binomial_thin"],
-    "lhv": ["lhv_minimum"],
-    "oracle": ["mc_thin", "oracle_joint_distribution"],
-}
-
-
-def test_all_is_exactly_the_public_names():
-    names = [name for module_names in PUBLIC.values() for name in module_names]
-    assert len(names) == 17
-    assert sorted(svbell.__all__) == sorted(names)
-    for module, module_names in PUBLIC.items():
-        for name in module_names:
-            assert getattr(svbell, name) is getattr(getattr(svbell, module), name)
 
 
 def _readme_library_section():
@@ -29,14 +16,52 @@ def _readme_library_section():
     return readme.split("## Library", 1)[1].split("\n## ", 1)[0]
 
 
+def _readme_library_example():
+    return _readme_library_section().split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_library_bullets():
+    """{module: [names]} from the "- `module`: `Name`, `name`." bullets."""
+    section = _readme_library_section()
+    bullets = re.findall(r"^- `(\w+)`: ((?:`\w+`,?\s*)+)\.", section, re.MULTILINE)
+    return {module: re.findall(r"`(\w+)`", names) for module, names in bullets}
+
+
+def test_all_is_exactly_the_public_names():
+    imports = [
+        node for node in ast.parse(_readme_library_example()).body
+        if isinstance(node, ast.ImportFrom) and node.module == "svbell"
+    ]
+    assert len(imports) == 1
+    assert sorted(svbell.__all__) == sorted(alias.name for alias in imports[0].names)
+
+
 def test_readme_library_section_documents_every_public_name():
-    library = _readme_library_section()
+    bullets = _readme_library_bullets()
+    assert sum(len(names) for names in bullets.values()) == 17
+    for module, names in bullets.items():
+        for name in names:
+            assert hasattr(importlib.import_module(f"svbell.{module}"), name), (module, name)
+
+
+def test_each_top_level_name_is_its_module_object():
+    home = {name: module for module, names in _readme_library_bullets().items() for name in names}
     for name in svbell.__all__:
-        assert f"`{name}`" in library, name
+        module = importlib.import_module(f"svbell.{home[name]}")
+        assert getattr(svbell, name) is getattr(module, name)
+
+
+def test_import_svbell_loads_neither_the_oracle_nor_the_local_bound():
+    env = dict(os.environ, PYTHONPATH=str(Path(svbell.__file__).parents[1]))
+    probe = "import sys, svbell; print([m for m in sys.modules if m in ('svbell.oracle', 'svbell.lhv')])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_readme_library_example_runs_and_its_component_sum_is_the_bell_value():
-    block = _readme_library_section().split("```python\n", 1)[1].split("```", 1)[0]
+    block = _readme_library_example()
     namespace: dict = {}
     sums = []
     for node in ast.parse(block).body:

@@ -48,6 +48,12 @@ def test_make_chain_rejects_short_chains():
             make_chain(L)
 
 
+def test_a_chain_length_must_be_an_integer():
+    with pytest.raises(TypeError):
+        make_chain(2.5)
+    assert make_chain(np.int64(3)) == make_chain(3)
+
+
 def test_a_chain_is_its_number_of_settings():
     # The angles follow from L alone, so no chain carries angles of its own.
     with pytest.raises(ValueError, match="at least 2 settings, got L=1"):

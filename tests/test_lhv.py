@@ -98,6 +98,14 @@ def test_recursion_finds_the_violations_of_a_cost_that_is_no_distance(L, cap, ex
     assert _chain_minimum(squared, L) == _brute_force(L, cap, _squared_check) == expected
 
 
+def test_local_bound_budget_must_be_integers():
+    # At cap 3.5, np.arange(cap + 1) would enumerate counts 0..4.
+    for L, cap in [(2, 3.5), (2.5, 3)]:
+        with pytest.raises(TypeError):
+            lhv_minimum(L, cap)
+    assert lhv_minimum(np.int64(3), np.int64(4)) == 0.0
+
+
 def test_enumeration_budget():
     with pytest.raises(ValueError, match="local-bound budget"):
         lhv_minimum(MAX_LHV_SETTINGS + 1, 2)

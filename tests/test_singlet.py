@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from fresh_rotation import fresh_rotation
 from svbell import singlet
+from svbell.chain import asymptotic_bell_fixed_N, bell_fixed_N, make_chain
+from svbell.loss import thinning_matrix
 from svbell.oracle import oracle_joint_distribution
 from svbell.singlet import (
     MAX_PHOTON_NUMBER,
@@ -25,6 +27,7 @@ from svbell.singlet import (
     mean_abs_difference,
     singlet_amplitudes,
 )
+from svbell.sv import lambda_sq
 
 HALF_PI = 0.5 * math.pi
 
@@ -64,6 +67,26 @@ def test_range_and_argument_errors():
         joint_distribution(2, -0.1)
     with pytest.raises(ValueError):
         joint_distribution(2, HALF_PI + 1e-6)
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda N: joint_distribution(N, 0.3).probs,
+        lambda N: singlet_amplitudes(N, 0.3),
+        lambda N: lambda_sq(N, 0.5),
+        asymptotic_bell_fixed_N,
+        lambda N: bell_fixed_N(N, make_chain(3), 0.9).bell,
+        lambda N: thinning_matrix(N, 0.5),
+    ],
+    ids=["joint_distribution", "singlet_amplitudes", "lambda_sq", "asymptotic_bell_fixed_N",
+         "bell_fixed_N", "thinning_matrix"],
+)
+def test_photon_numbers_must_be_integers(evaluate):
+    # No half-integer N may reach _rotation's recursion, a power of tanh or a range().
+    with pytest.raises(TypeError):
+        evaluate(1.5)
+    assert np.array_equal(evaluate(np.int64(3)), evaluate(3))
 
 
 def test_cached_tables_are_frozen():

@@ -1,6 +1,7 @@
 """Squeezed-vacuum weights, truncation policy, mixtures, and correlations."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -105,7 +106,7 @@ def test_spec_validation():
         lambda_sq(-1, 0.5)
 
 
-@pytest.mark.parametrize("gamma", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
 @pytest.mark.parametrize(
     "evaluate",
     [
@@ -114,12 +115,41 @@ def test_spec_validation():
         lambda g: intensity_correlation(0.0, 0.3, g),
         correlation_visibility,
         rhs_sv_asymptotic,
+        mean_photons_per_beam,
     ],
-    ids=["SVSpec", "lambda_sq", "intensity_correlation", "correlation_visibility", "rhs_sv_asymptotic"],
+    ids=["SVSpec", "lambda_sq", "intensity_correlation", "correlation_visibility", "rhs_sv_asymptotic",
+         "mean_photons_per_beam"],
 )
 def test_gain_must_be_positive_and_finite(evaluate, gamma):
     with pytest.raises(ValueError, match="gain must be positive and finite"):
         evaluate(gamma)
+
+
+# Where the closed forms pass the largest float: e^(2 gamma) / 2 and e^(4 gamma) / 8.
+E2_LIMIT = math.asinh(sys.float_info.max) / 2
+E4_LIMIT = (math.log(sys.float_info.max) + math.log(8.0)) / 4
+
+
+@pytest.mark.parametrize(
+    "evaluate, max_gain",
+    [
+        (mean_photons_per_beam, E2_LIMIT),
+        (rhs_sv_asymptotic, E2_LIMIT),
+        (lambda g: intensity_correlation(0.3, 0.3, g), E4_LIMIT),
+    ],
+    ids=["mean_photons_per_beam", "rhs_sv_asymptotic", "intensity_correlation"],
+)
+def test_closed_forms_are_finite_up_to_their_gain_limit_and_reject_larger_gains(evaluate, max_gain):
+    # At the limit the value is within a factor 4 of the largest float, so the limit is tight.
+    assert sys.float_info.max / 4 <= evaluate(max_gain) <= sys.float_info.max
+    for gamma in [math.nextafter(max_gain, math.inf), 356.0, 1e300]:
+        with pytest.raises(ValueError, match="for this value to fit a float"):
+            evaluate(gamma)
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.7, 0.5 * math.pi])
+def test_intensity_correlation_is_finite_at_its_gain_limit_at_every_angle(delta):
+    assert math.isfinite(intensity_correlation(0.0, delta, E4_LIMIT))
 
 
 def test_mixture_is_vacuum_at_vanishing_gain():
