@@ -24,7 +24,7 @@ from typing import Optional
 from .loss import check_efficiency
 # joint_distribution is unused here; perfbench/test_perfbench.py reads it from this module.
 from .singlet import _check_photon_number, joint_distribution, mean_abs_difference
-from .sv import _MAX_GAIN_E2, SVSpec, _check_gain, sv_mixture
+from .sv import _MAX_GAIN_E2, SVSpec, _check_gain, _check_photon_count, sv_mixture
 
 
 @dataclass(frozen=True)
@@ -117,13 +117,14 @@ def asymptotic_bell_fixed_N(N: int) -> float:
     """Closed-form L -> infinity Bell value for the 2N-photon singlet.
 
     The adjacent terms vanish while the closing term saturates, leaving
-    -(N^2/2 + N + 1/2)/(N+1) for odd N and -(N^2/2 + N)/(N+1) for even N.
+    -(N^2/2 + N + 1/2)/(N+1) for odd N and -(N^2/2 + N)/(N+1) for even N,
+    each one correctly rounded int / int division.  Defined for
+    0 <= N <= max float / 2 ~ 8.99e307; a larger N raises ValueError.
     """
-    if operator.index(N) < 0:
-        raise ValueError(f"photon number per beam must be nonnegative, got {N}")
+    _check_photon_count(N)
     if N % 2:
-        return -(N + 1) / 2.0
-    return -(N * (N + 2)) / (2.0 * (N + 1))
+        return -(N + 1) / 2
+    return -(N * (N + 2)) / (2 * (N + 1))
 
 
 def rhs_sv_asymptotic(gamma: float) -> float:

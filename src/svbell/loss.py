@@ -62,4 +62,4 @@ def binomial_thin(dist: JointCountDistribution, eta: float) -> JointCountDistrib
     """
     t = thinning_matrix(dist.max_count, eta)
     probs = t @ dist.probs @ t.T
-    return JointCountDistribution(probs=probs, mass=float(probs.sum()))
+    return JointCountDistribution(probs=probs, mass=float(np.add.reduce(probs, axis=None)))

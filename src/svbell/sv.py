@@ -38,6 +38,21 @@ _MAX_GAIN_E2 = math.asinh(sys.float_info.max) / 2
 _MAX_GAIN_E4 = (math.log(sys.float_info.max) + math.log(8.0)) / 4
 
 
+# Largest photon number per beam whose 2N still converts to a float: above
+# it the weights and the L -> infinity limits raise ValueError, not OverflowError.
+_MAX_FLOAT_PHOTONS = int(sys.float_info.max) // 2
+
+
+def _check_photon_count(N: int) -> None:
+    if operator.index(N) < 0:
+        raise ValueError(f"photon number per beam must be nonnegative, got {N}")
+    if N > _MAX_FLOAT_PHOTONS:
+        raise ValueError(
+            f"photon number per beam must be at most max float / 2 ~ {_MAX_FLOAT_PHOTONS:.3g} "
+            "for this value to fit a float"
+        )
+
+
 def _check_gain(gamma: float, max_gain: float = math.inf) -> None:
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gain must be positive and finite, got {gamma}")
@@ -74,9 +89,11 @@ class SVSpec:
 
 
 def lambda_sq(N: int, gamma: float) -> float:
-    """Weight of the 2N-photon singlet in the squeezed vacuum."""
-    if operator.index(N) < 0:
-        raise ValueError(f"photon number per beam must be nonnegative, got {N}")
+    """Weight of the 2N-photon singlet in the squeezed vacuum.
+
+    Defined for 0 <= N <= max float / 2 ~ 8.99e307; a larger N raises ValueError.
+    """
+    _check_photon_count(N)
     _check_gain(gamma)
     weight = (N + 1) * math.tanh(gamma) ** (2 * N)
     try:

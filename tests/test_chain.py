@@ -174,13 +174,28 @@ def test_asymptotic_values():
     assert asymptotic_bell_fixed_N(2) == pytest.approx(-4.0 / 3.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("N", range(21))
+@pytest.mark.parametrize(
+    "N", [*range(21)] + [pytest.param(10**e + odd, id=f"1e{e}+{odd}") for e in (20, 200) for odd in (0, 1)]
+)
 def test_asymptotics_match_exact_rationals(N):
     if N % 2:
         exact = -Fraction(N * N + 2 * N + 1, 2 * (N + 1))
     else:
         exact = -Fraction(N * N + 2 * N, 2 * (N + 1))
     assert asymptotic_bell_fixed_N(N) == float(exact)
+
+
+def test_asymptotics_keep_their_bits_below_a_hundred_thousand():
+    # Float division of exactly converted operands, correctly rounded while N (N + 2) < 2^53.
+    for N in range(10**5):
+        float_division = -(N + 1) / 2.0 if N % 2 else -(N * (N + 2)) / (2.0 * (N + 1))
+        assert asymptotic_bell_fixed_N(N) == float_division
+
+
+def test_asymptotics_past_the_float_range_raise_value_error():
+    for N in [10**400, 10**400 + 1]:
+        with pytest.raises(ValueError, match="max float / 2"):
+            asymptotic_bell_fixed_N(N)
 
 
 @pytest.mark.parametrize("N", range(1, 13))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fresh_rotation import fresh_rotation
 from svbell import singlet
 from svbell.chain import asymptotic_bell_fixed_N, bell_fixed_N, make_chain
-from svbell.loss import thinning_matrix
+from svbell.loss import binomial_thin, thinning_matrix
 from svbell.oracle import oracle_joint_distribution
 from svbell.singlet import (
     MAX_PHOTON_NUMBER,
@@ -27,7 +27,7 @@ from svbell.singlet import (
     mean_abs_difference,
     singlet_amplitudes,
 )
-from svbell.sv import lambda_sq
+from svbell.sv import SVSpec, lambda_sq, sv_mixture
 
 HALF_PI = 0.5 * math.pi
 
@@ -369,6 +369,47 @@ def test_mean_abs_difference_matches_the_explicit_formula(size):
     counts = np.arange(size)
     expected = float(np.sum(np.abs(counts[:, None] - counts[None, :]) * dist.probs))
     assert mean_abs_difference(dist) == expected
+
+
+def _assert_the_bitwise_distance_and_thinning_contract(table, eta):
+    # The explicit int |i - j| formula and the explicit products, compared with ==.
+    size = table.max_count + 1
+    counts = np.arange(size)
+    explicit = np.abs(counts[:, None] - counts[None, :])
+    assert mean_abs_difference(table) == float(np.sum(explicit * table.probs))
+    thinned = binomial_thin(table, eta)
+    t = thinning_matrix(table.max_count, eta)
+    assert np.array_equal(thinned.probs, t @ table.probs @ t.T)
+    assert thinned.mass == float(thinned.probs.sum())
+    distances = _distances(size)
+    assert distances.dtype == np.float64 and not distances.flags.writeable
+    assert np.array_equal(distances, explicit)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    N=st.integers(0, MAX_PHOTON_NUMBER),
+    theta=st.floats(0.0, HALF_PI),
+    eta=st.floats(0.0, 1.0),
+)
+@example(N=0, theta=0.3, eta=0.5)
+@example(N=MAX_PHOTON_NUMBER, theta=HALF_PI, eta=0.9)
+def test_fixed_N_tables_keep_their_distance_and_thinning_bits(N, theta, eta):
+    _assert_the_bitwise_distance_and_thinning_contract(joint_distribution(N, theta), eta)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gamma=st.floats(1e-3, 1.8),
+    theta=st.floats(0.0, HALF_PI),
+    eta=st.floats(0.0, 1.0),
+)
+@example(gamma=1e-3, theta=0.7, eta=0.5)  # n_max 0: 1 x 1 tables
+@example(gamma=1.8, theta=1.1, eta=0.9)  # n_max 60: 61 x 61 tables
+def test_mixture_tables_keep_their_distance_and_thinning_bits(gamma, theta, eta):
+    spec = SVSpec(gamma)
+    _assert_the_bitwise_distance_and_thinning_contract(sv_mixture(theta, spec, eta), eta)
+    _assert_the_bitwise_distance_and_thinning_contract(sv_mixture(theta, spec), eta)
 
 
 def test_four_photon_mean_abs_difference_closed_form():

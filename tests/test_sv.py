@@ -65,6 +65,13 @@ def test_weights_keep_their_bits_below_the_float_range_of_cosh4():
             assert lambda_sq(n, gamma) == (n + 1) * math.tanh(gamma) ** (2 * n) / math.cosh(gamma) ** 4
 
 
+def test_weights_of_huge_photon_numbers_vanish_or_name_the_float_range():
+    assert lambda_sq(10**20, 0.5) == 0.0
+    assert lambda_sq(10**200, 0.5) == 0.0
+    with pytest.raises(ValueError, match="max float / 2"):
+        lambda_sq(10**400, 0.5)
+
+
 @pytest.mark.parametrize("gamma", [178.2, 200.0, 800.0, 1e308])
 def test_weights_past_the_float_range_of_cosh4_are_negligible(gamma):
     # cosh(gamma)^4 overflows above gamma ~ 178.1; the weights underflow instead.
