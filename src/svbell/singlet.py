@@ -30,7 +30,10 @@ D_{n+1} depends on D_n and theta alone, so the cache that serves
 the cached N - 1, and the tables N = 0..n_max at one angle cost n_max steps
 in all, in any request order.  It holds at most 256 (D, table) pairs,
 15.2 MB at N = 60.  Verify's normalization check steps all its angles
-together in one stack instead, outside the cache.
+together in one stack instead, outside the cache.  Both kinds of step read
+their per-photon constants (the sqrt(i) column and its reverse, the column
+norms and a -1/+1 sign row over the two column halves) from a second cache,
+read-only, one entry per n = 0..59: 60,480 bytes of data when full.
 """
 
 from __future__ import annotations
@@ -93,25 +96,48 @@ def _cos_sin(theta: float) -> tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
+@lru_cache(maxsize=MAX_PHOTON_NUMBER)
+def _step_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only constants of the step D_n -> D_{n+1}: 32 (n + 2) bytes of data.
+
+    ``root[i] = sqrt(i)`` is the a+ factor on row i and ``root_rev[i] =
+    sqrt(n+1-i)`` the b+ factor, both as (n+2, 1) columns.  Columns k < half
+    of D_{n+1} gain a b photon (norm sqrt(n+1-k), sign -1 on the s term), the
+    rest an a photon on column k-1 (norm sqrt(k), sign +1).
+    """
+    root = np.sqrt(np.arange(n + 2.0))
+    half = (n + 2) // 2
+    constants = (
+        root[:, None],
+        root[::-1, None].copy(),
+        np.concatenate([root[::-1][:half], root[half:]]),
+        np.repeat([-1.0, 1.0], [half, n + 2 - half]),
+    )
+    for array in constants:
+        array.setflags(write=False)
+    return constants
+
+
 def _step(d: np.ndarray, c: float | np.ndarray, s: float | np.ndarray) -> np.ndarray:
     """D_{n+1}(theta) from D_n(theta): one more photon through the rotation.
 
     ``d`` may be a stack of shape (..., n+1, n+1), one D_n per angle, with
-    ``c`` and ``s`` broadcasting over its leading axes.
+    ``c`` and ``s`` broadcasting over its leading axes.  ``d`` is only read.
     """
     n = d.shape[-1] - 1
-    # root[i] = sqrt(i) is the a+ factor on row i, root[n+1-i] the b+
-    # factor; rows outside D_n contribute 0.
-    root = np.sqrt(np.arange(n + 2.0))
-    zeros = np.zeros((*d.shape[:-2], 1, n + 1))
-    up = root[:, None] * np.concatenate([zeros, d], axis=-2)  # sqrt(i) D_n[i-1, k]
-    down = root[::-1, None] * np.concatenate([d, zeros], axis=-2)  # sqrt(n+1-i) D_n[i, k]
-    # Columns k < half gain a b photon (norm sqrt(n+1-k)), the rest an
-    # a photon on column k-1 (norm sqrt(k)).
+    root, root_rev, norms, signs = _step_constants(n)
+    # D_n between two zero rows: rows outside D_n contribute 0.
+    padded = np.zeros((*d.shape[:-2], n + 3, n + 1))
+    padded[..., 1:-1, :] = d
+    up = root * padded[..., :-1, :]  # sqrt(i) D_n[i-1, k]
+    down = root_rev * padded[..., 1:, :]  # sqrt(n+1-i) D_n[i, k]
+    # Both halves at once: via b, (c down - s up) / sqrt(n+1-k) on columns
+    # k < half; via a, (c up + s down) / sqrt(k) on columns half-1.. of D_n.
+    # a - s b is a + (-s) b in IEEE arithmetic, so every entry keeps its bits.
     half = (n + 2) // 2
-    via_b = (c * down[..., :half] - s * up[..., :half]) / root[::-1][:half]
-    via_a = (c * up[..., half - 1 :] + s * down[..., half - 1 :]) / root[half:]
-    return np.concatenate([via_b, via_a], axis=-1)
+    x = np.concatenate([down[..., :half], up[..., half - 1 :]], axis=-1)
+    y = np.concatenate([up[..., :half], down[..., half - 1 :]], axis=-1)
+    return (c * x + (s * signs) * y) / norms
 
 
 @lru_cache(maxsize=256)

@@ -1,8 +1,10 @@
 """D_N(theta) grown from D_0 = [[1]] with no shared state, for pinning the cache.
 
-The same recursion, operation for operation, as ``svbell.singlet._step``, so
-a table read from the library's cached rotation steps must equal it bit for
-bit.
+The same recursion as ``svbell.singlet._step``, entry for entry: each entry
+comes from the same two products, combined in the same order (``a - s b``
+here is ``a + (-s) b`` there, the same IEEE sum) and divided by the same
+norm.  So a table read from the library's cached or stacked rotation steps
+must equal it bit for bit, signed zeros included.
 """
 
 import math
@@ -10,9 +12,11 @@ import math
 import numpy as np
 
 
-def fresh_rotation(N, theta):
+def fresh_rotations(N, theta):
+    """D_0(theta), ..., D_N(theta), one photon at a time."""
     c, s = (0.0, 1.0) if theta == 0.5 * math.pi else (math.cos(theta), math.sin(theta))
     d = np.ones((1, 1))
+    yield d
     for n in range(N):
         root = np.sqrt(np.arange(n + 2.0))
         zeros = np.zeros((1, n + 1))
@@ -22,4 +26,9 @@ def fresh_rotation(N, theta):
         via_b = (c * down[:, :half] - s * up[:, :half]) / root[::-1][:half]
         via_a = (c * up[:, half - 1 :] + s * down[:, half - 1 :]) / root[half:]
         d = np.hstack([via_b, via_a])
+        yield d
+
+
+def fresh_rotation(N, theta):
+    *_, d = fresh_rotations(N, theta)
     return d

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fresh_rotation import fresh_rotation
+from fresh_rotation import fresh_rotation, fresh_rotations
 from svbell import singlet
 from svbell.chain import asymptotic_bell_fixed_N, bell_fixed_N, make_chain
 from svbell.loss import binomial_thin, thinning_matrix
@@ -220,6 +220,63 @@ def test_stacked_steps_are_the_fresh_rotations(N, thetas):
             support = np.eye(N + 1, dtype=bool)
             support = support if theta == 0.0 else np.fliplr(support)
             assert np.all(slab[~support] == 0.0)
+
+
+def same_bits(a, b):
+    # np.array_equal takes -0.0 for 0.0; the uint64 view does not.
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=10, deadline=None)
+@given(drawn=st.lists(st.floats(0.0, HALF_PI), max_size=4))
+@example(drawn=[])
+def test_steps_keep_every_bit_of_the_fresh_rotations(drawn):
+    # D_N at pi/2 holds -0.0 entries, so a reordered sum would show here.
+    thetas = [0.0, 0.25 * math.pi, HALF_PI, *drawn]
+    cos_sin = np.array([singlet._cos_sin(theta) for theta in thetas]).reshape(-1, 2, 1, 1)
+    stack = np.ones((len(thetas), 1, 1))
+    singles = [np.ones((1, 1)) for _ in thetas]
+    fresh = [list(fresh_rotations(MAX_PHOTON_NUMBER, theta)) for theta in thetas]
+    for N in range(MAX_PHOTON_NUMBER + 1):
+        if N:
+            stack = singlet._step(stack, cos_sin[:, 0], cos_sin[:, 1])
+            singles = [singlet._step(d, *singlet._cos_sin(t)) for d, t in zip(singles, thetas)]
+        for i in range(len(thetas)):
+            assert same_bits(singles[i], fresh[i][N]) and same_bits(stack[i], fresh[i][N])
+    at_right_angle = fresh[2][MAX_PHOTON_NUMBER]
+    assert np.any(np.signbit(at_right_angle) & (at_right_angle == 0.0))
+
+
+def test_step_reads_its_input_only():
+    thetas = (0.4, HALF_PI)
+    cos_sin = np.array([singlet._cos_sin(theta) for theta in thetas]).reshape(-1, 2, 1, 1)
+    one_angle = (fresh_rotation(7, thetas[0]), *singlet._cos_sin(thetas[0]))
+    stack = (np.stack([fresh_rotation(7, t) for t in thetas]), cos_sin[:, 0], cos_sin[:, 1])
+    for d, c, s in (one_angle, stack):
+        before = d.copy()
+        d.setflags(write=False)  # a write into d would raise
+        out = singlet._step(d, c, s)
+        assert same_bits(d, before)
+        assert out.flags.writeable and not np.shares_memory(out, d)
+        assert not any(np.shares_memory(out, array) for array in singlet._step_constants(7))
+
+
+def test_step_constants_cache_is_bounded_and_frozen():
+    # One entry per step n = 0..59, four read-only float arrays of n + 2
+    # entries each: 32 * (2 + ... + 61) = 60,480 bytes of data in all.
+    maxsize = singlet._step_constants.cache_info().maxsize
+    assert maxsize == MAX_PHOTON_NUMBER
+    empty = lru_cache(maxsize)(singlet._step_constants.__wrapped__)
+    with patch.object(singlet, "_step_constants", empty) as constants:
+        with empty_rotation_cache():
+            for theta in (0.3, 1.2):
+                joint_distribution(MAX_PHOTON_NUMBER, theta)
+        singlet._table_masses(MAX_PHOTON_NUMBER, [0.0, 0.7, HALF_PI])
+        # The second angle and the stack step on the first angle's constants.
+        assert constants.cache_info().misses == constants.cache_info().currsize == MAX_PHOTON_NUMBER
+        arrays = [array for n in range(MAX_PHOTON_NUMBER) for array in constants(n)]
+    assert not any(array.flags.writeable for array in arrays)
+    assert sum(array.nbytes for array in arrays) == 60_480 <= 64_000
 
 
 @settings(max_examples=40, deadline=None)
