@@ -95,7 +95,16 @@ def lambda_sq(N: int, gamma: float) -> float:
     """
     _check_photon_count(N)
     _check_gain(gamma)
-    weight = (N + 1) * math.tanh(gamma) ** (2 * N)
+    tanh = math.tanh(gamma)
+    if tanh == 1.0 and N > MAX_PHOTON_NUMBER:
+        # Above gamma ~ 19.06 tanh rounds to 1, so tanh^(2N) would stay 1 and
+        # the weight grow like N.  Up to the photon-number limit that factor is
+        # off by at most 240 e^(-2 gamma) < 7e-15 relative; above it, take it
+        # from log tanh = log1p(-e^(-2 gamma)) - log1p(e^(-2 gamma)).
+        e = math.exp(-2.0 * gamma)
+        weight = (N + 1) * math.exp(2 * N * (math.log1p(-e) - math.log1p(e)))
+    else:
+        weight = (N + 1) * tanh ** (2 * N)
     try:
         return weight / math.cosh(gamma) ** 4
     except OverflowError:

@@ -1,6 +1,14 @@
 """Bernoulli thinning channel tests."""
 
+import gc
 import math
+import random
+import sys
+import threading
+import weakref
+from contextlib import contextmanager
+from functools import lru_cache
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fresh_rotation import fresh_rotation
+from svbell import loss
 from svbell.chain import bell_sv, make_chain
-from svbell.loss import _thinning_table, binomial_thin, thinning_matrix
+from svbell.loss import _grown, binomial_thin, thinning_matrix
 from svbell.oracle import l1_deviation_bound, mc_thin
 from svbell.singlet import (
     MAX_PHOTON_NUMBER,
@@ -21,11 +30,15 @@ from svbell.sv import SVSpec, lambda_sq, n_max_for
 HALF_PI = 0.5 * math.pi
 
 
-def pascal_table(max_count, eta):
-    """Binomial table built for this size alone, with no shared state."""
+def pascal_table(max_count, eta, start=np.ones((1, 1))):
+    """Binomial table built for this size alone, with no shared state.
+
+    Pascal's rule runs on from the block ``start``; the default, the table
+    up to 0 photons, gives the binomial table.
+    """
     t = np.zeros((max_count + 1, max_count + 1))
-    t[0, 0] = 1.0
-    for n in range(1, max_count + 1):
+    t[: len(start), : len(start)] = start
+    for n in range(len(start), max_count + 1):
         t[:, n] = (1.0 - eta) * t[:, n - 1]
         t[1:, n] += eta * t[:-1, n - 1]
     return t
@@ -146,8 +159,91 @@ def test_shared_thinning_matrix_is_the_fresh_table_and_read_only(max_count, eta)
     assert np.array_equal(thinning_matrix(max_count, eta), pascal_table(max_count, eta))
 
 
+@contextmanager
+def empty_thinning_cache():
+    with patch.object(loss, "_thinning_table", lru_cache(maxsize=64)(loss._thinning_table.__wrapped__)):
+        yield
+
+
+GROWTH_ORDERS = {
+    "increasing": list(range(MAX_PHOTON_NUMBER + 1)),
+    "decreasing": list(range(MAX_PHOTON_NUMBER, -1, -1)),
+    "shuffled": random.Random(24).choices(range(MAX_PHOTON_NUMBER + 1), k=40),
+}
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.37, 0.5, 0.83, 1 - 1e-12, 1.0])
+@pytest.mark.parametrize("order", GROWTH_ORDERS)
+def test_grown_tables_are_bitwise_blocks_of_the_full_table(order, eta):
+    # However the sizes come, every view is the leading block of a table
+    # built to the photon-number limit at once, and stays so after the
+    # table has been extended past it.
+    full = pascal_table(MAX_PHOTON_NUMBER, eta).view(np.uint64)
+    handed_out = []
+    with empty_thinning_cache():
+        for k in GROWTH_ORDERS[order]:
+            t = thinning_matrix(k, eta)
+            assert not t.flags.writeable
+            assert np.array_equal(t.view(np.uint64), full[: k + 1, : k + 1])
+            handed_out.append(t)
+    for t in handed_out:
+        assert np.array_equal(t.view(np.uint64), full[: len(t), : len(t)])
+
+
+def test_growing_continues_from_the_table_it_is_given():
+    # A block of another efficiency shows that the old block is copied, not
+    # rebuilt, and that the rule runs on only over the new columns.
+    start = pascal_table(9, 0.37)
+    start.setflags(write=False)
+    grown = _grown(start, 21, 0.83)
+    assert np.array_equal(grown.view(np.uint64), pascal_table(20, 0.83, start).view(np.uint64))
+    assert np.array_equal(start, pascal_table(9, 0.37))
+    assert not grown.flags.writeable
+
+
 def test_thinning_cache_is_bounded():
-    assert _thinning_table.cache_info().maxsize == 64
+    # Tables of more efficiencies than fit, each grown several times: at most
+    # 64 efficiencies' tables stay alive, whatever holds them, and every
+    # superseded table is freed, so the cache holds at most 64 x 61^2 x 8 B.
+    held = []
+    for eta in np.linspace(0.01, 0.99, 100):
+        for k in (1, 7, 30, MAX_PHOTON_NUMBER):
+            held.append(weakref.ref(thinning_matrix(k, float(eta)).base))
+    gc.collect()
+    live = [table for table in (ref() for ref in held) if table is not None]
+    assert held[-1]() is not None  # the efficiency used last is kept
+    assert len(live) <= 64
+    assert sum(table.nbytes for table in live) <= 64 * (MAX_PHOTON_NUMBER + 1) ** 2 * 8
+
+
+def test_threads_growing_one_table_get_the_blocks_they_ask_for():
+    etas = [0.37, 0.5, 0.83]
+    full = {eta: pascal_table(MAX_PHOTON_NUMBER, eta) for eta in etas}
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(300):
+                k, eta = rng.randrange(MAX_PHOTON_NUMBER + 1), rng.choice(etas)
+                if not np.array_equal(thinning_matrix(k, eta), full[eta][: k + 1, : k + 1]):
+                    wrong.append((k, eta))
+        except Exception as exc:  # reported by the assert below
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with empty_thinning_cache():
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_thinning_matrix_size_validation():

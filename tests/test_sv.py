@@ -3,6 +3,7 @@
 import math
 import sys
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -70,6 +71,36 @@ def test_weights_of_huge_photon_numbers_vanish_or_name_the_float_range():
     assert lambda_sq(10**200, 0.5) == 0.0
     with pytest.raises(ValueError, match="max float / 2"):
         lambda_sq(10**400, 0.5)
+
+
+def exact_weight(N, gamma):
+    """(N+1) tanh^(2N) / cosh^4 to 60 digits, and its exponent 2N log tanh."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g = Decimal(gamma)
+        e = (-2 * g).exp()
+        # log tanh = -2 atanh(e^(-2 gamma)); with e below 1e-16 four terms
+        # reach 60 digits, where log(1 - e) would cancel.
+        log_tanh = -2 * sum(e ** (2 * k + 1) / (2 * k + 1) for k in range(4))
+        log_cosh = g + ((1 + e) / 2).ln()
+        exponent = 2 * N * log_tanh
+        return float((Decimal(N + 1).ln() + exponent - 4 * log_cosh).exp()), float(exponent)
+
+
+@pytest.mark.parametrize("gamma", [19.5, 20.0, 60.0, 150.0])
+def test_weights_where_tanh_rounds_to_one_match_exact_arithmetic(gamma):
+    # tanh(gamma) is 1.0 in floats here, yet tanh^(2N) must still decay
+    # (taken as 1, it made lambda_sq(10**40, 20.0) 2.9e6, not 0).
+    # Allowed relative error: 32 ulp for the direct factor up to N = 60
+    # (off by up to 240 e^(-2 gamma) ~ 30 ulp) and cosh^4, plus one ulp per
+    # unit of the exponent, which exp turns into relative error.
+    assert math.tanh(gamma) == 1.0
+    for N in [0, 1, 60, 61, 10**3, 10**9, 10**15, 10**16, 10**17, 3 * 10**17,
+              10**18, 10**19, 3 * 10**19, 10**20, 10**30, 10**40]:
+        weight = lambda_sq(N, gamma)
+        exact, exponent = exact_weight(N, gamma)
+        assert 0.0 <= weight <= 1.0
+        assert abs(weight - exact) <= (32 + abs(exponent)) * 2.0**-52 * exact
 
 
 @pytest.mark.parametrize("gamma", [178.2, 200.0, 800.0, 1e308])
