@@ -36,7 +36,7 @@ from .oracle import (
     oracle_joint_distribution,
 )
 from .singlet import MAX_PHOTON_NUMBER, _table_masses, joint_distribution
-from .sv import CapExceededError, SVSpec, check_mass_threshold, n_max_for, sv_mixture
+from .sv import CapExceededError, SVSpec, _at_mass, check_mass_threshold, n_max_for, sv_mixture
 
 _HALF_PI = 0.5 * math.pi
 
@@ -160,7 +160,8 @@ def cmd_sweep_settings(args: argparse.Namespace) -> int:
     if args.N is not None:
         check_mass_threshold(args.mass)  # unused with --N, but echoed in config
     else:
-        spec, guard = SVSpec(args.gamma, args.mass), SVSpec(args.gamma, GUARD_MASS)
+        spec = SVSpec(args.gamma, args.mass)
+        guard = _at_mass(spec, GUARD_MASS)
     rows = []
     warnings: list[str] = []
     metadata: dict = {}
@@ -203,9 +204,11 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     warnings: list[str] = []
     truncation: dict[str, list] = {}
     for gamma in gammas:
-        # Both specs of a row keep their two angles' lossless tables, so each
-        # efficiency of the row only thins them; the tables go with the row.
-        spec, guard = SVSpec(gamma, args.mass), SVSpec(gamma, GUARD_MASS)
+        # The row's two specs keep their two angles' lossless tables, so each
+        # efficiency of the row only thins them; the guard's tables continue
+        # the default-mass ones, and all of them go with the row.
+        spec = SVSpec(gamma, args.mass)
+        guard = _at_mass(spec, GUARD_MASS)
         for eta in etas:
             res, warning = _sv_bell_with_guard(chain, spec, guard, eta, name_eta=True)
             if warning and warning not in warnings:  # an unreachable guard: once per gain

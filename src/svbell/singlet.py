@@ -147,7 +147,7 @@ def _rotation(N: int, theta: float) -> tuple[np.ndarray, JointCountDistribution]
     probs = d**2 / (N + 1)
     d.setflags(write=False)
     probs.setflags(write=False)
-    return d, JointCountDistribution(probs=probs, mass=float(probs.sum()))
+    return d, JointCountDistribution(probs=probs, mass=float(np.add.reduce(probs, axis=None)))
 
 
 def _table_masses(max_N: int, thetas: list[float]) -> np.ndarray:

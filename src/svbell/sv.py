@@ -9,7 +9,11 @@ Joint count predictions for the full state are the lambda_N^2-weighted
 mixtures of the fixed-N tables.  The infinite sum is truncated at the
 smallest N_max whose cumulative weight reaches a configured mass threshold
 (0.99 by default); truncated weights are deliberately *not* renormalized,
-the distribution just declares the mass it covers.
+the distribution just declares the mass it covers.  Each spec works out its
+truncation (the weights, N_max and their sum) once, on first use.  The
+command line checks each gain at a second, larger mass; that guard spec
+shares the first spec's kept mixtures, and its mixture at each angle
+continues the first one's, adding only the components above it.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -70,22 +75,53 @@ def check_mass_threshold(mass_threshold: float) -> None:
 class SVSpec:
     """Gain and truncation mass of the squeezed-vacuum state.
 
-    The mixture never goes above MAX_PHOTON_NUMBER photons per beam.  Each
-    spec keeps the frozen lossless mixture tables of the last two angles
-    ``sv_mixture`` used it at, so the adjacent and closing tables of a chain
-    are built once per spec and only thinned at each efficiency.  The memo
-    lives and dies with the object: it takes no part in the constructor,
+    The mixture never goes above MAX_PHOTON_NUMBER photons per beam.  A spec
+    computes its truncation (the weights up to N_max, and their sum) once,
+    on first use, and keeps the frozen lossless mixture tables of the last
+    two angles ``sv_mixture`` used it at, so the adjacent and closing tables
+    of a chain are built once per spec and only thinned at each efficiency.
+    Both live and die with the object: they take no part in the constructor,
     ``==``, ``hash`` or ``repr``, and ``replace`` or a new equal spec starts
-    empty.  Threads sharing a spec may build a table twice, never a wrong one.
+    empty.  The command line's guard spec shares its default-mass spec's
+    kept tables (see ``_at_mass``): at most two tables per angle, the number
+    two separate specs would keep.  Threads sharing a spec may build a table
+    twice, never a wrong one.
     """
 
     gamma: float
     mass_threshold: float = 0.99
+    # The kept tables: angle -> {N_max: lossless mixture}, least recently used first.
     _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_gain(self.gamma)
         check_mass_threshold(self.mass_threshold)
+
+    @cached_property
+    def _truncation(self) -> tuple[list[float], float]:
+        """The weights up to N_max and their correctly rounded sum.
+
+        N_max is the first N at which the running sum reaches the mass
+        threshold; CapExceededError if none up to MAX_PHOTON_NUMBER does.
+        """
+        weights = []
+        cumulative = 0.0
+        for n in range(MAX_PHOTON_NUMBER + 1):
+            weights.append(lambda_sq(n, self.gamma))
+            cumulative += weights[n]
+            if cumulative >= self.mass_threshold:
+                return weights, math.fsum(weights)
+        raise CapExceededError(
+            f"at gain {self.gamma}, the singlet weights up to N = {MAX_PHOTON_NUMBER} "
+            f"sum to {cumulative!r}, below the requested mass {self.mass_threshold}"
+        )
+
+
+def _at_mass(spec: SVSpec, mass_threshold: float) -> SVSpec:
+    """spec's state at another mass, sharing spec's kept tables."""
+    other = replace(spec, mass_threshold=mass_threshold)
+    object.__setattr__(other, "_mixtures", spec._mixtures)
+    return other
 
 
 def lambda_sq(N: int, gamma: float) -> float:
@@ -95,16 +131,19 @@ def lambda_sq(N: int, gamma: float) -> float:
     """
     _check_photon_count(N)
     _check_gain(gamma)
-    tanh = math.tanh(gamma)
-    if tanh == 1.0 and N > MAX_PHOTON_NUMBER:
-        # Above gamma ~ 19.06 tanh rounds to 1, so tanh^(2N) would stay 1 and
-        # the weight grow like N.  Up to the photon-number limit that factor is
-        # off by at most 240 e^(-2 gamma) < 7e-15 relative; above it, take it
-        # from log tanh = log1p(-e^(-2 gamma)) - log1p(e^(-2 gamma)).
+    if N > MAX_PHOTON_NUMBER:
+        # fl(tanh)^(2N) carries about 2N ulp of relative error (and once
+        # tanh rounds to 1, above gamma ~ 19.06, it stays 1); exp(2N log tanh)
+        # about |2N log tanh| ulp, given log tanh to an ulp or so: from
+        # log1p(-e) - log1p(e), e = e^(-2 gamma), where tanh is near 1, and
+        # from log tanh where it is not, so that e is not near 1.
         e = math.exp(-2.0 * gamma)
-        weight = (N + 1) * math.exp(2 * N * (math.log1p(-e) - math.log1p(e)))
+        log_tanh = math.log1p(-e) - math.log1p(e) if e < 0.5 else math.log(math.tanh(gamma))
+        weight = (N + 1) * math.exp(2 * N * log_tanh)
     else:
-        weight = (N + 1) * tanh ** (2 * N)
+        # The direct factor, whose bits the tests pin: about 2N <= 120 ulp off,
+        # and where tanh rounds to 1 at most 240 e^(-2 gamma) < 7e-15.
+        weight = (N + 1) * math.tanh(gamma) ** (2 * N)
     try:
         return weight / math.cosh(gamma) ** 4
     except OverflowError:
@@ -133,15 +172,7 @@ def n_max_for(spec: SVSpec) -> int:
     Raises CapExceededError when the weights up to MAX_PHOTON_NUMBER photons
     per beam sum to less than the threshold.
     """
-    cumulative = 0.0
-    for n in range(MAX_PHOTON_NUMBER + 1):
-        cumulative += lambda_sq(n, spec.gamma)
-        if cumulative >= spec.mass_threshold:
-            return n
-    raise CapExceededError(
-        f"at gain {spec.gamma}, the singlet weights up to N = {MAX_PHOTON_NUMBER} "
-        f"sum to {cumulative!r}, below the requested mass {spec.mass_threshold}"
-    )
+    return len(spec._truncation[0]) - 1
 
 
 def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistribution:
@@ -152,23 +183,33 @@ def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistri
     mass is the truncated weight sum (weights are not renormalized).  The
     lossless mixture is built once per spec and angle and kept by ``spec``
     (see SVSpec); at eta = 1 that shared, frozen table is returned itself.
+    A build starts from the largest kept table at this angle truncated no
+    later, such as the default-mass table when ``spec`` is its guard: its
+    block holds the same partial sums as adding every component from N = 0,
+    the rest is zero, so only the components above it are added, and the
+    table is bit for bit the one a fresh spec builds.  A larger kept table
+    is never cut down.
     """
     check_efficiency(eta)
     _check_angle(theta)
-    mixture = spec._mixtures.pop(theta, None)
+    weights, mass = spec._truncation
+    n_max = len(weights) - 1
+    kept = spec._mixtures.pop(theta, {})
+    mixture = kept.get(n_max)
     if mixture is None:
-        n_max = n_max_for(spec)
-        weights = [lambda_sq(n, spec.gamma) for n in range(n_max + 1)]
+        start = max((n for n in kept if n < n_max), default=-1)
         probs = np.zeros((n_max + 1, n_max + 1))
-        for n, weight in enumerate(weights):
-            probs[: n + 1, : n + 1] += weight * joint_distribution(n, theta).probs
+        if start >= 0:
+            probs[: start + 1, : start + 1] = kept[start].probs
+        for n in range(start + 1, n_max + 1):
+            probs[: n + 1, : n + 1] += weights[n] * joint_distribution(n, theta).probs
         probs.setflags(write=False)
-        mixture = JointCountDistribution(probs=probs, mass=math.fsum(weights))
-    spec._mixtures[theta] = mixture  # now the most recently used angle
+        mixture = kept[n_max] = JointCountDistribution(probs=probs, mass=mass)
+    spec._mixtures[theta] = kept  # now the most recently used angle
     for oldest in list(spec._mixtures)[:-2]:
         spec._mixtures.pop(oldest, None)
     if eta < 1.0:
-        mixture = replace(binomial_thin(mixture, eta), mass=mixture.mass)
+        mixture = JointCountDistribution(probs=binomial_thin(mixture, eta).probs, mass=mass)
     return mixture
 
 

@@ -201,6 +201,14 @@ def test_an_unreachable_mass_states_the_weight_sum_in_full(capsys):
     )
 
 
+def test_an_unreachable_mass_in_a_heatmap_keeps_its_message(capsys):
+    argv = ["heatmap", "--L", "2", "--gamma-range", "1.9:2.0:0.1", "--eta-range", "0.9:1.0:0.1"]
+    assert run_cli(argv, capsys) == (3, "", (
+        "error: at gain 2.0, the singlet weights up to N = 60 sum to 0.9391887407867728, "
+        "below the requested mass 0.99\n"
+    ))
+
+
 LARGE_L = str(10**400)
 
 
@@ -341,13 +349,30 @@ def test_heatmap_builds_each_row_mixture_once(capsys, monkeypatch):
     monkeypatch.setattr(svbell.sv, "joint_distribution", counted)
     argv = ["heatmap", "--L", "3", "--gamma-range", "0.7:0.7:0.1", "--eta-range", "0.5:1.0:0.05"]
     n_max, n_max_guard = n_max_for(SVSpec(0.7)), n_max_for(SVSpec(0.7, GUARD_MASS))
-    # Two angles, each built once at the run mass and once at the guard mass;
-    # the tables go with the command, so running it again builds them again.
+    assert n_max < n_max_guard
+    # Two angles, each table up to the guard mass read once: the guard's
+    # mixtures continue the run mass's.  The tables go with the command, so
+    # running it again reads them again.
     for runs in (1, 2):
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert len(parse_csv(out)[2]) == 11
-        assert len(calls) == runs * 2 * ((n_max + 1) + (n_max_guard + 1))
+        assert len(calls) == runs * 2 * (n_max_guard + 1)
+
+
+def test_sweep_settings_reads_each_table_once(capsys, monkeypatch):
+    reads = []
+    build = svbell.sv.joint_distribution
+
+    def recorded(N, theta):
+        reads.append((N, theta))
+        return build(N, theta)
+
+    monkeypatch.setattr(svbell.sv, "joint_distribution", recorded)
+    code, _, _ = run_cli(["sweep-settings", "--gamma", "0.8", "--L-range", "2:4"], capsys)
+    assert code == 0
+    # Three L, two angles each, every table up to the guard mass read once.
+    assert len(reads) == len(set(reads)) == 3 * 2 * (n_max_for(SVSpec(0.8, GUARD_MASS)) + 1)
 
 
 def test_heatmap_rejects_an_unreachable_mass_before_the_first_cell(capsys, compute_calls):

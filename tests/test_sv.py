@@ -1,21 +1,28 @@
 """Squeezed-vacuum weights, truncation policy, mixtures, and correlations."""
 
 import math
+import random
 import sys
+import threading
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fresh_rotation import fresh_rotation
+from fresh_rotation import fresh_rotations
 from svbell.chain import rhs_sv_asymptotic
 from svbell.loss import binomial_thin
 from svbell.oracle import mc_thin
 from svbell.singlet import JointCountDistribution, joint_distribution
+import svbell.sv
+from svbell.cli import GUARD_MASS
 from svbell.sv import (
     CapExceededError,
     SVSpec,
+    _at_mass,
     correlation_visibility,
     intensity_correlation,
     lambda_sq,
@@ -76,12 +83,11 @@ def test_weights_of_huge_photon_numbers_vanish_or_name_the_float_range():
 def exact_weight(N, gamma):
     """(N+1) tanh^(2N) / cosh^4 to 60 digits, and its exponent 2N log tanh."""
     with localcontext() as ctx:
-        ctx.prec = 60
+        # Digits enough that 1 - e and 1 + e keep 60 digits of e = e^(-2 gamma).
+        ctx.prec = 60 + math.ceil(2 * gamma / math.log(10))
         g = Decimal(gamma)
         e = (-2 * g).exp()
-        # log tanh = -2 atanh(e^(-2 gamma)); with e below 1e-16 four terms
-        # reach 60 digits, where log(1 - e) would cancel.
-        log_tanh = -2 * sum(e ** (2 * k + 1) / (2 * k + 1) for k in range(4))
+        log_tanh = ((1 - e) / (1 + e)).ln()
         log_cosh = g + ((1 + e) / 2).ln()
         exponent = 2 * N * log_tanh
         return float((Decimal(N + 1).ln() + exponent - 4 * log_cosh).exp()), float(exponent)
@@ -100,6 +106,16 @@ def test_weights_where_tanh_rounds_to_one_match_exact_arithmetic(gamma):
         weight = lambda_sq(N, gamma)
         exact, exponent = exact_weight(N, gamma)
         assert 0.0 <= weight <= 1.0
+        assert abs(weight - exact) <= (32 + abs(exponent)) * 2.0**-52 * exact
+
+
+@pytest.mark.parametrize("gamma", [0.5, 5.0, 17.0, 18.0, 19.0])
+def test_weights_above_the_photon_number_limit_match_exact_arithmetic(gamma):
+    # Where tanh is below 1 but within a few ulp of it, fl(tanh)^(2N) is far
+    # off: it made lambda_sq(10**17, 18.0) 2.3e-52, not 4.4e-54.
+    for N in [61, 10**3, 10**9, 10**15, 10**17]:
+        weight = lambda_sq(N, gamma)
+        exact, exponent = exact_weight(N, gamma)
         assert abs(weight - exact) <= (32 + abs(exponent)) * 2.0**-52 * exact
 
 
@@ -216,8 +232,8 @@ def fresh_mixture(theta, spec, eta):
     """sv_mixture's table built with no shared state: fresh singlet tables, thinned."""
     size = n_max_for(spec) + 1
     probs = np.zeros((size, size))
-    for n in range(size):
-        probs[: n + 1, : n + 1] += lambda_sq(n, spec.gamma) * (fresh_rotation(n, theta) ** 2 / (n + 1))
+    for n, d in enumerate(fresh_rotations(size - 1, theta)):
+        probs[: n + 1, : n + 1] += lambda_sq(n, spec.gamma) * (d**2 / (n + 1))
     return binomial_thin(JointCountDistribution(probs, 1.0), eta).probs if eta < 1.0 else probs
 
 
@@ -268,6 +284,102 @@ def test_the_kept_tables_belong_to_one_spec_object():
         assert other._mixtures == {}
         assert sv_mixture(0.3, other) is not table
     assert np.array_equal(sv_mixture(0.3, SVSpec(0.8)).probs, table.probs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gamma=st.floats(0.05, 1.5),
+    theta=st.floats(0.0, 0.5 * math.pi),
+    eta=st.floats(0.0, 1.0),
+    guard_first=st.booleans(),
+)
+@example(gamma=0.8, theta=0.3, eta=0.5, guard_first=True)  # a larger kept table is never cut down
+def test_guard_mixtures_continue_the_default_mass_ones_bit_for_bit(gamma, theta, eta, guard_first):
+    spec = SVSpec(gamma)
+    guard = _at_mass(spec, GUARD_MASS)
+    order = [guard, spec] if guard_first else [spec, guard]
+    for _ in range(2):  # built, then read from the kept tables
+        for which in order:
+            fresh = SVSpec(which.gamma, which.mass_threshold)  # shares nothing
+            mass = math.fsum(lambda_sq(n, gamma) for n in range(n_max_for(fresh) + 1))
+            for e in [eta, 1.0]:
+                dist = sv_mixture(theta, which, e)
+                assert dist.probs.view(np.uint64).tolist() == fresh_mixture(theta, fresh, e).view(np.uint64).tolist()
+                assert dist.mass == mass
+
+
+def test_a_spec_computes_each_weight_once(monkeypatch):
+    calls = []
+
+    def counted(N, gamma):
+        calls.append(N)
+        return lambda_sq(N, gamma)
+
+    monkeypatch.setattr(svbell.sv, "lambda_sq", counted)
+    spec = SVSpec(0.9)
+    guard = _at_mass(spec, GUARD_MASS)
+    for which in [spec, guard]:
+        calls.clear()
+        for theta in np.linspace(0.0, 0.5 * math.pi, 5):
+            for eta in [0.3, 0.8, 1.0]:
+                sv_mixture(float(theta), which, eta)
+        assert calls == list(range(n_max_for(which) + 1))
+
+
+def test_only_the_guard_helper_shares_the_kept_state():
+    spec = SVSpec(0.8)
+    guard = _at_mass(spec, GUARD_MASS)
+    assert guard == SVSpec(0.8, GUARD_MASS) and repr(guard) == "SVSpec(gamma=0.8, mass_threshold=0.999)"
+    assert guard._mixtures is spec._mixtures
+    sv_mixture(0.3, guard)
+    for other in [SVSpec(0.8), replace(spec), replace(guard), replace(guard, mass_threshold=0.99)]:
+        assert other._mixtures == {} and "_truncation" not in vars(other)
+    # Two specs share at most two angles' tables, one per truncation.
+    for theta in np.linspace(0.0, 0.5 * math.pi, 9):
+        for which in [spec, guard]:
+            sv_mixture(float(theta), which, 0.5)
+        assert len(spec._mixtures) <= 2
+        assert sorted(spec._mixtures[float(theta)]) == [n_max_for(spec), n_max_for(guard)]
+
+
+def test_threads_sharing_a_spec_and_its_guard_get_the_right_tables():
+    gammas, thetas, masses = [0.9, 1.1], [0.1, 0.4, 0.7], [0.99, GUARD_MASS]
+    expected = {
+        (g, m, t): sv_mixture(t, SVSpec(g, m)).probs for g in gammas for m in masses for t in thetas
+    }
+    pairs = []
+    for _ in range(20):
+        for g in gammas:
+            spec = SVSpec(g)
+            pairs.append((spec, _at_mass(spec, GUARD_MASS)))
+    wrong = []
+    start = threading.Barrier(8, timeout=60)
+
+    def work(seed):
+        rng = random.Random(seed)
+        try:
+            for spec_and_guard in pairs:
+                start.wait()  # every thread on fresh specs at once
+                for _ in range(6):
+                    which, theta = rng.choice(spec_and_guard), rng.choice(thetas)
+                    table = sv_mixture(theta, which).probs
+                    if not np.array_equal(table, expected[which.gamma, which.mass_threshold, theta]):
+                        wrong.append((which, theta))
+        except Exception as exc:  # reported by the assert below
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
 
 
 def test_lossy_mixture_against_monte_carlo():
