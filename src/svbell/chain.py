@@ -52,18 +52,21 @@ class ChainSpec:
 class BellBreakdown:
     """LHS, RHS and Bell parameter of one chain evaluation.
 
-    ``bell`` always equals ``lhs - rhs`` exactly as stored.  Fixed-N values
-    are exact finite sums and leave ``n_max`` and ``mass`` unset.  For the
+    ``bell`` is ``lhs - rhs``, worked out on each read.  Fixed-N values are
+    exact finite sums and leave ``n_max`` and ``mass`` unset.  For the
     squeezed vacuum they are read off truncated tables, and ``n_max`` and
-    ``mass`` are the truncation point and the weight sum those tables
-    declare (weights up to ``n_max``, not renormalized).
+    ``mass`` are the truncation point and weight sum of the ``SVSpec`` that
+    set them (weights up to ``n_max``, not renormalized).
     """
 
     lhs: float
     rhs: float
-    bell: float
     n_max: Optional[int] = None
     mass: Optional[float] = None
+
+    @property
+    def bell(self) -> float:
+        return self.lhs - self.rhs
 
 
 def make_chain(L: int) -> ChainSpec:
@@ -95,22 +98,20 @@ def bell_fixed_N(N: int, chain: ChainSpec, eta: float = 1.0) -> BellBreakdown:
     _check_photon_number(N)
     lhs = (2 * chain.L - 1) * _mean_distance(N, chain.theta, eta)
     rhs = _mean_distance(N, chain.theta_prime, eta)
-    return BellBreakdown(lhs, rhs, lhs - rhs)
+    return BellBreakdown(lhs, rhs)
 
 
 def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
     """Bell breakdown for the squeezed vacuum, read off its mixture tables.
 
     Both distances are taken on ``sv_mixture`` tables truncated by ``spec``;
-    ``n_max`` and ``mass`` are the truncation those tables declare.  The
+    ``n_max`` and ``mass`` are ``spec.n_max`` and ``spec.mass``.  The
     contribution of the 2N-photon component is
     ``lambda_sq(N, gamma) * bell_fixed_N(N, chain, eta).bell``.
     """
-    near = sv_mixture(chain.theta, spec, eta)
-    far = sv_mixture(chain.theta_prime, spec, eta)
-    lhs = (2 * chain.L - 1) * mean_abs_difference(near)
-    rhs = mean_abs_difference(far)
-    return BellBreakdown(lhs, rhs, lhs - rhs, near.max_count, near.mass)
+    lhs = (2 * chain.L - 1) * mean_abs_difference(sv_mixture(chain.theta, spec, eta))
+    rhs = mean_abs_difference(sv_mixture(chain.theta_prime, spec, eta))
+    return BellBreakdown(lhs, rhs, spec.n_max, spec.mass)
 
 
 def asymptotic_bell_fixed_N(N: int) -> float:

@@ -36,7 +36,7 @@ from .oracle import (
     oracle_joint_distribution,
 )
 from .singlet import MAX_PHOTON_NUMBER, _table_masses, joint_distribution
-from .sv import CapExceededError, SVSpec, _at_mass, check_mass_threshold, n_max_for, sv_mixture
+from .sv import CapExceededError, SVSpec, _at_mass, check_mass_threshold, sv_mixture
 
 _HALF_PI = 0.5 * math.pi
 
@@ -122,7 +122,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     else:
         spec = SVSpec(gamma=args.gamma, mass_threshold=args.mass)
         dist = sv_mixture(args.theta, spec, args.eta)
-        metadata = {"mass": dist.mass, "n_max": dist.max_count}
+        metadata = {"mass": spec.mass, "n_max": spec.n_max}
     rows = [
         (n, m, float(dist.probs[n, m]))
         for n in range(dist.max_count + 1)
@@ -164,7 +164,6 @@ def cmd_sweep_settings(args: argparse.Namespace) -> int:
         guard = _at_mass(spec, GUARD_MASS)
     rows = []
     warnings: list[str] = []
-    metadata: dict = {}
     for L in range(lo, hi + 1):
         if args.N is not None:
             res = bell_fixed_N(args.N, make_chain(L), args.eta)
@@ -172,9 +171,8 @@ def cmd_sweep_settings(args: argparse.Namespace) -> int:
             res, warning = _sv_bell_with_guard(make_chain(L), spec, guard, args.eta)
             if warning:
                 warnings.append(warning)
-            metadata["mass"] = res.mass
-            metadata["n_max"] = res.n_max
         rows.append((L, res.lhs, res.rhs, res.bell))
+    metadata: dict = {} if args.N is not None else {"mass": spec.mass, "n_max": spec.n_max}
     if warnings:
         metadata["convergence_warnings"] = warnings
     _emit(args, metadata, ("L", "lhs", "rhs", "bell"), rows)
@@ -199,25 +197,27 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         check_efficiency(eta)
     chain = make_chain(args.L)
     SVSpec(gammas[0], args.mass)
-    n_max_for(SVSpec(gammas[-1], args.mass))
+    last = SVSpec(gammas[-1], args.mass)
+    last.n_max  # raises CapExceededError if the largest gain falls short
     rows = []
-    warnings: list[str] = []
+    warnings: dict[str, None] = {}  # insertion-ordered, so a repeat is dropped in O(1)
     truncation: dict[str, list] = {}
     for gamma in gammas:
         # The row's two specs keep their two angles' lossless tables, so each
         # efficiency of the row only thins them; the guard's tables continue
-        # the default-mass ones, and all of them go with the row.
-        spec = SVSpec(gamma, args.mass)
+        # the default-mass ones, and all of them go with the row.  The last
+        # row reuses the pre-check's spec and the weights it summed.
+        spec = last if gamma == last.gamma else SVSpec(gamma, args.mass)
         guard = _at_mass(spec, GUARD_MASS)
+        truncation[repr(gamma)] = [spec.n_max, spec.mass]
         for eta in etas:
             res, warning = _sv_bell_with_guard(chain, spec, guard, eta, name_eta=True)
-            if warning and warning not in warnings:  # an unreachable guard: once per gain
-                warnings.append(warning)
-            truncation[repr(gamma)] = [res.n_max, res.mass]
+            if warning:  # an unreachable guard: once per gain
+                warnings[warning] = None
             rows.append((gamma, eta, res.bell))
     metadata: dict = {"truncation": truncation}
     if warnings:
-        metadata["convergence_warnings"] = warnings
+        metadata["convergence_warnings"] = list(warnings)
     _emit(args, metadata, ("gamma", "eta", "bell"), rows)
     return 0
 

@@ -82,5 +82,4 @@ def binomial_thin(dist: JointCountDistribution, eta: float) -> JointCountDistrib
     eta2 composes to thinning at eta1 * eta2.
     """
     t = thinning_matrix(dist.max_count, eta)
-    probs = t @ dist.probs @ t.T
-    return JointCountDistribution(probs=probs, mass=float(np.add.reduce(probs, axis=None)))
+    return JointCountDistribution(t @ dist.probs @ t.T)

@@ -212,30 +212,26 @@ def mc_thin(
     cell's (n+1) x (m+1) block of counts.  Each sample thus gets independent
     Binomial(n, eta), Binomial(m, eta) counts, as if drawn one by one, at a
     cost that does not depend on ``samples``.  The output is rescaled by the
-    input mass so it estimates the same table that the exact channel
-    produces.  Deterministic for a fixed seed.
+    input's mass, the sum of its table, so it estimates the same table that
+    the exact channel produces.  Deterministic for a fixed seed.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"detection efficiency must lie in [0, 1], got {eta}")
     samples = operator.index(samples)
     if not 1 <= samples <= MAX_MC_SAMPLES:
         raise ValueError(f"samples must lie in [1, {MAX_MC_SAMPLES}], got {samples}")
-    if not 0.0 < dist.mass < math.inf:
-        raise ValueError(f"declared mass must be positive and finite, got {dist.mass}")
     flat = dist.probs.ravel()
     if not np.all(flat >= 0.0):
         raise ValueError("probabilities must be nonnegative and not NaN")
-    # multinomial lets the last cell absorb any shortfall; hold the table to
-    # its declared mass with numpy's choice tolerance instead.
-    if not abs(flat.sum() / dist.mass - 1.0) <= math.sqrt(np.finfo(float).eps):
-        raise ValueError(f"probabilities sum to {flat.sum()}, not the mass {dist.mass}")
+    mass = dist.mass
+    if not 0.0 < mass < math.inf:
+        raise ValueError(f"mass must be positive and finite, got {mass}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     size = dist.max_count + 1
-    cells = rng.multinomial(samples, flat / dist.mass)
+    cells = rng.multinomial(samples, flat / mass)
     counts = np.zeros((size, size), dtype=np.int64)
     for cell in np.flatnonzero(cells):
         n, m = divmod(int(cell), size)
         alice = _detect(rng, cells[cell], n, eta)
         counts[: n + 1, : m + 1] += _detect(rng, alice, m, eta)
-    probs = counts * (dist.mass / samples)
-    return JointCountDistribution(probs=probs, mass=float(probs.sum()))
+    return JointCountDistribution(counts * (mass / samples))

@@ -57,14 +57,17 @@ class JointCountDistribution:
     """Probability table over joint photon counts (n, m).
 
     ``probs[n, m]`` is the probability that Alice registers n photons and
-    Bob m photons; ``mass`` is the declared total (1 up to rounding for
-    lossless fixed-N tables, the truncated weight sum for mixtures).  Treat
+    Bob m photons; ``mass`` is its sum, worked out on each read (1 up to
+    rounding for fixed-N tables, below 1 for truncated mixtures).  Treat
     ``probs`` as read-only: fixed-N tables, and the lossless squeezed-vacuum
     tables that ``sv_mixture`` returns at eta = 1, are shared and frozen.
     """
 
     probs: np.ndarray
-    mass: float
+
+    @property
+    def mass(self) -> float:
+        return float(np.add.reduce(self.probs, axis=None))
 
     @property
     def max_count(self) -> int:
@@ -147,7 +150,7 @@ def _rotation(N: int, theta: float) -> tuple[np.ndarray, JointCountDistribution]
     probs = d**2 / (N + 1)
     d.setflags(write=False)
     probs.setflags(write=False)
-    return d, JointCountDistribution(probs=probs, mass=float(np.add.reduce(probs, axis=None)))
+    return d, JointCountDistribution(probs)
 
 
 def _table_masses(max_N: int, thetas: list[float]) -> np.ndarray:

@@ -8,12 +8,12 @@ superposition of 2N-photon polarization singlets with weights
 Joint count predictions for the full state are the lambda_N^2-weighted
 mixtures of the fixed-N tables.  The infinite sum is truncated at the
 smallest N_max whose cumulative weight reaches a configured mass threshold
-(0.99 by default); truncated weights are deliberately *not* renormalized,
-the distribution just declares the mass it covers.  Each spec works out its
-truncation (the weights, N_max and their sum) once, on first use.  The
-command line checks each gain at a second, larger mass; that guard spec
-shares the first spec's kept mixtures, and its mixture at each angle
-continues the first one's, adding only the components above it.
+(0.99 by default); truncated weights are deliberately *not* renormalized.
+Only the spec declares its truncation: it works out the weights, N_max and
+their sum (``n_max`` and ``mass``) once, on first use; a mixture is just its
+table.  The command line checks each gain at a second, larger mass; that
+guard spec shares the first spec's kept mixtures, and its mixture at each
+angle continues the first one's, adding only the components above it.
 """
 
 from __future__ import annotations
@@ -76,16 +76,16 @@ class SVSpec:
     """Gain and truncation mass of the squeezed-vacuum state.
 
     The mixture never goes above MAX_PHOTON_NUMBER photons per beam.  A spec
-    computes its truncation (the weights up to N_max, and their sum) once,
-    on first use, and keeps the frozen lossless mixture tables of the last
-    two angles ``sv_mixture`` used it at, so the adjacent and closing tables
-    of a chain are built once per spec and only thinned at each efficiency.
-    Both live and die with the object: they take no part in the constructor,
-    ``==``, ``hash`` or ``repr``, and ``replace`` or a new equal spec starts
-    empty.  The command line's guard spec shares its default-mass spec's
-    kept tables (see ``_at_mass``): at most two tables per angle, the number
-    two separate specs would keep.  Threads sharing a spec may build a table
-    twice, never a wrong one.
+    computes its truncation (the weights up to ``n_max``, and their sum
+    ``mass``) once, on first use, and keeps the frozen lossless mixture
+    tables of the last two angles ``sv_mixture`` used it at, so the adjacent
+    and closing tables of a chain are built once per spec and only thinned
+    at each efficiency.  Both live and die with the object: they take no
+    part in the constructor, ``==``, ``hash`` or ``repr``, and ``replace``
+    or a new equal spec starts empty.  The command line's guard spec shares
+    its default-mass spec's kept tables (see ``_at_mass``): at most two
+    tables per angle, the number two separate specs would keep.  Threads
+    sharing a spec may build a table twice, never a wrong one.
     """
 
     gamma: float
@@ -115,6 +115,16 @@ class SVSpec:
             f"at gain {self.gamma}, the singlet weights up to N = {MAX_PHOTON_NUMBER} "
             f"sum to {cumulative!r}, below the requested mass {self.mass_threshold}"
         )
+
+    @property
+    def n_max(self) -> int:
+        """Smallest N whose cumulative weight reaches the threshold, or CapExceededError."""
+        return len(self._truncation[0]) - 1
+
+    @property
+    def mass(self) -> float:
+        """The weights up to ``n_max``, correctly rounded: the mass the mixtures keep."""
+        return self._truncation[1]
 
 
 def _at_mass(spec: SVSpec, mass_threshold: float) -> SVSpec:
@@ -166,23 +176,15 @@ class CapExceededError(RuntimeError):
     """The weights up to MAX_PHOTON_NUMBER photons per beam sum to less than the mass threshold."""
 
 
-def n_max_for(spec: SVSpec) -> int:
-    """Smallest N_max whose cumulative weight reaches the mass threshold.
-
-    Raises CapExceededError when the weights up to MAX_PHOTON_NUMBER photons
-    per beam sum to less than the threshold.
-    """
-    return len(spec._truncation[0]) - 1
-
-
 def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistribution:
     """Joint count table for the squeezed vacuum at relative angle theta.
 
     Weighted mixture of the lossless fixed-N tables up to the truncation
-    point, thinned once at efficiency eta (thinning is linear).  The declared
-    mass is the truncated weight sum (weights are not renormalized).  The
-    lossless mixture is built once per spec and angle and kept by ``spec``
-    (see SVSpec); at eta = 1 that shared, frozen table is returned itself.
+    point ``spec.n_max``, thinned once at efficiency eta (thinning is
+    linear).  Weights are not renormalized: the table's mass is
+    ``spec.mass`` up to rounding.  The lossless mixture is built once per
+    spec and angle and kept by ``spec`` (see SVSpec); at eta = 1 that
+    shared, frozen table is returned itself, below it ``binomial_thin``'s.
     A build starts from the largest kept table at this angle truncated no
     later, such as the default-mass table when ``spec`` is its guard: its
     block holds the same partial sums as adding every component from N = 0,
@@ -192,8 +194,7 @@ def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistri
     """
     check_efficiency(eta)
     _check_angle(theta)
-    weights, mass = spec._truncation
-    n_max = len(weights) - 1
+    weights, n_max = spec._truncation[0], spec.n_max
     kept = spec._mixtures.pop(theta, {})
     mixture = kept.get(n_max)
     if mixture is None:
@@ -204,13 +205,11 @@ def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistri
         for n in range(start + 1, n_max + 1):
             probs[: n + 1, : n + 1] += weights[n] * joint_distribution(n, theta).probs
         probs.setflags(write=False)
-        mixture = kept[n_max] = JointCountDistribution(probs=probs, mass=mass)
+        mixture = kept[n_max] = JointCountDistribution(probs)
     spec._mixtures[theta] = kept  # now the most recently used angle
     for oldest in list(spec._mixtures)[:-2]:
         spec._mixtures.pop(oldest, None)
-    if eta < 1.0:
-        mixture = JointCountDistribution(probs=binomial_thin(mixture, eta).probs, mass=mass)
-    return mixture
+    return binomial_thin(mixture, eta) if eta < 1.0 else mixture
 
 
 def intensity_correlation(theta_a: float, theta_b: float, gamma: float) -> float:

@@ -22,7 +22,8 @@ from svbell.chain import (
 )
 from svbell.loss import binomial_thin
 from svbell.singlet import joint_distribution, mean_abs_difference
-from svbell.sv import SVSpec, lambda_sq, sv_mixture
+from svbell.cli import GUARD_MASS
+from svbell.sv import SVSpec, _at_mass, lambda_sq, sv_mixture
 
 
 def test_make_chain_examples():
@@ -263,10 +264,13 @@ def test_sv_bell_matches_weighted_components():
 def test_sv_bell_declares_its_tables_truncation(eta):
     chain = make_chain(3)
     spec = SVSpec(gamma=0.8)
-    result = bell_sv(chain, spec, eta)
-    table = sv_mixture(chain.theta, spec, eta)
-    assert result.n_max == table.max_count
-    assert result.mass == table.mass  # bit for bit, not recomputed
+    for which in (spec, _at_mass(spec, GUARD_MASS)):
+        result = bell_sv(chain, which, eta)
+        # The spec's own values, bit for bit; its tables keep that mass to rounding.
+        assert (result.n_max, result.mass) == (which.n_max, which.mass)
+        table = sv_mixture(chain.theta, which, eta)
+        assert table.max_count == which.n_max
+        assert table.mass == pytest.approx(which.mass, abs=1e-14)
     fixed = bell_fixed_N(2, chain, eta)
     assert fixed.n_max is None and fixed.mass is None
 
@@ -299,11 +303,9 @@ def test_gaussian_closed_form_bounds_the_truncated_mixture(gamma, eta, L):
 
 
 def test_sv_bell_breakdown_echoes_truncation():
-    from svbell.sv import n_max_for
-
     spec = SVSpec(gamma=0.8, mass_threshold=0.999)
     result = bell_sv(make_chain(4), spec)
-    assert result.n_max == n_max_for(spec)
+    assert result.n_max == spec.n_max
 
 
 def test_rhs_sv_asymptotic_validates_gain():

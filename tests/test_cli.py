@@ -20,7 +20,7 @@ from svbell import singlet
 from svbell.cli import GUARD_MASS, MAX_GRID_POINTS, main, run_verification
 from svbell.oracle import mc_thin
 from svbell.singlet import joint_distribution
-from svbell.sv import SVSpec, n_max_for
+from svbell.sv import SVSpec
 
 
 def _counting(calls, name, fn):
@@ -86,6 +86,14 @@ def test_dist_sv_diagonal_support(capsys):
     for n_str, m_str, p_str in rows:
         if n_str != m_str:
             assert float(p_str) == 0.0
+
+
+@pytest.mark.parametrize("eta", ["1", "0.7"])
+def test_dist_declares_its_specs_truncation(capsys, eta):
+    code, out, _ = run_cli(["dist", "--gamma", "0.8", "--theta", "0.3", "--eta", eta, "--mass", "0.995"], capsys)
+    assert code == 0
+    metadata, spec = parse_csv(out)[0], SVSpec(0.8, 0.995)
+    assert (metadata["mass"], metadata["n_max"]) == (spec.mass, spec.n_max)
 
 
 def test_dist_json_mirrors_csv(capsys):
@@ -348,7 +356,7 @@ def test_heatmap_builds_each_row_mixture_once(capsys, monkeypatch):
     counted = _counting(calls, "joint_distribution", svbell.sv.joint_distribution)
     monkeypatch.setattr(svbell.sv, "joint_distribution", counted)
     argv = ["heatmap", "--L", "3", "--gamma-range", "0.7:0.7:0.1", "--eta-range", "0.5:1.0:0.05"]
-    n_max, n_max_guard = n_max_for(SVSpec(0.7)), n_max_for(SVSpec(0.7, GUARD_MASS))
+    n_max, n_max_guard = SVSpec(0.7).n_max, SVSpec(0.7, GUARD_MASS).n_max
     assert n_max < n_max_guard
     # Two angles, each table up to the guard mass read once: the guard's
     # mixtures continue the run mass's.  The tables go with the command, so
@@ -358,6 +366,18 @@ def test_heatmap_builds_each_row_mixture_once(capsys, monkeypatch):
         assert code == 0
         assert len(parse_csv(out)[2]) == 11
         assert len(calls) == runs * 2 * (n_max_guard + 1)
+
+
+def test_heatmap_sums_each_weight_once_per_spec(capsys, monkeypatch):
+    spec, guard = SVSpec(0.7), SVSpec(0.7, GUARD_MASS)
+    expected = (spec.n_max + 1) + (guard.n_max + 1)
+    calls = []
+    monkeypatch.setattr(svbell.sv, "lambda_sq", _counting(calls, "lambda_sq", svbell.sv.lambda_sq))
+    argv = ["heatmap", "--L", "3", "--gamma-range", "0.7:0.7:0.1", "--eta-range", "0.5:1.0:0.1"]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == 0
+    # The one row reuses the spec the pre-check made, and its weights.
+    assert len(calls) == expected
 
 
 def test_sweep_settings_reads_each_table_once(capsys, monkeypatch):
@@ -372,7 +392,7 @@ def test_sweep_settings_reads_each_table_once(capsys, monkeypatch):
     code, _, _ = run_cli(["sweep-settings", "--gamma", "0.8", "--L-range", "2:4"], capsys)
     assert code == 0
     # Three L, two angles each, every table up to the guard mass read once.
-    assert len(reads) == len(set(reads)) == 3 * 2 * (n_max_for(SVSpec(0.8, GUARD_MASS)) + 1)
+    assert len(reads) == len(set(reads)) == 3 * 2 * (SVSpec(0.8, GUARD_MASS).n_max + 1)
 
 
 def test_heatmap_rejects_an_unreachable_mass_before_the_first_cell(capsys, compute_calls):

@@ -25,7 +25,7 @@ from svbell.singlet import (
     joint_distribution,
     mean_abs_difference,
 )
-from svbell.sv import SVSpec, lambda_sq, n_max_for
+from svbell.sv import SVSpec, lambda_sq
 
 HALF_PI = 0.5 * math.pi
 
@@ -256,7 +256,7 @@ def test_thinning_matrix_size_validation():
 def test_bell_sv_matches_an_uncached_mixture_build():
     # One lossless mixture per angle, thinned once, then its |i - j| average.
     chain, spec, eta = make_chain(3), SVSpec(0.9), 0.8
-    size = n_max_for(spec) + 1
+    size = spec.n_max + 1
 
     def mean_abs(theta):
         probs = np.zeros((size, size))

@@ -190,7 +190,7 @@ def test_amplitude_level_agreement():
 def _delta_distribution(n, m, size):
     probs = np.zeros((size, size))
     probs[n, m] = 1.0
-    return JointCountDistribution(probs=probs, mass=1.0)
+    return JointCountDistribution(probs)
 
 
 def test_mc_thin_deterministic():
@@ -285,16 +285,16 @@ def test_mc_thin_validates_arguments():
     with pytest.raises(TypeError):
         mc_thin(dist, 0.5, 10.5, seed=0)
     assert mc_thin(dist, 0.5, np.int64(10), seed=0).mass == pytest.approx(1.0)
-    # Sums to 0.9 under a declared mass of 1; a negative entry (the table
-    # still sums to 1); a NaN entry.
-    invalid = ([[0.5, 0.0], [0.0, 0.4]], [[0.6, -0.1], [0.0, 0.5]], [[0.6, math.nan], [0.0, 0.4]])
+    # A negative entry (the table still sums to 1); a NaN entry, named as
+    # such before its NaN mass is.
+    invalid = ([[0.6, -0.1], [0.0, 0.5]], [[0.6, math.nan], [0.0, 0.4]])
     for probs in invalid:
-        with pytest.raises(ValueError):
-            mc_thin(JointCountDistribution(probs=np.array(probs), mass=1.0), 0.5, 100, seed=0)
-    # A declared mass that is not positive and finite: no division by it.
-    for mass in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="nonnegative and not NaN"):
+            mc_thin(JointCountDistribution(np.array(probs)), 0.5, 100, seed=0)
+    # A table whose mass is not positive and finite: no division by it.
+    for probs in ([[0.0, 0.0], [0.0, 0.0]], [[math.inf, 0.0], [0.0, 0.0]]):
         with pytest.raises(ValueError, match="positive and finite"):
-            mc_thin(JointCountDistribution(probs=np.zeros((2, 2)), mass=mass), 0.5, 100, seed=0)
+            mc_thin(JointCountDistribution(np.array(probs)), 0.5, 100, seed=0)
 
 
 def _thinned_support(probs, eta):

@@ -1,5 +1,6 @@
 """Closed-form singlet statistics against hand-derived tables and the oracle."""
 
+import dataclasses
 import gc
 import math
 import re
@@ -17,11 +18,12 @@ from hypothesis import strategies as st
 
 from fresh_rotation import fresh_rotation, fresh_rotations
 from svbell import singlet
-from svbell.chain import asymptotic_bell_fixed_N, bell_fixed_N, make_chain
+from svbell.chain import BellBreakdown, asymptotic_bell_fixed_N, bell_fixed_N, make_chain
 from svbell.loss import binomial_thin, thinning_matrix
-from svbell.oracle import oracle_joint_distribution
+from svbell.oracle import mc_thin, oracle_joint_distribution
 from svbell.singlet import (
     MAX_PHOTON_NUMBER,
+    JointCountDistribution,
     _distances,
     joint_distribution,
     mean_abs_difference,
@@ -476,3 +478,21 @@ def test_four_photon_mean_abs_difference_closed_form():
         assert mean_abs_difference(joint_distribution(2, theta)) == pytest.approx(
             (8 / 3) * s2 * c2 + (4 / 3) * s2 * s2, rel=1e-12
         )
+
+
+def test_tables_and_breakdowns_store_their_inputs_only():
+    assert [f.name for f in dataclasses.fields(JointCountDistribution)] == ["probs"]
+    assert [f.name for f in dataclasses.fields(BellBreakdown)] == ["lhs", "rhs", "n_max", "mass"]
+
+
+def test_every_producers_mass_is_the_sum_of_its_table():
+    spec = SVSpec(0.8)
+    tables = [
+        joint_distribution(5, 0.3),
+        binomial_thin(joint_distribution(5, 0.3), 0.7),
+        sv_mixture(0.3, spec),
+        sv_mixture(0.3, spec, 0.7),
+        mc_thin(joint_distribution(3, 0.3), 0.7, 10_000, seed=1),
+    ]
+    for table in tables:
+        assert table.mass.hex() == float(np.add.reduce(table.probs, axis=None)).hex()

@@ -27,7 +27,6 @@ from svbell.sv import (
     intensity_correlation,
     lambda_sq,
     mean_photons_per_beam,
-    n_max_for,
     sv_mixture,
 )
 
@@ -124,29 +123,36 @@ def test_weights_past_the_float_range_of_cosh4_are_negligible(gamma):
     # cosh(gamma)^4 overflows above gamma ~ 178.1; the weights underflow instead.
     assert all(0.0 <= lambda_sq(n, gamma) < 1e-300 for n in [0, 1, 60])
     with pytest.raises(CapExceededError):
-        n_max_for(SVSpec(gamma))
+        SVSpec(gamma).n_max
 
 
 def test_truncation_point_small_gain():
-    assert n_max_for(SVSpec(gamma=0.1)) == 1
+    assert SVSpec(gamma=0.1).n_max == 1
 
 
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.8, 0.9])
 def test_truncation_point_below_ten_for_moderate_gain(gamma):
-    assert n_max_for(SVSpec(gamma=gamma)) <= 10
+    assert SVSpec(gamma=gamma).n_max <= 10
 
 
 def test_truncation_cap_exceeded_at_high_gain():
-    with pytest.raises(CapExceededError):
-        n_max_for(SVSpec(gamma=3.0))
+    cumulative = 0.0
+    for n in range(61):
+        cumulative += lambda_sq(n, 3.0)
+    message = f"at gain 3.0, the singlet weights up to N = 60 sum to {cumulative!r}, below the requested mass 0.99"
+    for read in ("n_max", "mass"):
+        with pytest.raises(CapExceededError) as raised:
+            getattr(SVSpec(gamma=3.0), read)
+        assert str(raised.value) == message
 
 
 def test_truncated_mass_reaches_threshold():
     spec = SVSpec(gamma=0.8)
-    mass = sv_mixture(0.3, spec).mass
-    assert mass == math.fsum(lambda_sq(n, spec.gamma) for n in range(n_max_for(spec) + 1))
-    assert mass >= spec.mass_threshold
-    assert mass <= 1.0
+    assert spec.mass == math.fsum(lambda_sq(n, spec.gamma) for n in range(spec.n_max + 1))
+    assert spec.mass >= spec.mass_threshold
+    assert spec.mass <= 1.0
+    # The mixture keeps that mass up to the rounding of its own sum.
+    assert sv_mixture(0.3, spec).mass == pytest.approx(spec.mass, abs=1e-14)
 
 
 def test_spec_validation():
@@ -230,23 +236,23 @@ def test_mixture_mass_equals_truncated_weight_sum():
 
 def fresh_mixture(theta, spec, eta):
     """sv_mixture's table built with no shared state: fresh singlet tables, thinned."""
-    size = n_max_for(spec) + 1
+    size = spec.n_max + 1
     probs = np.zeros((size, size))
     for n, d in enumerate(fresh_rotations(size - 1, theta)):
         probs[: n + 1, : n + 1] += lambda_sq(n, spec.gamma) * (d**2 / (n + 1))
-    return binomial_thin(JointCountDistribution(probs, 1.0), eta).probs if eta < 1.0 else probs
+    return binomial_thin(JointCountDistribution(probs), eta).probs if eta < 1.0 else probs
 
 
 def test_kept_mixture_matches_a_fresh_build_at_every_efficiency():
     spec, theta = SVSpec(0.9), math.pi / 12
     etas = [i / 10 for i in range(11)]
     expected = [fresh_mixture(theta, spec, eta) for eta in etas]
-    mass = math.fsum(lambda_sq(n, spec.gamma) for n in range(n_max_for(spec) + 1))
+    assert spec.mass == math.fsum(lambda_sq(n, spec.gamma) for n in range(spec.n_max + 1))
     for _ in range(2):  # the first call builds the lossless table; every later one reuses it
         for eta, probs in zip(etas, expected):
             dist = sv_mixture(theta, spec, eta)
             assert np.array_equal(dist.probs, probs)
-            assert dist.mass == mass
+            assert dist.mass == pytest.approx(spec.mass, abs=1e-14)
 
 
 def test_kept_mixture_is_shared_and_read_only():
@@ -301,11 +307,10 @@ def test_guard_mixtures_continue_the_default_mass_ones_bit_for_bit(gamma, theta,
     for _ in range(2):  # built, then read from the kept tables
         for which in order:
             fresh = SVSpec(which.gamma, which.mass_threshold)  # shares nothing
-            mass = math.fsum(lambda_sq(n, gamma) for n in range(n_max_for(fresh) + 1))
+            assert which.mass == fresh.mass == math.fsum(lambda_sq(n, gamma) for n in range(fresh.n_max + 1))
             for e in [eta, 1.0]:
                 dist = sv_mixture(theta, which, e)
                 assert dist.probs.view(np.uint64).tolist() == fresh_mixture(theta, fresh, e).view(np.uint64).tolist()
-                assert dist.mass == mass
 
 
 def test_a_spec_computes_each_weight_once(monkeypatch):
@@ -323,7 +328,7 @@ def test_a_spec_computes_each_weight_once(monkeypatch):
         for theta in np.linspace(0.0, 0.5 * math.pi, 5):
             for eta in [0.3, 0.8, 1.0]:
                 sv_mixture(float(theta), which, eta)
-        assert calls == list(range(n_max_for(which) + 1))
+        assert calls == list(range(which.n_max + 1))
 
 
 def test_only_the_guard_helper_shares_the_kept_state():
@@ -339,7 +344,7 @@ def test_only_the_guard_helper_shares_the_kept_state():
         for which in [spec, guard]:
             sv_mixture(float(theta), which, 0.5)
         assert len(spec._mixtures) <= 2
-        assert sorted(spec._mixtures[float(theta)]) == [n_max_for(spec), n_max_for(guard)]
+        assert sorted(spec._mixtures[float(theta)]) == [spec.n_max, guard.n_max]
 
 
 def test_threads_sharing_a_spec_and_its_guard_get_the_right_tables():
