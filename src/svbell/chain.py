@@ -21,10 +21,10 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .loss import check_efficiency
+from .loss import binomial_thin, check_efficiency
 # joint_distribution is unused here; perfbench/test_perfbench.py reads it from this module.
 from .singlet import _check_photon_number, joint_distribution, mean_abs_difference
-from .sv import _MAX_GAIN_E2, SVSpec, _check_gain, _check_photon_count, sv_mixture
+from .sv import _MAX_GAIN_E2, SVSpec, _check_gain, _check_photon_count, _lossless_pair
 
 
 @dataclass(frozen=True)
@@ -104,14 +104,16 @@ def bell_fixed_N(N: int, chain: ChainSpec, eta: float = 1.0) -> BellBreakdown:
 def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
     """Bell breakdown for the squeezed vacuum, read off its mixture tables.
 
-    Both distances are taken on ``sv_mixture`` tables truncated by ``spec``;
-    ``n_max`` and ``mass`` are ``spec.n_max`` and ``spec.mass``.  The
-    contribution of the 2N-photon component is
-    ``lambda_sq(N, gamma) * bell_fixed_N(N, chain, eta).bell``.
+    Both distances are taken on the lossless mixtures truncated by ``spec``,
+    thinned at eta; theta' = pi/2 - theta, so both come from one pass over
+    the singlet tables at theta (see ``sv._lossless_pair``).  ``n_max`` and
+    ``mass`` are ``spec.n_max`` and ``spec.mass``.  The contribution of the
+    2N-photon component is ``lambda_sq(N, gamma) * bell_fixed_N(N, chain, eta).bell``.
     """
-    lhs = (2 * chain.L - 1) * mean_abs_difference(sv_mixture(chain.theta, spec, eta))
-    rhs = mean_abs_difference(sv_mixture(chain.theta_prime, spec, eta))
-    return BellBreakdown(lhs, rhs, spec.n_max, spec.mass)
+    check_efficiency(eta)
+    tables = _lossless_pair(chain.theta, spec)
+    adjacent, closing = (mean_abs_difference(binomial_thin(t, eta) if eta < 1.0 else t) for t in tables)
+    return BellBreakdown((2 * chain.L - 1) * adjacent, closing, spec.n_max, spec.mass)
 
 
 def asymptotic_bell_fixed_N(N: int) -> float:

@@ -35,10 +35,8 @@ from .oracle import (
     mc_thin,
     oracle_joint_distribution,
 )
-from .singlet import MAX_PHOTON_NUMBER, _table_masses, joint_distribution
+from .singlet import _HALF_PI, MAX_PHOTON_NUMBER, _table_masses, joint_distribution
 from .sv import CapExceededError, SVSpec, _at_mass, check_mass_threshold, sv_mixture
-
-_HALF_PI = 0.5 * math.pi
 
 # Figure-pipeline convergence guard: squeezed-vacuum sweeps are repeated at
 # this mass threshold and flagged when the Bell parameter moves too much.
@@ -203,10 +201,10 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     warnings: dict[str, None] = {}  # insertion-ordered, so a repeat is dropped in O(1)
     truncation: dict[str, list] = {}
     for gamma in gammas:
-        # The row's two specs keep their two angles' lossless tables, so each
-        # efficiency of the row only thins them; the guard's tables continue
-        # the default-mass ones, and all of them go with the row.  The last
-        # row reuses the pre-check's spec and the weights it summed.
+        # The row's two specs keep one lossless pair each, both chain angles
+        # read off one singlet ladder, so each efficiency only thins them; the
+        # guard's pair continues the default-mass one, and both go with the
+        # row.  The last row reuses the pre-check's spec and the weights it summed.
         spec = last if gamma == last.gamma else SVSpec(gamma, args.mass)
         guard = _at_mass(spec, GUARD_MASS)
         truncation[repr(gamma)] = [spec.n_max, spec.mass]
@@ -347,12 +345,8 @@ def _add_truncation_flags(sub: argparse.ArgumentParser) -> None:
 
 @functools.cache  # built once per process: each add_argument asks for the terminal size
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="svbell",
-        description=(
-            "Photon-number-resolved chained Bell tests on four-mode squeezed vacuum"
-        ),
-    )
+    description = "Photon-number-resolved chained Bell tests on four-mode squeezed vacuum"
+    parser = argparse.ArgumentParser(prog="svbell", description=description)
     sub = parser.add_subparsers(dest="command", required=True)
 
     dist = sub.add_parser("dist", help="joint photon-count distribution")

@@ -53,14 +53,9 @@ def build_singlet(N: int) -> FockVector:
     if N < 0:
         raise ValueError(f"photon number per beam must be nonnegative, got {N}")
     if N > MAX_ORACLE_PHOTON_NUMBER:
-        raise ValueError(
-            f"oracle supports N <= {MAX_ORACLE_PHOTON_NUMBER}, got {N}"
-        )
+        raise ValueError(f"oracle supports N <= {MAX_ORACLE_PHOTON_NUMBER}, got {N}")
     norm = 1.0 / math.sqrt(N + 1)
-    return {
-        (n, N - n, N - n, n): (-norm if n % 2 else norm)
-        for n in range(N + 1)
-    }
+    return {(n, N - n, N - n, n): (-norm if n % 2 else norm) for n in range(N + 1)}
 
 
 @lru_cache(maxsize=MAX_ORACLE_PHOTON_NUMBER + 1)

@@ -24,6 +24,10 @@ sum cancels, and the mass stays within about 1e-14 of 1 up to N = 60.
 Every off-diagonal contribution carries an explicit factor of c or s, so at
 theta = 0 the table is strictly diagonal (m = n) and at theta = pi/2
 strictly anti-diagonal (m = N - n), each nonzero entry equal to 1/(N+1).
+Bob's count at V + (pi/2 - theta) is his count at the other output of his
+beam splitter at theta, so D_N(pi/2 - theta)[i, k] = (-1)^i D_N(theta)[i, N - k]
+and p(n, m | pi/2 - theta) = p(n, N - m | theta) (Braunstein and Caves,
+Ann. Phys. 202, 22 (1990)); ``sv`` reads both ends of a chain off one ladder.
 
 D_{n+1} depends on D_n and theta alone, so the cache that serves
 ``joint_distribution`` keeps one step per (N, theta): a miss steps on from
@@ -79,10 +83,7 @@ def _check_photon_number(N: int) -> None:
     if operator.index(N) < 0:
         raise ValueError(f"photon number per beam must be nonnegative, got {N}")
     if N > MAX_PHOTON_NUMBER:
-        raise ValueError(
-            f"photon number per beam {N} exceeds supported range "
-            f"N <= {MAX_PHOTON_NUMBER}"
-        )
+        raise ValueError(f"photon number per beam {N} exceeds supported range N <= {MAX_PHOTON_NUMBER}")
 
 
 def _check_angle(theta: float) -> None:

@@ -12,8 +12,8 @@ smallest N_max whose cumulative weight reaches a configured mass threshold
 Only the spec declares its truncation: it works out the weights, N_max and
 their sum (``n_max`` and ``mass``) once, on first use; a mixture is just its
 table.  The command line checks each gain at a second, larger mass; that
-guard spec shares the first spec's kept mixtures, and its mixture at each
-angle continues the first one's, adding only the components above it.
+guard spec shares the first spec's kept mixtures and continues them, adding
+only the components above them.
 """
 
 from __future__ import annotations
@@ -77,20 +77,19 @@ class SVSpec:
 
     The mixture never goes above MAX_PHOTON_NUMBER photons per beam.  A spec
     computes its truncation (the weights up to ``n_max``, and their sum
-    ``mass``) once, on first use, and keeps the frozen lossless mixture
-    tables of the last two angles ``sv_mixture`` used it at, so the adjacent
-    and closing tables of a chain are built once per spec and only thinned
-    at each efficiency.  Both live and die with the object: they take no
-    part in the constructor, ``==``, ``hash`` or ``repr``, and ``replace``
-    or a new equal spec starts empty.  The command line's guard spec shares
-    its default-mass spec's kept tables (see ``_at_mass``): at most two
-    tables per angle, the number two separate specs would keep.  Threads
-    sharing a spec may build a table twice, never a wrong one.
+    ``mass``) once, on first use, and the frozen ``_lossless_pair`` of the
+    last angle it was used at, so a chain's two tables are built once per
+    spec and only thinned at each efficiency.  Both live and die with the
+    object: they take no part in the constructor, ``==``, ``hash`` or
+    ``repr``, and ``replace`` or a new equal spec starts empty.  The guard
+    spec of ``_at_mass`` shares the kept pairs: at most four tables, as two
+    separate specs would keep.  Threads sharing a spec may build a table
+    twice, never a wrong one.
     """
 
     gamma: float
     mass_threshold: float = 0.99
-    # The kept tables: angle -> {N_max: lossless mixture}, least recently used first.
+    # The kept pairs: {last angle: {N_max: (table at theta, at pi/2 - theta)}}.
     _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -176,39 +175,46 @@ class CapExceededError(RuntimeError):
     """The weights up to MAX_PHOTON_NUMBER photons per beam sum to less than the mass threshold."""
 
 
+def _lossless_pair(theta: float, spec: SVSpec) -> tuple[JointCountDistribution, JointCountDistribution]:
+    """The lossless mixtures truncated by spec at theta and at pi/2 - theta, kept by spec.
+
+    p(n, m | pi/2 - theta) = p(n, N - m | theta), so each fixed-N table goes
+    into the second mixture with its columns reversed.  A build continues the
+    largest pair kept at this angle truncated no later (the default-mass pair
+    when ``spec`` is its guard): its blocks hold the same partial sums, so the
+    pair is bit for bit a fresh build.  A larger kept pair is never cut down.
+    """
+    _check_angle(theta)
+    weights, n_max = spec._truncation[0], spec.n_max
+    kept = spec._mixtures.pop(theta, {})
+    pair = kept.get(n_max)
+    if pair is None:
+        start = max((n for n in kept if n < n_max), default=-1)
+        tables = np.zeros((2, n_max + 1, n_max + 1))
+        if start >= 0:
+            tables[:, : start + 1, : start + 1] = [table.probs for table in kept[start]]
+        for n in range(start + 1, n_max + 1):
+            term = weights[n] * joint_distribution(n, theta).probs
+            tables[0, : n + 1, : n + 1] += term
+            tables[1, : n + 1, : n + 1] += term[:, ::-1]
+        tables.setflags(write=False)
+        pair = kept[n_max] = (JointCountDistribution(tables[0]), JointCountDistribution(tables[1]))
+    spec._mixtures.clear()  # any other angle's pairs go
+    spec._mixtures[theta] = kept
+    return pair
+
+
 def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistribution:
     """Joint count table for the squeezed vacuum at relative angle theta.
 
     Weighted mixture of the lossless fixed-N tables up to the truncation
     point ``spec.n_max``, thinned once at efficiency eta (thinning is
     linear).  Weights are not renormalized: the table's mass is
-    ``spec.mass`` up to rounding.  The lossless mixture is built once per
-    spec and angle and kept by ``spec`` (see SVSpec); at eta = 1 that
-    shared, frozen table is returned itself, below it ``binomial_thin``'s.
-    A build starts from the largest kept table at this angle truncated no
-    later, such as the default-mass table when ``spec`` is its guard: its
-    block holds the same partial sums as adding every component from N = 0,
-    the rest is zero, so only the components above it are added, and the
-    table is bit for bit the one a fresh spec builds.  A larger kept table
-    is never cut down.
+    ``spec.mass`` up to rounding.  At eta = 1 the shared, frozen table
+    ``spec`` keeps (see ``_lossless_pair``) is returned itself.
     """
     check_efficiency(eta)
-    _check_angle(theta)
-    weights, n_max = spec._truncation[0], spec.n_max
-    kept = spec._mixtures.pop(theta, {})
-    mixture = kept.get(n_max)
-    if mixture is None:
-        start = max((n for n in kept if n < n_max), default=-1)
-        probs = np.zeros((n_max + 1, n_max + 1))
-        if start >= 0:
-            probs[: start + 1, : start + 1] = kept[start].probs
-        for n in range(start + 1, n_max + 1):
-            probs[: n + 1, : n + 1] += weights[n] * joint_distribution(n, theta).probs
-        probs.setflags(write=False)
-        mixture = kept[n_max] = JointCountDistribution(probs)
-    spec._mixtures[theta] = kept  # now the most recently used angle
-    for oldest in list(spec._mixtures)[:-2]:
-        spec._mixtures.pop(oldest, None)
+    mixture = _lossless_pair(theta, spec)[0]
     return binomial_thin(mixture, eta) if eta < 1.0 else mixture
 
 

@@ -32,3 +32,12 @@ def fresh_rotations(N, theta):
 def fresh_rotation(N, theta):
     *_, d = fresh_rotations(N, theta)
     return d
+
+
+def reflected_rotation(N, theta):
+    """D_N(pi/2 - theta) read off D_N(theta): entry [i, k] is (-1)^i D_N(theta)[i, N - k].
+
+    Bob's V + (pi/2 - theta) output is his H + theta output, so the closing
+    angle's table is the adjacent one's with its columns reversed.
+    """
+    return (-1.0) ** np.arange(N + 1)[:, None] * fresh_rotation(N, theta)[:, ::-1]

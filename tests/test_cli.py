@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import svbell.cli
 import svbell.sv
 from svbell import singlet
+from svbell.chain import make_chain
 from svbell.cli import GUARD_MASS, MAX_GRID_POINTS, main, run_verification
 from svbell.oracle import mc_thin
 from svbell.singlet import joint_distribution
@@ -358,14 +359,15 @@ def test_heatmap_builds_each_row_mixture_once(capsys, monkeypatch):
     argv = ["heatmap", "--L", "3", "--gamma-range", "0.7:0.7:0.1", "--eta-range", "0.5:1.0:0.05"]
     n_max, n_max_guard = SVSpec(0.7).n_max, SVSpec(0.7, GUARD_MASS).n_max
     assert n_max < n_max_guard
-    # Two angles, each table up to the guard mass read once: the guard's
-    # mixtures continue the run mass's.  The tables go with the command, so
-    # running it again reads them again.
+    # One angle, each table up to the guard mass read once: the closing
+    # mixture is read off the adjacent angle's tables, and the guard's pair
+    # continues the run mass's.  The tables go with the command, so running
+    # it again reads them again.
     for runs in (1, 2):
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         assert len(parse_csv(out)[2]) == 11
-        assert len(calls) == runs * 2 * (n_max_guard + 1)
+        assert len(calls) == runs * 1 * (n_max_guard + 1)
 
 
 def test_heatmap_sums_each_weight_once_per_spec(capsys, monkeypatch):
@@ -391,8 +393,49 @@ def test_sweep_settings_reads_each_table_once(capsys, monkeypatch):
     monkeypatch.setattr(svbell.sv, "joint_distribution", recorded)
     code, _, _ = run_cli(["sweep-settings", "--gamma", "0.8", "--L-range", "2:4"], capsys)
     assert code == 0
-    # Three L, two angles each, every table up to the guard mass read once.
-    assert len(reads) == len(set(reads)) == 3 * 2 * (SVSpec(0.8, GUARD_MASS).n_max + 1)
+    # Three L, one angle each, every table up to the guard mass read once:
+    # the closing mixtures are read off the adjacent angles' tables.
+    assert len(reads) == len(set(reads)) == 3 * 1 * (SVSpec(0.8, GUARD_MASS).n_max + 1)
+    assert {theta for _, theta in reads} == {make_chain(L).theta for L in (2, 3, 4)}
+
+
+def exact_bell(L, gamma, eta):
+    """Bell parameter of the untruncated squeezed vacuum, in closed form.
+
+    Alice's and Bob's counted modes form a two-mode Gaussian state, so
+    <|m - n|>_theta = 2A / sqrt(1 + 4A), A = eta s^2 (1 - eta + eta c^2 sin^2 theta),
+    s = sinh(gamma), c = cosh(gamma).
+    """
+    s, c = math.sinh(gamma), math.cosh(gamma)
+
+    def distance(theta):
+        a = eta * s**2 * (1.0 - eta + eta * c**2 * math.sin(theta) ** 2)
+        return 2.0 * a / math.sqrt(1.0 + 4.0 * a)
+
+    chain = make_chain(L)
+    return (2 * L - 1) * distance(chain.theta) - distance(chain.theta_prime)
+
+
+def test_the_readme_command_line_figures_hold(capsys):
+    # The README's "Command line" section quotes these figures of the
+    # truncated state; a change in any of them must change the README too.
+    code, out, _ = run_cli(["sweep-settings", "--gamma", "0.8", "--L-range", "2:60"], capsys)
+    metadata, _, rows = parse_csv(out)
+    assert code == 0 and len(rows) == len(metadata["convergence_warnings"]) == 59  # one per L
+    gaps = {int(L): abs(float(bell) - exact_bell(int(L), 0.8, 1.0)) for L, _, _, bell in rows}
+    assert max(gaps, key=gaps.get) == 60 and f"{gaps[60]:.3g}" == "0.0333"
+
+    argv = ["heatmap", "--L", "2", "--gamma-range", "0.1:1.4:0.1", "--eta-range", "0.5:1.0:0.05"]
+    code, out, _ = run_cli(argv, capsys)
+    metadata, _, rows = parse_csv(out)
+    assert code == 0 and len(rows) == 154 and len(metadata["convergence_warnings"]) == 132
+    gaps = {(g, e): abs(float(bell) - exact_bell(2, float(g), float(e))) for g, e, bell in rows}
+    worst = max(gaps, key=gaps.get)
+    assert (float(worst[0]), float(worst[1])) == (1.4, 1.0) and f"{gaps[worst]:.3g}" == "0.0341"
+    flagged = {tuple(w.split(":")[0].split()[1:]) for w in metadata["convergence_warnings"]}
+    unflagged = [cell for cell in gaps if (f"gamma={cell[0]}", f"eta={cell[1]}") not in flagged]
+    assert len(unflagged) == 22 and all(0.1 <= float(g) <= 0.4 for g, _ in unflagged)
+    assert max(gaps[cell] for cell in unflagged) <= 1.2e-3
 
 
 def test_heatmap_rejects_an_unreachable_mass_before_the_first_cell(capsys, compute_calls):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fresh_rotation import fresh_rotation
+from fresh_rotation import fresh_rotation, reflected_rotation
 from svbell import loss
 from svbell.chain import bell_sv, make_chain
 from svbell.loss import _grown, binomial_thin, thinning_matrix
@@ -254,21 +254,22 @@ def test_thinning_matrix_size_validation():
 
 
 def test_bell_sv_matches_an_uncached_mixture_build():
-    # One lossless mixture per angle, thinned once, then its |i - j| average.
+    # One lossless mixture per angle, thinned once, then its |i - j| average;
+    # the closing angle's components are the adjacent angle's reflected.
     chain, spec, eta = make_chain(3), SVSpec(0.9), 0.8
     size = spec.n_max + 1
 
-    def mean_abs(theta):
+    def mean_abs(rotation):
         probs = np.zeros((size, size))
         for n in range(size):
-            probs[: n + 1, : n + 1] += lambda_sq(n, spec.gamma) * (fresh_rotation(n, theta) ** 2 / (n + 1))
+            probs[: n + 1, : n + 1] += lambda_sq(n, spec.gamma) * (rotation(n, chain.theta) ** 2 / (n + 1))
         t = pascal_table(size - 1, eta)
         counts = np.arange(size)
         distances = np.abs(counts[:, None] - counts[None, :])
         return float(np.sum(distances * (t @ probs @ t.T)))
 
-    lhs = (2 * chain.L - 1) * mean_abs(chain.theta)
-    rhs = mean_abs(chain.theta_prime)
+    lhs = (2 * chain.L - 1) * mean_abs(fresh_rotation)
+    rhs = mean_abs(reflected_rotation)
     for _ in range(2):  # the second call runs on filled caches
         result = bell_sv(chain, spec, eta)
         assert (result.lhs, result.rhs, result.bell) == (lhs, rhs, lhs - rhs)

@@ -13,10 +13,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fresh_rotation import fresh_rotations
-from svbell.chain import rhs_sv_asymptotic
+from svbell.chain import bell_sv, make_chain, rhs_sv_asymptotic
 from svbell.loss import binomial_thin
 from svbell.oracle import mc_thin
-from svbell.singlet import JointCountDistribution, joint_distribution
+from svbell.singlet import JointCountDistribution, joint_distribution, mean_abs_difference
 import svbell.sv
 from svbell.cli import GUARD_MASS
 from svbell.sv import (
@@ -234,12 +234,17 @@ def test_mixture_mass_equals_truncated_weight_sum():
     assert dist.probs.sum() == pytest.approx(expected_mass, abs=1e-9)
 
 
-def fresh_mixture(theta, spec, eta):
-    """sv_mixture's table built with no shared state: fresh singlet tables, thinned."""
+def fresh_mixture(theta, spec, eta, reflected=False):
+    """sv_mixture's table built with no shared state: fresh singlet tables, thinned.
+
+    ``reflected`` builds the table at pi/2 - theta the way a spec keeps it:
+    each component at theta with Bob's count reversed.
+    """
     size = spec.n_max + 1
     probs = np.zeros((size, size))
     for n, d in enumerate(fresh_rotations(size - 1, theta)):
-        probs[: n + 1, : n + 1] += lambda_sq(n, spec.gamma) * (d**2 / (n + 1))
+        table = (d[:, ::-1] if reflected else d) ** 2 / (n + 1)
+        probs[: n + 1, : n + 1] += lambda_sq(n, spec.gamma) * table
     return binomial_thin(JointCountDistribution(probs), eta).probs if eta < 1.0 else probs
 
 
@@ -266,18 +271,23 @@ def test_kept_mixture_is_shared_and_read_only():
     assert sv_mixture(0.3, spec) is table and table.probs[0, 0] != 1.0
 
 
-def test_a_spec_keeps_the_last_two_angles_it_was_used_at():
+def test_a_spec_keeps_the_pair_of_the_last_angle_it_was_used_at():
     spec = SVSpec(0.8)
-    first, second = sv_mixture(0.1, spec), sv_mixture(0.2, spec)
-    assert sv_mixture(0.1, spec) is first
-    third = sv_mixture(0.3, spec)  # 0.2 is the least recently used: it goes
-    assert list(spec._mixtures) == [0.1, 0.3]
-    assert sv_mixture(0.1, spec) is first and sv_mixture(0.3, spec) is third
-    rebuilt = sv_mixture(0.2, spec, 0.7)
-    assert rebuilt.probs is not second.probs and list(spec._mixtures) == [0.3, 0.2]
+    first = sv_mixture(0.1, spec)
+    assert sv_mixture(0.1, spec, 0.7) is not first and sv_mixture(0.1, spec) is first
+    # The kept pair: the table at the angle and the one at pi/2 minus it.
+    assert list(spec._mixtures) == [0.1] and list(spec._mixtures[0.1]) == [spec.n_max]
+    adjacent, closing = spec._mixtures[0.1][spec.n_max]
+    assert adjacent is first and not closing.probs.flags.writeable
+    assert np.array_equal(closing.probs, fresh_mixture(0.1, spec, 1.0, reflected=True))
+    second = sv_mixture(0.2, spec)  # a new angle: 0.1's pair goes
+    assert list(spec._mixtures) == [0.2]
+    rebuilt = sv_mixture(0.1, spec)
+    assert rebuilt is not first and np.array_equal(rebuilt.probs, first.probs)
+    assert list(spec._mixtures) == [0.1] and sv_mixture(0.2, spec) is not second
     for theta in np.linspace(0.0, 0.5 * math.pi, 9):
         sv_mixture(float(theta), spec)
-        assert len(spec._mixtures) <= 2
+        assert list(spec._mixtures) == [float(theta)] and len(spec._mixtures[float(theta)]) == 1
 
 
 def test_the_kept_tables_belong_to_one_spec_object():
@@ -311,6 +321,39 @@ def test_guard_mixtures_continue_the_default_mass_ones_bit_for_bit(gamma, theta,
             for e in [eta, 1.0]:
                 dist = sv_mixture(theta, which, e)
                 assert dist.probs.view(np.uint64).tolist() == fresh_mixture(theta, fresh, e).view(np.uint64).tolist()
+
+
+# The closing distance read off the adjacent angle's tables rounds
+# differently from a direct build at theta'.  Over 3000 seeded draws of gain
+# in [0.05, 1.5], efficiency, L in 2..400 and either mass, the two differed
+# by at most 2.7e-15 of the direct value.
+CLOSING_REL_TOL = 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gamma=st.floats(0.05, 1.5),
+    eta=st.floats(0.0, 1.0),
+    L=st.integers(2, 400),
+    guard=st.booleans(),
+)
+@example(gamma=0.8, eta=1.0, L=2, guard=True)
+def test_the_closing_term_is_read_off_the_adjacent_angles_tables(gamma, eta, L, guard):
+    chain, spec = make_chain(L), SVSpec(gamma)
+    which = _at_mass(spec, GUARD_MASS) if guard else spec
+    if guard:
+        bell_sv(chain, spec, eta)  # the guard's pair continues this one
+    result = bell_sv(chain, which, eta)
+    fresh = SVSpec(gamma, which.mass_threshold)  # shares nothing
+    direct = mean_abs_difference(sv_mixture(chain.theta_prime, fresh, eta))
+    assert abs(result.rhs - direct) <= CLOSING_REL_TOL * direct
+    # Both terms are bit for bit the fresh builds, the closing one reflected.
+    adjacent = JointCountDistribution(fresh_mixture(chain.theta, fresh, eta))
+    closing = JointCountDistribution(fresh_mixture(chain.theta, fresh, eta, reflected=True))
+    assert result.lhs == (2 * L - 1) * mean_abs_difference(adjacent)
+    assert result.rhs == mean_abs_difference(closing)
+    kept = which._mixtures[chain.theta][which.n_max][1].probs
+    assert kept.tobytes() == fresh_mixture(chain.theta, fresh, 1.0, reflected=True).tobytes()
 
 
 def test_a_spec_computes_each_weight_once(monkeypatch):
