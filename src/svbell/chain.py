@@ -24,7 +24,7 @@ from typing import Optional
 from .loss import binomial_thin, check_efficiency
 # joint_distribution is unused here; perfbench/test_perfbench.py reads it from this module.
 from .singlet import _check_photon_number, joint_distribution, mean_abs_difference
-from .sv import _MAX_GAIN_E2, SVSpec, _check_gain, _check_photon_count, _lossless_pair
+from .sv import _MAX_GAIN_E2, SVSpec, _check_gain, _lossless_pair
 
 
 @dataclass(frozen=True)
@@ -122,9 +122,10 @@ def asymptotic_bell_fixed_N(N: int) -> float:
     The adjacent terms vanish while the closing term saturates, leaving
     -(N^2/2 + N + 1/2)/(N+1) for odd N and -(N^2/2 + N)/(N+1) for even N,
     each one correctly rounded int / int division.  Defined for
-    0 <= N <= max float / 2 ~ 8.99e307; a larger N raises ValueError.
+    0 <= N <= MAX_PHOTON_NUMBER, like the count tables; a larger N raises
+    ValueError, a non-integer N TypeError.
     """
-    _check_photon_count(N)
+    _check_photon_number(N)
     if N % 2:
         return -(N + 1) / 2
     return -(N * (N + 2)) / (2 * (N + 1))

@@ -19,7 +19,6 @@ only the components above them.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -31,6 +30,7 @@ from .singlet import (
     MAX_PHOTON_NUMBER,
     JointCountDistribution,
     _check_angle,
+    _check_photon_number,
     joint_distribution,
 )
 
@@ -41,21 +41,6 @@ from .singlet import (
 # like e^(4 gamma) / 8 and passes it above log(8 max) / 4 ~ 177.97.
 _MAX_GAIN_E2 = math.asinh(sys.float_info.max) / 2
 _MAX_GAIN_E4 = (math.log(sys.float_info.max) + math.log(8.0)) / 4
-
-
-# Largest photon number per beam whose 2N still converts to a float: above
-# it the weights and the L -> infinity limits raise ValueError, not OverflowError.
-_MAX_FLOAT_PHOTONS = int(sys.float_info.max) // 2
-
-
-def _check_photon_count(N: int) -> None:
-    if operator.index(N) < 0:
-        raise ValueError(f"photon number per beam must be nonnegative, got {N}")
-    if N > _MAX_FLOAT_PHOTONS:
-        raise ValueError(
-            f"photon number per beam must be at most max float / 2 ~ {_MAX_FLOAT_PHOTONS:.3g} "
-            "for this value to fit a float"
-        )
 
 
 def _check_gain(gamma: float, max_gain: float = math.inf) -> None:
@@ -136,23 +121,14 @@ def _at_mass(spec: SVSpec, mass_threshold: float) -> SVSpec:
 def lambda_sq(N: int, gamma: float) -> float:
     """Weight of the 2N-photon singlet in the squeezed vacuum.
 
-    Defined for 0 <= N <= max float / 2 ~ 8.99e307; a larger N raises ValueError.
+    Defined for 0 <= N <= MAX_PHOTON_NUMBER, like the count tables; a larger
+    N raises ValueError, a non-integer N TypeError.
     """
-    _check_photon_count(N)
+    _check_photon_number(N)
     _check_gain(gamma)
-    if N > MAX_PHOTON_NUMBER:
-        # fl(tanh)^(2N) carries about 2N ulp of relative error (and once
-        # tanh rounds to 1, above gamma ~ 19.06, it stays 1); exp(2N log tanh)
-        # about |2N log tanh| ulp, given log tanh to an ulp or so: from
-        # log1p(-e) - log1p(e), e = e^(-2 gamma), where tanh is near 1, and
-        # from log tanh where it is not, so that e is not near 1.
-        e = math.exp(-2.0 * gamma)
-        log_tanh = math.log1p(-e) - math.log1p(e) if e < 0.5 else math.log(math.tanh(gamma))
-        weight = (N + 1) * math.exp(2 * N * log_tanh)
-    else:
-        # The direct factor, whose bits the tests pin: about 2N <= 120 ulp off,
-        # and where tanh rounds to 1 at most 240 e^(-2 gamma) < 7e-15.
-        weight = (N + 1) * math.tanh(gamma) ** (2 * N)
+    # The direct factor, whose bits the tests pin: about 2N <= 120 ulp off,
+    # and where tanh rounds to 1 at most 240 e^(-2 gamma) < 7e-15.
+    weight = (N + 1) * math.tanh(gamma) ** (2 * N)
     try:
         return weight / math.cosh(gamma) ** 4
     except OverflowError:

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from gaussian_series import series_limit, series_weight
 from svbell.chain import (
     asymptotic_bell_fixed_N,
     bell_fixed_N,
@@ -71,9 +72,9 @@ def test_criterion_03_sv_rhs_closed_form():
             total = 0.0
             cumulative = 0.0
             for n in range(2000):
-                w = lambda_sq(n, gamma)
+                w = series_weight(n, gamma)
                 cumulative += w
-                total += w * (-asymptotic_bell_fixed_N(n))
+                total += w * (-series_limit(n))
                 if cumulative >= 1.0 - 1e-10:
                     break
             assert cumulative >= 1.0 - 1e-10

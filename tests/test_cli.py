@@ -1,6 +1,7 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaussian_series import mean_distance
 import svbell.cli
 import svbell.sv
 from svbell import singlet
@@ -400,20 +402,9 @@ def test_sweep_settings_reads_each_table_once(capsys, monkeypatch):
 
 
 def exact_bell(L, gamma, eta):
-    """Bell parameter of the untruncated squeezed vacuum, in closed form.
-
-    Alice's and Bob's counted modes form a two-mode Gaussian state, so
-    <|m - n|>_theta = 2A / sqrt(1 + 4A), A = eta s^2 (1 - eta + eta c^2 sin^2 theta),
-    s = sinh(gamma), c = cosh(gamma).
-    """
-    s, c = math.sinh(gamma), math.cosh(gamma)
-
-    def distance(theta):
-        a = eta * s**2 * (1.0 - eta + eta * c**2 * math.sin(theta) ** 2)
-        return 2.0 * a / math.sqrt(1.0 + 4.0 * a)
-
+    """Bell parameter of the untruncated squeezed vacuum, in closed form."""
     chain = make_chain(L)
-    return (2 * L - 1) * distance(chain.theta) - distance(chain.theta_prime)
+    return (2 * L - 1) * mean_distance(gamma, eta, chain.theta) - mean_distance(gamma, eta, chain.theta_prime)
 
 
 def test_the_readme_command_line_figures_hold(capsys):
@@ -651,6 +642,16 @@ def test_verify_sample_count_out_of_range_exits_2(samples, capsys, compute_calls
     assert (code, out) == (2, "")
     assert err == f"error: mc_samples must lie in [1, {2**63 - 1}], got {samples}\n"
     assert compute_calls == ["run_verification"]  # no suite ran
+
+
+def test_verify_parser_defaults_are_run_verifications():
+    # cmd_verify passes every option on, so the parser's defaults are the ones that run.
+    parameters = inspect.signature(run_verification).parameters.values()
+    defaults = {p.name: p.default for p in parameters}
+    assert inspect.Parameter.empty not in defaults.values()
+    args = vars(svbell.cli.build_parser().parse_args(["verify"]))
+    assert {name: args[name] for name in defaults} == defaults
+    assert all(type(args[name]) is type(default) for name, default in defaults.items())
 
 
 def test_verify_negative_seed_exits_2(capsys, compute_calls):

@@ -89,6 +89,12 @@ def test_photon_numbers_must_be_integers(evaluate):
     with pytest.raises(TypeError):
         evaluate(1.5)
     assert np.array_equal(evaluate(np.int64(3)), evaluate(3))
+    # One range for every entry point: the count tables' 0 <= N <= MAX_PHOTON_NUMBER.
+    evaluate(MAX_PHOTON_NUMBER)
+    with pytest.raises(ValueError, match=r"^photon number per beam 61 exceeds supported range N <= 60$"):
+        evaluate(MAX_PHOTON_NUMBER + 1)
+    with pytest.raises(ValueError, match=r"^photon number per beam must be nonnegative, got -1$"):
+        evaluate(-1)
 
 
 def test_cached_tables_are_frozen():
