@@ -8,7 +8,8 @@ perfectly anticorrelated polarizations::
 Alice counts ``n`` photons in her H output; Bob counts ``m`` photons in his
 V+theta output, where theta is the relative polarizer angle.  Under the
 Schwinger map the amplitude is an entry of the polarization rotation
-restricted to N photons::
+restricted to N photons.  Only the count tables p leave this module; the
+signed D_N is the state each step carries on, not an output::
 
     A_N(n, m | theta) = (-1)^m D_N(theta)[n, m] / sqrt(N+1)
     p(n, m | theta)   = D_N(theta)[n, m]^2 / (N+1)
@@ -158,11 +159,9 @@ def _table_masses(max_N: int, thetas: list[float]) -> np.ndarray:
     """Masses of the tables N = 0..max_N at each angle, stepped together.
 
     Entry [N, i] equals ``joint_distribution(N, thetas[i]).mass`` bit for
-    bit; the stacked D_N bypass the rotation cache and are not kept.
+    bit; the stacked D_N bypass the rotation cache and are not kept.  Its
+    caller passes valid input: 0 <= max_N <= 60 and angles in [0, pi/2].
     """
-    _check_photon_number(max_N)
-    for theta in thetas:
-        _check_angle(theta)
     cos_sin = np.array([_cos_sin(theta) for theta in thetas]).reshape(-1, 2, 1, 1)
     c, s = cos_sin[:, 0], cos_sin[:, 1]
     d = np.ones((len(thetas), 1, 1))
@@ -172,23 +171,6 @@ def _table_masses(max_N: int, thetas: list[float]) -> np.ndarray:
             d = _step(d, c, s)
         masses[N] = (d**2 / (N + 1)).sum(axis=(-2, -1))
     return masses
-
-
-def singlet_amplitudes(N: int, theta: float) -> np.ndarray:
-    """Signed amplitude table for Alice counting n (H) and Bob m (V+theta).
-
-    Parameters
-    ----------
-    N : photons per beam, 0 <= N <= 60.
-    theta : relative polarizer angle in [0, pi/2].
-
-    Returns the (N+1) x (N+1) array ``(-1)^m D_N(theta)[n, m] / sqrt(N+1)``;
-    entries off the supported correlation pattern are exact zeros.
-    """
-    _check_photon_number(N)
-    _check_angle(theta)
-    signs = (-1.0) ** np.arange(N + 1)
-    return _rotation(N, theta)[0] * signs / math.sqrt(N + 1)
 
 
 def joint_distribution(N: int, theta: float) -> JointCountDistribution:

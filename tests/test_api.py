@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -42,6 +43,19 @@ def test_readme_library_section_documents_every_public_name():
     for module, names in bullets.items():
         for name in names:
             assert hasattr(importlib.import_module(f"svbell.{module}"), name), (module, name)
+
+
+def test_singlet_defines_exactly_the_names_of_its_readme_bullet():
+    # Count tables are the module's only output: every public function and
+    # class it defines, and its photon-number bound, and nothing else.
+    singlet = importlib.import_module("svbell.singlet")
+    defined = {
+        name for name, value in vars(singlet).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == singlet.__name__
+    }
+    assert sorted(defined | {"MAX_PHOTON_NUMBER"}) == sorted(_readme_library_bullets()["singlet"])
 
 
 def test_each_top_level_name_is_its_module_object():

@@ -17,7 +17,8 @@ from svbell.oracle import (
     oracle_amplitudes,
     oracle_joint_distribution,
 )
-from svbell.singlet import JointCountDistribution, joint_distribution, singlet_amplitudes
+from svbell import singlet
+from svbell.singlet import JointCountDistribution, joint_distribution
 
 ANGLE_GRID = [0.0, math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
 # Both polarizers turned: (Alice's angle, Bob's angle).
@@ -177,10 +178,12 @@ def test_amplitude_level_agreement():
     # Not just probabilities: signs of the two independent paths agree too,
     # wherever the amplitude is not zero to rounding: at relative angles 0,
     # pi/4 and pi/2 some cells vanish, and either path may round them to a
-    # value near 1e-16 of either sign.
+    # value near 1e-16 of either sign.  The closed form is (-1)^m D_N / sqrt(N+1),
+    # built from the D the singlet module steps on.
     for N in range(11):
+        signs = (-1.0) ** np.arange(N + 1) / math.sqrt(N + 1)
         for theta_a, theta_b in [(0.0, theta) for theta in ANGLE_GRID + [0.37]] + SHARED_ROTATIONS:
-            closed = singlet_amplitudes(N, theta_b - theta_a)
+            closed = singlet._rotation(N, theta_b - theta_a)[0] * signs
             brute = oracle_amplitudes(N, theta_b, theta_a)
             assert np.max(np.abs(closed - brute)) <= 1e-12, (N, theta_a, theta_b)
             nonzero = np.abs(closed) > 1e-12

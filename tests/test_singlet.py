@@ -3,7 +3,6 @@
 import dataclasses
 import gc
 import math
-import re
 import sys
 import threading
 import weakref
@@ -27,16 +26,20 @@ from svbell.singlet import (
     _distances,
     joint_distribution,
     mean_abs_difference,
-    singlet_amplitudes,
 )
 from svbell.sv import SVSpec, lambda_sq, sv_mixture
 
 HALF_PI = 0.5 * math.pi
 
 
+def signed_amplitudes(N, theta):
+    """A_N(n, m | theta) = (-1)^m D_N(theta)[n, m] / sqrt(N+1), from the D the cached step keeps."""
+    return singlet._rotation(N, theta)[0] * (-1.0) ** np.arange(N + 1) / math.sqrt(N + 1)
+
+
 def test_two_photon_amplitudes_closed_form():
     theta = 0.37
-    amp = singlet_amplitudes(1, theta)[0, 0]
+    amp = signed_amplitudes(1, theta)[0, 0]
     assert amp > 0.0
     assert amp == pytest.approx(math.cos(theta) / math.sqrt(2), rel=1e-14)
     assert amp**2 == pytest.approx(math.cos(theta) ** 2 / 2, rel=1e-13)
@@ -44,27 +47,21 @@ def test_two_photon_amplitudes_closed_form():
 
 @pytest.mark.parametrize("N", [1, 2, 5, 10, 30, 60])
 def test_diagonal_amplitude_at_zero_angle(N):
-    amps = singlet_amplitudes(N, 0.0)
+    amps = signed_amplitudes(N, 0.0)
     for n in [0, N // 2, N]:
         assert amps[n, n] ** 2 == pytest.approx(1.0 / (N + 1), rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [1, 2, 5, 10, 30, 60])
 def test_antidiagonal_amplitude_at_right_angle(N):
-    amps = singlet_amplitudes(N, HALF_PI)
+    amps = signed_amplitudes(N, HALF_PI)
     for n in [0, N // 2, N]:
         assert amps[n, N - n] ** 2 == pytest.approx(1.0 / (N + 1), rel=1e-12)
 
 
 def test_range_and_argument_errors():
     with pytest.raises(ValueError, match="exceeds supported range"):
-        singlet_amplitudes(61, 0.1)
-    with pytest.raises(ValueError, match="exceeds supported range"):
         joint_distribution(61, 0.1)
-    with pytest.raises(ValueError, match="nonnegative"):
-        singlet_amplitudes(-1, 0.1)
-    with pytest.raises(ValueError):
-        singlet_amplitudes(2, HALF_PI + 1e-6)
     with pytest.raises(ValueError):
         joint_distribution(2, -0.1)
     with pytest.raises(ValueError):
@@ -75,14 +72,12 @@ def test_range_and_argument_errors():
     "evaluate",
     [
         lambda N: joint_distribution(N, 0.3).probs,
-        lambda N: singlet_amplitudes(N, 0.3),
         lambda N: lambda_sq(N, 0.5),
         asymptotic_bell_fixed_N,
         lambda N: bell_fixed_N(N, make_chain(3), 0.9).bell,
         lambda N: thinning_matrix(N, 0.5),
     ],
-    ids=["joint_distribution", "singlet_amplitudes", "lambda_sq", "asymptotic_bell_fixed_N",
-         "bell_fixed_N", "thinning_matrix"],
+    ids=["joint_distribution", "lambda_sq", "asymptotic_bell_fixed_N", "bell_fixed_N", "thinning_matrix"],
 )
 def test_photon_numbers_must_be_integers(evaluate):
     # No half-integer N may reach _rotation's recursion, a power of tanh or a range().
@@ -108,10 +103,6 @@ def test_cached_tables_are_frozen():
     assert joint_distribution(2, 0.3) is dist
     with pytest.raises(ValueError):
         _distances(3)[0, 1] = 7
-    # Amplitudes are the caller's own copy of the shared D.
-    amps = singlet_amplitudes(2, 0.3)
-    amps[0, 0] = 5.0
-    assert singlet_amplitudes(2, 0.3)[0, 0] != 5.0
 
 
 MAX_PAIRS = singlet._rotation.cache_info().maxsize
@@ -146,11 +137,10 @@ def test_rotation_cache_tables_are_the_fresh_tables(requests, order, max_pairs):
     if order != "as drawn":
         requests.sort(key=lambda r: r[0], reverse=order == "decreasing N")
     with empty_rotation_cache(max_pairs) as rotation:
-        for N, theta, amplitudes in requests:
+        for N, theta, signed in requests:
             d = fresh_rotation(N, theta)
-            if amplitudes:
-                signs = (-1.0) ** np.arange(N + 1)
-                assert np.array_equal(singlet_amplitudes(N, theta), d * signs / math.sqrt(N + 1))
+            if signed:  # D's bits feed every later step
+                assert np.array_equal(singlet._rotation(N, theta)[0], d)
                 continue
             dist = joint_distribution(N, theta)
             assert np.array_equal(dist.probs, d**2 / (N + 1))
@@ -299,17 +289,6 @@ def test_stacked_table_masses_are_the_cached_tables_masses(max_N, thetas):
     assert masses.shape == (max_N + 1, len(thetas))
     for column, theta in zip(masses.T, thetas):
         assert column.tolist() == [joint_distribution(N, theta).mass for N in range(max_N + 1)]
-
-
-def test_stacked_table_masses_check_their_arguments():
-    with pytest.raises(ValueError, match="^photon number per beam 61 exceeds supported range N <= 60$"):
-        singlet._table_masses(61, [0.1])
-    with pytest.raises(ValueError, match="^photon number per beam must be nonnegative, got -1$"):
-        singlet._table_masses(-1, [0.1])
-    too_wide = HALF_PI + 1e-6
-    message = f"relative polarizer angle must lie in [0, pi/2], got {too_wide}"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        singlet._table_masses(2, [0.1, too_wide])
 
 
 def test_threads_sharing_the_rotation_cache_get_the_tables_they_ask_for():
