@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .loss import binomial_thin, check_efficiency
+from .loss import _check_efficiency, binomial_thin
 # joint_distribution is unused here; perfbench/test_perfbench.py reads it from this module.
 from .singlet import _check_photon_number, joint_distribution, mean_abs_difference
 from .sv import _MAX_GAIN_E2, SVSpec, _check_gain, _lossless_pair
@@ -69,9 +69,8 @@ class BellBreakdown:
         return self.lhs - self.rhs
 
 
-def make_chain(L: int) -> ChainSpec:
-    """Settings geometry for an L-setting chain (L >= 2)."""
-    return ChainSpec(L)
+# The constructor under the name that the README example and perfbench import.
+make_chain = ChainSpec
 
 
 def _mean_distance(N: int, theta: float, eta: float) -> float:
@@ -94,7 +93,7 @@ def _mean_distance(N: int, theta: float, eta: float) -> float:
 
 def bell_fixed_N(N: int, chain: ChainSpec, eta: float = 1.0) -> BellBreakdown:
     """Bell breakdown for the 2N-photon singlet at efficiency eta, as exact finite sums."""
-    check_efficiency(eta)
+    _check_efficiency(eta)
     _check_photon_number(N)
     lhs = (2 * chain.L - 1) * _mean_distance(N, chain.theta, eta)
     rhs = _mean_distance(N, chain.theta_prime, eta)
@@ -110,7 +109,7 @@ def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
     ``mass`` are ``spec.n_max`` and ``spec.mass``.  The contribution of the
     2N-photon component is ``lambda_sq(N, gamma) * bell_fixed_N(N, chain, eta).bell``.
     """
-    check_efficiency(eta)
+    _check_efficiency(eta)
     tables = _lossless_pair(chain.theta, spec)
     adjacent, closing = (mean_abs_difference(binomial_thin(t, eta) if eta < 1.0 else t) for t in tables)
     return BellBreakdown((2 * chain.L - 1) * adjacent, closing, spec.n_max, spec.mass)

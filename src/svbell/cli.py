@@ -27,7 +27,7 @@ import numpy as np
 
 from .chain import BellBreakdown, ChainSpec, bell_fixed_N, bell_sv, make_chain
 from .lhv import lhv_minimum
-from .loss import binomial_thin, check_efficiency
+from .loss import _check_efficiency, binomial_thin
 from .oracle import (
     MAX_MC_SAMPLES,
     MAX_ORACLE_PHOTON_NUMBER,
@@ -35,8 +35,8 @@ from .oracle import (
     mc_thin,
     oracle_joint_distribution,
 )
-from .singlet import _HALF_PI, MAX_PHOTON_NUMBER, _table_masses, joint_distribution
-from .sv import CapExceededError, SVSpec, _at_mass, check_mass_threshold, sv_mixture
+from .singlet import MAX_PHOTON_NUMBER, _table_masses, joint_distribution
+from .sv import CapExceededError, SVSpec, _at_mass, _check_mass_threshold, sv_mixture
 
 # Figure-pipeline convergence guard: squeezed-vacuum sweeps are repeated at
 # this mass threshold and flagged when the Bell parameter moves too much.
@@ -114,7 +114,7 @@ def _emit(args: argparse.Namespace, metadata: dict, columns: Sequence[str], rows
 
 def cmd_dist(args: argparse.Namespace) -> int:
     if args.N is not None:
-        check_mass_threshold(args.mass)  # unused with --N, but echoed in config
+        _check_mass_threshold(args.mass)  # unused with --N, but echoed in config
         dist = binomial_thin(joint_distribution(args.N, args.theta), args.eta)
         metadata = {"mass": dist.mass}
     else:
@@ -156,7 +156,7 @@ def _sv_bell_with_guard(
 def cmd_sweep_settings(args: argparse.Namespace) -> int:
     lo, hi = args.L_range
     if args.N is not None:
-        check_mass_threshold(args.mass)  # unused with --N, but echoed in config
+        _check_mass_threshold(args.mass)  # unused with --N, but echoed in config
     else:
         spec = SVSpec(args.gamma, args.mass)
         guard = _at_mass(spec, GUARD_MASS)
@@ -192,7 +192,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     if len(gammas) * len(etas) > MAX_GRID_POINTS:
         raise ValueError(f"grid has {len(gammas)} x {len(etas)} cells, more than {MAX_GRID_POINTS}")
     for eta in etas:
-        check_efficiency(eta)
+        _check_efficiency(eta)
     chain = make_chain(args.L)
     SVSpec(gammas[0], args.mass)
     last = SVSpec(gammas[-1], args.mass)
@@ -247,7 +247,7 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10*
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     suites = []
 
-    thetas = [float(t) for t in rng.uniform(0.0, _HALF_PI, size=20)]
+    thetas = [float(t) for t in rng.uniform(0.0, math.pi / 2, size=20)]
     worst_mass = float(np.max(np.abs(_table_masses(12, thetas) - 1.0)))
     suites.append(
         {"name": "normalization", "passed": bool(worst_mass <= 1e-9), "worst_mass_error": worst_mass}
@@ -256,7 +256,7 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10*
     # One oracle stack per N: Alice at 0 against six grid angles, then three
     # angle pairs at which only the difference may matter; against the
     # cached tables the CLI serves.
-    grid = [0.0, math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8, _HALF_PI]
+    grid = [0.0, math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
     alice = [0.0] * len(grid) + [0.3, 0.2, math.pi / 16]
     bob = grid + [0.75, 1.5, 3 * math.pi / 16]
     worst = worst_rel = 0.0

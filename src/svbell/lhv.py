@@ -23,7 +23,7 @@ MAX_LHV_SETTINGS = 60
 MAX_LHV_OUTCOME = 60
 
 
-def polygon_check(alice_values: Sequence[int], bob_values: Sequence[int]) -> float:
+def _polygon_check(alice_values: Sequence[int], bob_values: Sequence[int]) -> float:
     """Chain combination for one deterministic strategy; always >= 0.
 
     With per-setting values n_i (Alice) and m_i (Bob),
@@ -56,7 +56,7 @@ def _chain_minimum(cost: np.ndarray, L: int) -> np.generic:
 
 
 def lhv_minimum(L: int, cap: int) -> float:
-    """Exact minimum of polygon_check over all strategies with counts in [0, cap].
+    """Exact minimum of the chain combination over all strategies with counts in [0, cap].
 
     Covers all (cap+1)^(2L) strategies in integers, at a cost of
     (2L - 2) (cap+1)^3 additions.  Convexity extends the resulting bound to

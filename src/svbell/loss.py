@@ -27,51 +27,44 @@ import numpy as np
 from .singlet import JointCountDistribution, _check_photon_number
 
 
-def check_efficiency(eta: float) -> None:
+def _check_efficiency(eta: float) -> None:
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"detection efficiency must lie in [0, 1], got {eta}")
 
 
-# Every efficiency's table up to 0 photons: nothing present, nothing detected.
-_ONE_BY_ONE = np.ones((1, 1))
-_ONE_BY_ONE.setflags(write=False)
-
-
-# The one-item list holds the efficiency's largest table yet.  Counts stop at
-# the photon-number limit, so a table is at most 61 x 61, 29 KiB, and the 64
-# efficiencies kept hold at most 64 x 61^2 x 8 B ~ 1.9 MB.
+# The one-item list holds the efficiency's largest table yet, first the
+# read-only table up to 0 photons: nothing present, nothing detected.  Counts
+# stop at the photon-number limit, so a table is at most 61 x 61, 29 KiB, and
+# the 64 efficiencies kept hold at most 64 x 61^2 x 8 B ~ 1.9 MB.
 @lru_cache(maxsize=64)
 def _thinning_table(eta: float) -> list[np.ndarray]:
-    return [_ONE_BY_ONE]
+    start = np.ones((1, 1))
+    start.setflags(write=False)
+    return [start]
 
 
-def _grown(table: np.ndarray, size: int, eta: float) -> np.ndarray:
-    """A new read-only size-square table that continues Pascal's rule from table."""
-    t = np.zeros((size, size))
-    old = len(table)
-    t[:old, :old] = table
-    for n in range(old, size):
-        t[:, n] = (1.0 - eta) * t[:, n - 1]
-        t[1:, n] += eta * t[:-1, n - 1]
-    t.setflags(write=False)
-    return t
-
-
-def thinning_matrix(max_count: int, eta: float) -> np.ndarray:
+def _thinning_matrix(max_count: int, eta: float) -> np.ndarray:
     """T[x, n] = P(detect x | n present) = Binomial(n, eta) pmf at x.
 
     Returns a read-only (max_count + 1)-square view of a table shared by
     every caller at this efficiency.  A larger count than any asked for
-    before extends the table into a new array; views handed out earlier
-    keep the old one, whose entries are the new one's leading block.
-    Threads extending one efficiency may build it twice, never differently.
+    before copies the table into a new array and continues Pascal's rule
+    over the new columns; views handed out earlier keep the old one, whose
+    entries are the new one's leading block.  Threads extending one
+    efficiency may build it twice, never differently.
     """
-    check_efficiency(eta)
+    _check_efficiency(eta)
     _check_photon_number(max_count)
     held = _thinning_table(eta)
     table = held[0]
     if len(table) <= max_count:
-        table = held[0] = _grown(table, max_count + 1, eta)
+        block, table = table, np.zeros((max_count + 1, max_count + 1))
+        table[: len(block), : len(block)] = block
+        for n in range(len(block), max_count + 1):
+            table[:, n] = (1.0 - eta) * table[:, n - 1]
+            table[1:, n] += eta * table[:-1, n - 1]
+        table.setflags(write=False)
+        held[0] = table
     return table[: max_count + 1, : max_count + 1]
 
 
@@ -81,5 +74,5 @@ def binomial_thin(dist: JointCountDistribution, eta: float) -> JointCountDistrib
     Preserves total mass and the count-table size; thinning at eta1 then
     eta2 composes to thinning at eta1 * eta2.
     """
-    t = thinning_matrix(dist.max_count, eta)
+    t = _thinning_matrix(dist.max_count, eta)
     return JointCountDistribution(t @ dist.probs @ t.T)

@@ -41,10 +41,10 @@ MAX_ORACLE_PHOTON_NUMBER = 10
 # Largest Monte-Carlo sample count: the sampler counts in int64.
 MAX_MC_SAMPLES = 2**63 - 1
 
-FockVector = dict[tuple[int, int, int, int], float]
+_FockVector = dict[tuple[int, int, int, int], float]
 
 
-def build_singlet(N: int) -> FockVector:
+def _build_singlet(N: int) -> _FockVector:
     """Sparse four-mode Fock vector of the 2N-photon singlet.
 
     Keys are occupations (aH, aV, bH, bV); the amplitude on
@@ -117,7 +117,7 @@ def _rotated_number_states(N: int, phi: float | Sequence[float]) -> np.ndarray:
     return (monomials @ _expansion(N)).reshape(angles.shape + (N + 1, N + 1))
 
 
-def _overlap(state: FockVector, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
+def _overlap(state: _FockVector, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
     """Inner products of ``state`` with every pair of Alice's and Bob's states.
 
     Entry (n, m) sums amp * alice[n, a_H] * bob[m, b_H] over the entries of
@@ -129,7 +129,7 @@ def _overlap(state: FockVector, alice: np.ndarray, bob: np.ndarray) -> np.ndarra
     return (alice[..., keys[:, 0]] * amps) @ np.swapaxes(bob[..., keys[:, 2]], -1, -2)
 
 
-def oracle_amplitudes(
+def _oracle_amplitudes(
     N: int, theta: float | Sequence[float], theta_alice: float | Sequence[float] = 0.0
 ) -> np.ndarray:
     """Signed (N+1) x (N+1) overlap table of the singlet, by brute force.
@@ -145,7 +145,7 @@ def oracle_amplitudes(
     together; the result then stacks one table per angle pair, each bitwise
     the table of that pair alone.
     """
-    state = build_singlet(N)
+    state = _build_singlet(N)
     alice = _rotated_number_states(N, theta_alice)
     bob = _rotated_number_states(N, theta)[..., ::-1, :]
     return _overlap(state, alice, bob)
@@ -154,11 +154,11 @@ def oracle_amplitudes(
 def oracle_joint_distribution(
     N: int, theta: float | Sequence[float], theta_alice: float | Sequence[float] = 0.0
 ) -> np.ndarray:
-    """Full (N+1) x (N+1) joint count table: the square of ``oracle_amplitudes``.
+    """Full (N+1) x (N+1) joint count table: the square of ``_oracle_amplitudes``.
 
     Like it, takes arrays of angles and returns one table per angle pair.
     """
-    return oracle_amplitudes(N, theta, theta_alice) ** 2
+    return _oracle_amplitudes(N, theta, theta_alice) ** 2
 
 
 def _detect(rng: np.random.Generator, groups: np.ndarray, photons: int, eta: float) -> np.ndarray:

@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .loss import binomial_thin, check_efficiency
+from .loss import _check_efficiency, binomial_thin
 from .singlet import (
     MAX_PHOTON_NUMBER,
     JointCountDistribution,
@@ -50,7 +50,7 @@ def _check_gain(gamma: float, max_gain: float = math.inf) -> None:
         raise ValueError(f"gain must be at most {max_gain!r} for this value to fit a float, got {gamma}")
 
 
-def check_mass_threshold(mass_threshold: float) -> None:
+def _check_mass_threshold(mass_threshold: float) -> None:
     # The weights of the infinite mixture never sum to 1, so 1 is unreachable.
     if not 0.0 < mass_threshold < 1.0:
         raise ValueError(f"mass threshold must lie in (0, 1), got {mass_threshold}")
@@ -79,7 +79,7 @@ class SVSpec:
 
     def __post_init__(self) -> None:
         _check_gain(self.gamma)
-        check_mass_threshold(self.mass_threshold)
+        _check_mass_threshold(self.mass_threshold)
 
     @cached_property
     def _truncation(self) -> tuple[list[float], float]:
@@ -189,7 +189,7 @@ def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistri
     ``spec.mass`` up to rounding.  At eta = 1 the shared, frozen table
     ``spec`` keeps (see ``_lossless_pair``) is returned itself.
     """
-    check_efficiency(eta)
+    _check_efficiency(eta)
     mixture = _lossless_pair(theta, spec)[0]
     return binomial_thin(mixture, eta) if eta < 1.0 else mixture
 

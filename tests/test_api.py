@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import svbell
 
 
@@ -37,25 +39,40 @@ def test_all_is_exactly_the_public_names():
     assert sorted(svbell.__all__) == sorted(alias.name for alias in imports[0].names)
 
 
+def _public_definitions(module):
+    """The public functions and classes ``module`` defines itself."""
+    return {
+        name for name, value in vars(module).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(value) or inspect.isclass(value))
+        and value.__module__ == module.__name__
+    }
+
+
 def test_readme_library_section_documents_every_public_name():
     bullets = _readme_library_bullets()
-    assert sum(len(names) for names in bullets.values()) == 17
+    assert sum(len(names) for names in bullets.values()) == 23
     for module, names in bullets.items():
         for name in names:
             assert hasattr(importlib.import_module(f"svbell.{module}"), name), (module, name)
 
 
-def test_singlet_defines_exactly_the_names_of_its_readme_bullet():
-    # Count tables are the module's only output: every public function and
-    # class it defines, and its photon-number bound, and nothing else.
-    singlet = importlib.import_module("svbell.singlet")
-    defined = {
-        name for name, value in vars(singlet).items()
-        if not name.startswith("_")
-        and (inspect.isfunction(value) or inspect.isclass(value))
-        and value.__module__ == singlet.__name__
-    }
-    assert sorted(defined | {"MAX_PHOTON_NUMBER"}) == sorted(_readme_library_bullets()["singlet"])
+@pytest.mark.parametrize("name", sorted(_readme_library_bullets()))
+def test_each_module_defines_exactly_the_names_of_its_readme_bullet(name):
+    # Every public function and class the module defines, and its
+    # documented constants, and nothing else.
+    module = importlib.import_module(f"svbell.{name}")
+    documented = _readme_library_bullets()[name]
+    constants = {entry for entry in documented if not callable(getattr(module, entry))}
+    assert sorted(_public_definitions(module) | constants) == sorted(documented)
+
+
+def test_every_documented_function_and_class_has_a_docstring():
+    for module, names in _readme_library_bullets().items():
+        for name in names:
+            value = getattr(importlib.import_module(f"svbell.{module}"), name)
+            if inspect.isfunction(value) or inspect.isclass(value):
+                assert inspect.getdoc(value), (module, name)
 
 
 def test_each_top_level_name_is_its_module_object():

@@ -60,6 +60,7 @@ def test_a_chain_is_its_number_of_settings():
     # The angles follow from L alone, so no chain carries angles of its own.
     with pytest.raises(ValueError, match="at least 2 settings, got L=1"):
         ChainSpec(1)
+    assert make_chain is ChainSpec
     for L in [2, 3, 7, 10_000]:
         chain = make_chain(L)
         assert chain == ChainSpec(L)

@@ -8,23 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svbell.lhv import MAX_LHV_OUTCOME, MAX_LHV_SETTINGS, _chain_minimum, lhv_minimum, polygon_check
+from svbell.lhv import MAX_LHV_OUTCOME, MAX_LHV_SETTINGS, _chain_minimum, _polygon_check, lhv_minimum
 
 
 def test_polygon_check_constant_strategy():
-    assert polygon_check([3, 3, 3], [3, 3, 3]) == 0.0
+    assert _polygon_check([3, 3, 3], [3, 3, 3]) == 0.0
 
 
 def test_polygon_check_direct_arithmetic():
     # |0-0| + |5-0| + |5-0| - |0-0|
-    assert polygon_check([0, 0], [0, 5]) == 10.0
+    assert _polygon_check([0, 0], [0, 5]) == 10.0
 
 
 def test_polygon_check_validates_input():
     with pytest.raises(ValueError):
-        polygon_check([1, 2], [1, 2, 3])
+        _polygon_check([1, 2], [1, 2, 3])
     with pytest.raises(ValueError):
-        polygon_check([1], [2])
+        _polygon_check([1], [2])
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
@@ -32,7 +32,7 @@ def test_polygon_check_nonnegative_on_random_strategies(L):
     rng = np.random.default_rng(100 + L)
     alice = rng.integers(0, 13, size=(2_000, L)).tolist()
     bob = rng.integers(0, 13, size=(2_000, L)).tolist()
-    assert min(polygon_check(a, b) for a, b in zip(alice, bob)) >= 0
+    assert min(_polygon_check(a, b) for a, b in zip(alice, bob)) >= 0
     # ... and so does every strategy with counts 0..12, not just these.
     assert lhv_minimum(L, 12) == 0.0
 
@@ -48,7 +48,7 @@ def _strategy_rows(draw):
 @given(_strategy_rows())
 def test_polygon_inequality_property(rows):
     alice, bob = rows
-    values = [polygon_check(a.tolist(), b.tolist()) for a, b in zip(alice, bob)]
+    values = [_polygon_check(a.tolist(), b.tolist()) for a, b in zip(alice, bob)]
     assert min(values) >= lhv_minimum(alice.shape[1], 60) == 0.0
 
 
@@ -69,7 +69,7 @@ def test_exhaustive_minimum_is_zero(L, cap):
     assert lhv_minimum(L, cap) == 0.0
 
 
-def _brute_force(L, cap, check=polygon_check):
+def _brute_force(L, cap, check=_polygon_check):
     """Minimum of ``check`` over every strategy, listed one by one."""
     return min(check(v[:L], v[L:]) for v in product(range(cap + 1), repeat=2 * L))
 
@@ -82,7 +82,7 @@ def test_minimum_is_the_brute_force_minimum(L, cap):
 
 
 def _squared_check(alice, bob):
-    """polygon_check with |x - y|^2, which is no distance, in place of |x - y|."""
+    """_polygon_check with |x - y|^2, which is no distance, in place of |x - y|."""
     aligned = sum((m - n) ** 2 for n, m in zip(alice, bob))
     stepped = sum((bob[i + 1] - alice[i]) ** 2 for i in range(len(alice) - 1))
     return aligned + stepped - (bob[0] - alice[-1]) ** 2

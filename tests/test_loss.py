@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fresh_rotation import fresh_rotation, reflected_rotation
 from svbell import loss
 from svbell.chain import bell_sv, make_chain
-from svbell.loss import _grown, binomial_thin, thinning_matrix
+from svbell.loss import _thinning_matrix, binomial_thin
 from svbell.oracle import l1_deviation_bound, mc_thin
 from svbell.singlet import (
     MAX_PHOTON_NUMBER,
@@ -30,15 +30,11 @@ from svbell.sv import SVSpec, lambda_sq
 HALF_PI = 0.5 * math.pi
 
 
-def pascal_table(max_count, eta, start=np.ones((1, 1))):
-    """Binomial table built for this size alone, with no shared state.
-
-    Pascal's rule runs on from the block ``start``; the default, the table
-    up to 0 photons, gives the binomial table.
-    """
+def pascal_table(max_count, eta):
+    """Binomial table built for this size alone, with no shared state."""
     t = np.zeros((max_count + 1, max_count + 1))
-    t[: len(start), : len(start)] = start
-    for n in range(len(start), max_count + 1):
+    t[0, 0] = 1.0
+    for n in range(1, max_count + 1):
         t[:, n] = (1.0 - eta) * t[:, n - 1]
         t[1:, n] += eta * t[:-1, n - 1]
     return t
@@ -117,7 +113,7 @@ def test_thinning_matrix_matches_exact_binomials(max_count, eta):
     # double, and each product is rounded), so the error bound grows like 2n
     # unit roundoffs; it is 1.4e-14 at n = 60.
     tol = (max_count + 1) * 2.0**-52
-    t = thinning_matrix(max_count, eta)
+    t = _thinning_matrix(max_count, eta)
     # eta = a / b exactly; int / int is correctly rounded, so each entry is
     # the exact binomial probability rounded once.
     a, b = eta.as_integer_ratio()
@@ -143,7 +139,7 @@ def test_thinning_composes_over_the_whole_range(N, theta, eta1, eta2):
 
 
 def test_thinning_matrix_columns_are_distributions():
-    t = thinning_matrix(6, 0.37)
+    t = _thinning_matrix(6, 0.37)
     assert t.sum(axis=0) == pytest.approx(np.ones(7), abs=1e-12)
     assert np.all(t[np.triu_indices(7, k=1)] >= 0.0)
 
@@ -151,12 +147,12 @@ def test_thinning_matrix_columns_are_distributions():
 @pytest.mark.parametrize("eta", [0.0, 0.37, 0.83, 1.0])
 @pytest.mark.parametrize("max_count", [0, 1, 2, 7, 30, MAX_PHOTON_NUMBER])
 def test_shared_thinning_matrix_is_the_fresh_table_and_read_only(max_count, eta):
-    t = thinning_matrix(max_count, eta)
+    t = _thinning_matrix(max_count, eta)
     assert np.array_equal(t, pascal_table(max_count, eta))
     assert not t.flags.writeable
     with pytest.raises(ValueError):
         t[0, 0] = 0.5
-    assert np.array_equal(thinning_matrix(max_count, eta), pascal_table(max_count, eta))
+    assert np.array_equal(_thinning_matrix(max_count, eta), pascal_table(max_count, eta))
 
 
 @contextmanager
@@ -182,23 +178,12 @@ def test_grown_tables_are_bitwise_blocks_of_the_full_table(order, eta):
     handed_out = []
     with empty_thinning_cache():
         for k in GROWTH_ORDERS[order]:
-            t = thinning_matrix(k, eta)
+            t = _thinning_matrix(k, eta)
             assert not t.flags.writeable
             assert np.array_equal(t.view(np.uint64), full[: k + 1, : k + 1])
             handed_out.append(t)
     for t in handed_out:
         assert np.array_equal(t.view(np.uint64), full[: len(t), : len(t)])
-
-
-def test_growing_continues_from_the_table_it_is_given():
-    # A block of another efficiency shows that the old block is copied, not
-    # rebuilt, and that the rule runs on only over the new columns.
-    start = pascal_table(9, 0.37)
-    start.setflags(write=False)
-    grown = _grown(start, 21, 0.83)
-    assert np.array_equal(grown.view(np.uint64), pascal_table(20, 0.83, start).view(np.uint64))
-    assert np.array_equal(start, pascal_table(9, 0.37))
-    assert not grown.flags.writeable
 
 
 def test_thinning_cache_is_bounded():
@@ -208,7 +193,7 @@ def test_thinning_cache_is_bounded():
     held = []
     for eta in np.linspace(0.01, 0.99, 100):
         for k in (1, 7, 30, MAX_PHOTON_NUMBER):
-            held.append(weakref.ref(thinning_matrix(k, float(eta)).base))
+            held.append(weakref.ref(_thinning_matrix(k, float(eta)).base))
     gc.collect()
     live = [table for table in (ref() for ref in held) if table is not None]
     assert held[-1]() is not None  # the efficiency used last is kept
@@ -226,7 +211,7 @@ def test_threads_growing_one_table_get_the_blocks_they_ask_for():
         try:
             for _ in range(300):
                 k, eta = rng.randrange(MAX_PHOTON_NUMBER + 1), rng.choice(etas)
-                if not np.array_equal(thinning_matrix(k, eta), full[eta][: k + 1, : k + 1]):
+                if not np.array_equal(_thinning_matrix(k, eta), full[eta][: k + 1, : k + 1]):
                     wrong.append((k, eta))
         except Exception as exc:  # reported by the assert below
             wrong.append(exc)
@@ -248,9 +233,9 @@ def test_threads_growing_one_table_get_the_blocks_they_ask_for():
 
 def test_thinning_matrix_size_validation():
     with pytest.raises(ValueError, match="exceeds supported range"):
-        thinning_matrix(MAX_PHOTON_NUMBER + 1, 0.5)
+        _thinning_matrix(MAX_PHOTON_NUMBER + 1, 0.5)
     with pytest.raises(ValueError):
-        thinning_matrix(-1, 0.5)
+        _thinning_matrix(-1, 0.5)
 
 
 def test_bell_sv_matches_an_uncached_mixture_build():

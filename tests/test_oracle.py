@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from svbell.loss import binomial_thin
 from svbell.oracle import (
+    _build_singlet,
     _expansion,
+    _oracle_amplitudes,
     _rotated_number_states,
-    build_singlet,
     l1_deviation_bound,
     mc_thin,
-    oracle_amplitudes,
     oracle_joint_distribution,
 )
 from svbell import singlet
@@ -26,11 +26,11 @@ SHARED_ROTATIONS = [(0.3, 0.75), (0.2, 1.5), (math.pi / 16, 3 * math.pi / 16), (
 
 
 def test_build_singlet_vacuum():
-    assert build_singlet(0) == {(0, 0, 0, 0): 1.0}
+    assert _build_singlet(0) == {(0, 0, 0, 0): 1.0}
 
 
 def test_build_singlet_two_photons():
-    state = build_singlet(1)
+    state = _build_singlet(1)
     root_half = 1.0 / math.sqrt(2.0)
     assert state[(0, 1, 1, 0)] == pytest.approx(root_half)
     assert state[(1, 0, 0, 1)] == pytest.approx(-root_half)
@@ -38,7 +38,7 @@ def test_build_singlet_two_photons():
 
 
 def test_build_singlet_six_photons():
-    state = build_singlet(3)
+    state = _build_singlet(3)
     assert len(state) == 4
     assert sorted(state.values()) == pytest.approx([-0.5, -0.5, 0.5, 0.5])
     assert state[(0, 3, 3, 0)] == pytest.approx(0.5)
@@ -47,26 +47,26 @@ def test_build_singlet_six_photons():
 
 @pytest.mark.parametrize("N", range(11))
 def test_build_singlet_normalized(N):
-    norm = sum(a * a for a in build_singlet(N).values())
+    norm = sum(a * a for a in _build_singlet(N).values())
     assert norm == pytest.approx(1.0, abs=1e-12)
 
 
 def test_build_singlet_range_error():
     with pytest.raises(ValueError, match="oracle supports N <= 10"):
-        build_singlet(11)
+        _build_singlet(11)
 
 
 def test_rotated_projection_two_photon_hand_values():
     theta = 0.61
     # |1_{H+t}, 0> = cos t |1,0> + sin t |0,1>; overlap picks the +1/sqrt(2) term.
-    amps = oracle_amplitudes(1, theta)
+    amps = _oracle_amplitudes(1, theta)
     assert amps[0, 0] == pytest.approx(math.cos(theta) / math.sqrt(2.0), abs=1e-14)
     assert amps[0, 1] == pytest.approx(-math.sin(theta) / math.sqrt(2.0), abs=1e-14)
 
 
 @pytest.mark.parametrize("N", range(7))
 def test_identity_rotation_recovers_fock_coefficients(N):
-    amps = oracle_amplitudes(N, 0.0)
+    amps = _oracle_amplitudes(N, 0.0)
     for n in range(N + 1):
         for m in range(N + 1):
             expected = ((-1.0) ** n) / math.sqrt(N + 1) if m == n else 0.0
@@ -88,7 +88,7 @@ def test_rotated_number_states_at_zero_angle_are_the_identity(N):
 def test_expansion_is_built_once_per_photon_number_and_read_only():
     _expansion.cache_clear()
     for theta_a, theta_b in SHARED_ROTATIONS:
-        oracle_amplitudes(5, theta_b, theta_a)
+        _oracle_amplitudes(5, theta_b, theta_a)
     assert (_expansion.cache_info().hits, _expansion.cache_info().misses) == (7, 1)
     weights = _expansion(5)
     assert weights.shape == (6, 36)
@@ -116,10 +116,10 @@ def test_stacked_oracle_slices_equal_scalar_calls(N, thetas, data):
         st.one_of(_ANGLES, st.lists(_ANGLES, min_size=len(thetas), max_size=len(thetas)))
     )
     alices = theta_alice if isinstance(theta_alice, list) else [theta_alice] * len(thetas)
-    stacked = oracle_amplitudes(N, thetas, theta_alice)
+    stacked = _oracle_amplitudes(N, thetas, theta_alice)
     assert stacked.shape == (len(thetas), N + 1, N + 1)
     for table, theta, theta_a in zip(stacked, thetas, alices):
-        scalar = oracle_amplitudes(N, theta, theta_a)
+        scalar = _oracle_amplitudes(N, theta, theta_a)
         assert scalar.shape == (N + 1, N + 1)
         assert np.array_equal(table, scalar)
     assert np.array_equal(oracle_joint_distribution(N, thetas, theta_alice), stacked**2)
@@ -127,7 +127,7 @@ def test_stacked_oracle_slices_equal_scalar_calls(N, thetas, data):
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
 def test_oracle_rejects_angles_that_are_not_finite(angle):
-    for call in (oracle_amplitudes, oracle_joint_distribution):
+    for call in (_oracle_amplitudes, oracle_joint_distribution):
         for theta, theta_alice in [(angle, 0.0), ([0.1, angle], 0.0), (0.1, angle), (0.1, [0.2, angle])]:
             with pytest.raises(ValueError, match=f"finite, got {angle}"):
                 call(2, theta, theta_alice)
@@ -184,7 +184,7 @@ def test_amplitude_level_agreement():
         signs = (-1.0) ** np.arange(N + 1) / math.sqrt(N + 1)
         for theta_a, theta_b in [(0.0, theta) for theta in ANGLE_GRID + [0.37]] + SHARED_ROTATIONS:
             closed = singlet._rotation(N, theta_b - theta_a)[0] * signs
-            brute = oracle_amplitudes(N, theta_b, theta_a)
+            brute = _oracle_amplitudes(N, theta_b, theta_a)
             assert np.max(np.abs(closed - brute)) <= 1e-12, (N, theta_a, theta_b)
             nonzero = np.abs(closed) > 1e-12
             assert np.array_equal(np.sign(closed[nonzero]), np.sign(brute[nonzero])), (N, theta_a, theta_b)

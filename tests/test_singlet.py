@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fresh_rotation import fresh_rotation, fresh_rotations, reflected_rotation
 from svbell import singlet
 from svbell.chain import BellBreakdown, asymptotic_bell_fixed_N, bell_fixed_N, make_chain
-from svbell.loss import binomial_thin, thinning_matrix
+from svbell.loss import _thinning_matrix, binomial_thin
 from svbell.oracle import mc_thin, oracle_joint_distribution
 from svbell.singlet import (
     MAX_PHOTON_NUMBER,
@@ -75,7 +75,7 @@ def test_range_and_argument_errors():
         lambda N: lambda_sq(N, 0.5),
         asymptotic_bell_fixed_N,
         lambda N: bell_fixed_N(N, make_chain(3), 0.9).bell,
-        lambda N: thinning_matrix(N, 0.5),
+        lambda N: _thinning_matrix(N, 0.5),
     ],
     ids=["joint_distribution", "lambda_sq", "asymptotic_bell_fixed_N", "bell_fixed_N", "thinning_matrix"],
 )
@@ -453,7 +453,7 @@ def _assert_the_bitwise_distance_and_thinning_contract(table, eta):
     explicit = np.abs(counts[:, None] - counts[None, :])
     assert mean_abs_difference(table) == float(np.sum(explicit * table.probs))
     thinned = binomial_thin(table, eta)
-    t = thinning_matrix(table.max_count, eta)
+    t = _thinning_matrix(table.max_count, eta)
     assert np.array_equal(thinned.probs, t @ table.probs @ t.T)
     assert thinned.mass == float(thinned.probs.sum())
     distances = _distances(size)
