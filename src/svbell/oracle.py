@@ -13,15 +13,15 @@ Two independent computation paths live here:
   Each table of a stack of angles is bitwise the table of its angles
   alone, and ``verify`` builds one stack per N; and
 * a seeded Monte-Carlo realization of Bernoulli detector loss: one
-  multinomial draw of how many samples fall in each cell, then the photons
-  of each cell are detected one at a time, with one binomial draw per photon
-  for each group of samples that has seen the same number of detections so
-  far.  Every photon of every sample is still an independent Bernoulli(eta)
-  event, so the law is that of one draw per sample, but the number of draws
-  depends only on the table size, never on the number of samples.
+  multinomial draw of how many samples fall in each cell, then two passes
+  over the whole table, Bob's counts and then Alice's.  A pass resolves
+  each photon once, by one binomial draw over every group of samples with
+  the same count and detections so far: 1 + 2 max_count draws per table,
+  however many samples or nonzero cells.  Every photon of every sample is
+  still an independent Bernoulli(eta) event, as if drawn one by one.
 
 Neither path shares code with the closed-form modules; that independence is
-the point.  Scale is deliberately small (N <= 10).
+the point.  The Fock oracle's scale is deliberately small (N <= 10).
 """
 
 from __future__ import annotations
@@ -161,22 +161,22 @@ def oracle_joint_distribution(
     return _oracle_amplitudes(N, theta, theta_alice) ** 2
 
 
-def _detect(rng: np.random.Generator, groups: np.ndarray, photons: int, eta: float) -> np.ndarray:
-    """Detection-count histograms of groups of samples that each see ``photons``.
+def _thin_columns(rng: np.random.Generator, cells: np.ndarray, eta: float) -> np.ndarray:
+    """Entry (i, j): the samples of row i of ``cells`` that detect j of their photons.
 
-    ``groups`` holds sample counts of any shape; the result appends an axis of
-    length ``photons + 1`` whose entry j counts the samples of that group with
-    j detections.  Photons are resolved one at a time: of the samples with j
-    detections so far, Binomial(count, eta) detect the next one and move to
-    j + 1, so each sample ends with a Binomial(photons, eta) count.
+    A sample in column m holds m photons.  Before round r the samples of
+    column r join a pool of those with r photons left, grouped by row and
+    detections so far; one binomial draw detects the next photon of each.
     """
-    h = np.zeros(groups.shape + (photons + 1,), dtype=np.int64)
-    h[..., 0] = groups
-    for k in range(photons):
-        hit = rng.binomial(h[..., : k + 1], eta)
-        h[..., : k + 1] -= hit
-        h[..., 1 : k + 2] += hit
-    return h
+    size = cells.shape[1]
+    pool = np.zeros_like(cells)
+    for r in range(size - 1, 0, -1):
+        pool[:, 0] += cells[:, r]
+        hit = rng.binomial(pool[:, : size - r], eta)
+        pool[:, : size - r] -= hit
+        pool[:, 1 : size - r + 1] += hit
+    pool[:, 0] += cells[:, 0]
+    return pool
 
 
 def l1_deviation_bound(cells: int, samples: int, alpha: float) -> float:
@@ -200,15 +200,14 @@ def mc_thin(
     """Empirical loss channel: sample joint counts, thin each binomially.
 
     One multinomial draw spreads ``samples`` i.i.d. (n, m) pairs over the
-    cells of ``dist`` (normalized by its mass).  The k samples of cell (n, m)
-    then lose Alice's n photons one at a time, one binomial draw per photon
-    for each group of samples with the same detections so far, and Bob's m
-    photons the same way inside each of Alice's groups; that fills the
-    cell's (n+1) x (m+1) block of counts.  Each sample thus gets independent
-    Binomial(n, eta), Binomial(m, eta) counts, as if drawn one by one, at a
-    cost that does not depend on ``samples``.  The output is rescaled by the
-    input's mass, the sum of its table, so it estimates the same table that
-    the exact channel produces.  Deterministic for a fixed seed.
+    cells of ``dist`` (normalized by its mass).  Bob's pass then thins the
+    m photons of every sample, one binomial draw per photon for the whole
+    table, and sums m out; Alice's pass thins n the same way.  Each sample
+    thus gets independent Binomial(n, eta), Binomial(m, eta) counts, from
+    1 + 2 max_count draws, however many samples or nonzero cells.  The
+    output is rescaled by the input's mass, the sum of its table, so it
+    estimates the same table that the exact channel produces.
+    Deterministic for a fixed seed.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"detection efficiency must lie in [0, 1], got {eta}")
@@ -222,11 +221,7 @@ def mc_thin(
     if not 0.0 < mass < math.inf:
         raise ValueError(f"mass must be positive and finite, got {mass}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    size = dist.max_count + 1
-    cells = rng.multinomial(samples, flat / mass)
-    counts = np.zeros((size, size), dtype=np.int64)
-    for cell in np.flatnonzero(cells):
-        n, m = divmod(int(cell), size)
-        alice = _detect(rng, cells[cell], n, eta)
-        counts[: n + 1, : m + 1] += _detect(rng, alice, m, eta)
+    cells = rng.multinomial(samples, flat / mass).reshape(dist.probs.shape)
+    bob = _thin_columns(rng, cells, eta)
+    counts = _thin_columns(rng, bob.T, eta).T
     return JointCountDistribution(counts * (mass / samples))

@@ -248,6 +248,8 @@ def test_mc_thin_joint_histogram_is_a_product_of_binomials():
     (4, 0.5, 11),
     (4, 0.83, 34),
     (4, 0.95, 12),
+    (30, 0.83, 35),
+    (60, 0.83, 36),
 ])
 def test_mc_thin_matches_exact_channel(N, eta, seed):
     dist = joint_distribution(N, math.pi / 8)
@@ -315,7 +317,7 @@ def _thinned_support(probs, eta):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    N=st.integers(0, 10),
+    N=st.integers(0, 30),
     theta=st.floats(0.0, math.pi / 2),
     eta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
     samples=st.integers(1, 10**6),
@@ -343,3 +345,32 @@ def test_mc_thin_cost_does_not_grow_with_the_samples():
     empirical = mc_thin(dist, 0.83, samples, seed=7)
     counts = empirical.probs * (samples / dist.mass)
     assert counts.sum() == pytest.approx(samples, rel=1e-12)
+
+
+class _CountingGenerator:
+    """A numpy Generator that counts its calls of each method."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls[name] = self._calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("N", [0, 3, 30, 60])
+@pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
+def test_mc_thin_draws_once_per_photon_for_the_whole_table(monkeypatch, N, eta):
+    # One multinomial over the cells, then one binomial per photon of each
+    # pass: 1 + 2 max_count draws, however many cells hold samples.
+    default_rng = np.random.default_rng
+    calls = {"multinomial": 0, "binomial": 0}
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _CountingGenerator(default_rng(seed), calls))
+    dist = joint_distribution(N, math.pi / 8)
+    mc_thin(dist, eta, 10**6, seed=3)
+    assert calls == {"multinomial": 1, "binomial": 2 * dist.max_count}
