@@ -103,15 +103,15 @@ def bell_fixed_N(N: int, chain: ChainSpec, eta: float = 1.0) -> BellBreakdown:
 def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
     """Bell breakdown for the squeezed vacuum, read off its mixture tables.
 
-    Both distances are taken on the lossless mixtures truncated by ``spec``,
-    thinned at eta; theta' = pi/2 - theta, so both come from one pass over
-    the singlet tables at theta (see ``sv._lossless_pair``).  ``n_max`` and
-    ``mass`` are ``spec.n_max`` and ``spec.mass``.  The contribution of the
-    2N-photon component is ``lambda_sq(N, gamma) * bell_fixed_N(N, chain, eta).bell``.
+    theta' = pi/2 - theta, so both lossless mixtures truncated by ``spec``
+    come from one pass over the singlet tables at theta, as one stack (see
+    ``sv._lossless_pair``) thinned once at eta; one reduction gives both
+    distances.  ``n_max`` and ``mass`` are ``spec.n_max`` and ``spec.mass``.
+    The 2N-photon component contributes ``lambda_sq(N, gamma) * bell_fixed_N(N, chain, eta).bell``.
     """
     _check_efficiency(eta)
-    tables = _lossless_pair(chain.theta, spec)
-    adjacent, closing = (mean_abs_difference(binomial_thin(t, eta) if eta < 1.0 else t) for t in tables)
+    pair = _lossless_pair(chain.theta, spec)
+    adjacent, closing = mean_abs_difference(binomial_thin(pair, eta) if eta < 1.0 else pair)
     return BellBreakdown((2 * chain.L - 1) * adjacent, closing, spec.n_max, spec.mass)
 
 

@@ -72,7 +72,8 @@ def binomial_thin(dist: JointCountDistribution, eta: float) -> JointCountDistrib
     """Apply the loss channel at efficiency eta to both observers' counts.
 
     Preserves total mass and the count-table size; thinning at eta1 then
-    eta2 composes to thinning at eta1 * eta2.
+    eta2 composes to thinning at eta1 * eta2.  A stack of tables is thinned
+    in one broadcast product, each table bit for bit as if thinned alone.
     """
     t = _thinning_matrix(dist.max_count, eta)
     return JointCountDistribution(t @ dist.probs @ t.T)

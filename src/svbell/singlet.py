@@ -59,24 +59,25 @@ _HALF_PI = 0.5 * math.pi
 
 @dataclass(frozen=True, eq=False)
 class JointCountDistribution:
-    """Probability table over joint photon counts (n, m).
+    """Probability table over joint photon counts (n, m), or a stack of them.
 
-    ``probs[n, m]`` is the probability that Alice registers n photons and
-    Bob m photons; ``mass`` is its sum, worked out on each read (1 up to
-    rounding for fixed-N tables, below 1 for truncated mixtures).  Treat
-    ``probs`` as read-only: fixed-N tables, and the lossless squeezed-vacuum
-    tables that ``sv_mixture`` returns at eta = 1, are shared and frozen.
+    ``probs[..., n, m]`` is the probability that Alice registers n photons
+    and Bob m photons; a leading axis stacks tables.  ``mass`` is each
+    table's sum, worked out on each read (1 up to rounding for fixed-N
+    tables, below 1 for truncated mixtures): a float, or a list for a stack.
+    Treat ``probs`` as read-only: fixed-N tables and the lossless
+    squeezed-vacuum pairs that ``sv`` keeps are shared and frozen.
     """
 
     probs: np.ndarray
 
     @property
-    def mass(self) -> float:
-        return float(np.add.reduce(self.probs, axis=None))
+    def mass(self) -> float | list:
+        return np.add.reduce(self.probs, axis=(-2, -1)).tolist()
 
     @property
     def max_count(self) -> int:
-        return self.probs.shape[0] - 1
+        return self.probs.shape[-1] - 1
 
 
 def _check_photon_number(N: int) -> None:
@@ -197,14 +198,14 @@ def _distances(size: int) -> np.ndarray:
     return distances
 
 
-def mean_abs_difference(dist: JointCountDistribution) -> float:
+def mean_abs_difference(dist: JointCountDistribution) -> float | list:
     """Sum of |m - n| p(n, m) over a joint count table, not divided by its mass.
 
     For a full table (mass 1) this is the mean |m - n|.  For a truncated
     mixture (mass < 1) it is the sum over the kept components only, which
     ``bell_sv`` reports as is: it lies below the untruncated value by at most
     sum_{N > n_max} lambda_N^2 N, the one-sided bound the benchmark's
-    reference checks.  One ``np.add.reduce`` over the whole product, the reduction
-    ``np.sum`` delegates to, so the value is bit for bit ``np.sum(|i - j| * probs)``.
+    reference checks.  One ``np.add.reduce`` per table, as ``np.sum`` does: a float bit for bit
+    ``float(np.sum(|i - j| * probs))``, or a list with one such value per table of a stack.
     """
-    return float(np.add.reduce(_distances(dist.max_count + 1) * dist.probs, axis=None))
+    return np.add.reduce(_distances(dist.max_count + 1) * dist.probs, axis=(-2, -1)).tolist()

@@ -9,11 +9,8 @@ Joint count predictions for the full state are the lambda_N^2-weighted
 mixtures of the fixed-N tables.  The infinite sum is truncated at the
 smallest N_max whose cumulative weight reaches a configured mass threshold
 (0.99 by default); truncated weights are deliberately *not* renormalized.
-Only the spec declares its truncation: it works out the weights, N_max and
-their sum (``n_max`` and ``mass``) once, on first use; a mixture is just its
-table.  The command line checks each gain at a second, larger mass; that
-guard spec shares the first spec's kept mixtures and continues them, adding
-only the components above them.
+Only the spec declares its truncation, and keeps each chain's two lossless
+mixtures as one stack (see ``SVSpec``); a mixture is just its table.
 """
 
 from __future__ import annotations
@@ -61,20 +58,21 @@ class SVSpec:
     """Gain and truncation mass of the squeezed-vacuum state.
 
     The mixture never goes above MAX_PHOTON_NUMBER photons per beam.  A spec
-    computes its truncation (the weights up to ``n_max``, and their sum
-    ``mass``) once, on first use, and the frozen ``_lossless_pair`` of the
-    last angle it was used at, so a chain's two tables are built once per
-    spec and only thinned at each efficiency.  Both live and die with the
+    works out its truncation (the weights up to ``n_max``, and their sum
+    ``mass``) once, on first use, or the CapExceededError that every later
+    read raises again.  It keeps the frozen ``_lossless_pair`` of the last
+    angle it was used at, so a chain's two tables are built once per spec
+    and only thinned at each efficiency.  Both live and die with the
     object: they take no part in the constructor, ``==``, ``hash`` or
     ``repr``, and ``replace`` or a new equal spec starts empty.  The guard
-    spec of ``_at_mass`` shares the kept pairs: at most four tables, as two
+    spec of ``_at_mass`` shares the kept pairs: at most two stacks, as two
     separate specs would keep.  Threads sharing a spec may build a table
     twice, never a wrong one.
     """
 
     gamma: float
     mass_threshold: float = 0.99
-    # The kept pairs: {last angle: {N_max: (table at theta, at pi/2 - theta)}}.
+    # The kept pairs: {last angle: {N_max: stack of the tables at theta and at pi/2 - theta}}.
     _mixtures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -86,19 +84,23 @@ class SVSpec:
         """The weights up to N_max and their correctly rounded sum.
 
         N_max is the first N at which the running sum reaches the mass
-        threshold; CapExceededError if none up to MAX_PHOTON_NUMBER does.
+        threshold; CapExceededError if none up to MAX_PHOTON_NUMBER does.  A
+        cached_property keeps no raised exception, so the spec keeps the
+        error's message and raises it again without summing the weights again.
         """
-        weights = []
-        cumulative = 0.0
-        for n in range(MAX_PHOTON_NUMBER + 1):
-            weights.append(lambda_sq(n, self.gamma))
-            cumulative += weights[n]
-            if cumulative >= self.mass_threshold:
-                return weights, math.fsum(weights)
-        raise CapExceededError(
-            f"at gain {self.gamma}, the singlet weights up to N = {MAX_PHOTON_NUMBER} "
-            f"sum to {cumulative!r}, below the requested mass {self.mass_threshold}"
-        )
+        if "_unreachable" not in self.__dict__:
+            weights = []
+            cumulative = 0.0
+            for n in range(MAX_PHOTON_NUMBER + 1):
+                weights.append(lambda_sq(n, self.gamma))
+                cumulative += weights[n]
+                if cumulative >= self.mass_threshold:
+                    return weights, math.fsum(weights)
+            self.__dict__["_unreachable"] = (
+                f"at gain {self.gamma}, the singlet weights up to N = {MAX_PHOTON_NUMBER} "
+                f"sum to {cumulative!r}, below the requested mass {self.mass_threshold}"
+            )
+        raise CapExceededError(self.__dict__["_unreachable"])
 
     @property
     def n_max(self) -> int:
@@ -151,8 +153,8 @@ class CapExceededError(RuntimeError):
     """The weights up to MAX_PHOTON_NUMBER photons per beam sum to less than the mass threshold."""
 
 
-def _lossless_pair(theta: float, spec: SVSpec) -> tuple[JointCountDistribution, JointCountDistribution]:
-    """The lossless mixtures truncated by spec at theta and at pi/2 - theta, kept by spec.
+def _lossless_pair(theta: float, spec: SVSpec) -> JointCountDistribution:
+    """Lossless mixtures truncated by spec at theta and pi/2 - theta: one frozen stack, kept by spec.
 
     p(n, m | pi/2 - theta) = p(n, N - m | theta), so each fixed-N table goes
     into the second mixture with its columns reversed.  A build continues the
@@ -168,13 +170,13 @@ def _lossless_pair(theta: float, spec: SVSpec) -> tuple[JointCountDistribution, 
         start = max((n for n in kept if n < n_max), default=-1)
         tables = np.zeros((2, n_max + 1, n_max + 1))
         if start >= 0:
-            tables[:, : start + 1, : start + 1] = [table.probs for table in kept[start]]
+            tables[:, : start + 1, : start + 1] = kept[start].probs
         for n in range(start + 1, n_max + 1):
             term = weights[n] * joint_distribution(n, theta).probs
             tables[0, : n + 1, : n + 1] += term
             tables[1, : n + 1, : n + 1] += term[:, ::-1]
         tables.setflags(write=False)
-        pair = kept[n_max] = (JointCountDistribution(tables[0]), JointCountDistribution(tables[1]))
+        pair = kept[n_max] = JointCountDistribution(tables)
     spec._mixtures.clear()  # any other angle's pairs go
     spec._mixtures[theta] = kept
     return pair
@@ -186,11 +188,11 @@ def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistri
     Weighted mixture of the lossless fixed-N tables up to the truncation
     point ``spec.n_max``, thinned once at efficiency eta (thinning is
     linear).  Weights are not renormalized: the table's mass is
-    ``spec.mass`` up to rounding.  At eta = 1 the shared, frozen table
-    ``spec`` keeps (see ``_lossless_pair``) is returned itself.
+    ``spec.mass`` up to rounding.  At eta = 1 it is a read-only view of the
+    frozen pair ``spec`` keeps (see ``_lossless_pair``), shared, not copied.
     """
     _check_efficiency(eta)
-    mixture = _lossless_pair(theta, spec)[0]
+    mixture = JointCountDistribution(_lossless_pair(theta, spec).probs[0])
     return binomial_thin(mixture, eta) if eta < 1.0 else mixture
 
 

@@ -19,7 +19,7 @@ from gaussian_series import mean_distance
 import svbell.cli
 import svbell.sv
 from svbell import singlet
-from svbell.chain import make_chain
+from svbell.chain import bell_sv, make_chain
 from svbell.cli import GUARD_MASS, MAX_GRID_POINTS, main, run_verification
 from svbell.oracle import mc_thin
 from svbell.singlet import joint_distribution
@@ -382,6 +382,23 @@ def test_heatmap_sums_each_weight_once_per_spec(capsys, monkeypatch):
     assert code == 0
     # The one row reuses the spec the pre-check made, and its weights.
     assert len(calls) == expected
+
+
+def test_heatmap_sums_an_unreachable_guard_mass_once(capsys, monkeypatch):
+    # At gain 1.7 the default mass stops at N = 49, and the guard mass 0.999
+    # is out of reach: 50 weights, then 61 for the guard, not 61 per cell.
+    spec, chain, etas = SVSpec(1.7), make_chain(3), [0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    expected_rows = [["1.7", repr(eta), repr(bell_sv(chain, spec, eta).bell)] for eta in etas]
+    calls = []
+    monkeypatch.setattr(svbell.sv, "lambda_sq", _counting(calls, "lambda_sq", svbell.sv.lambda_sq))
+    argv = ["heatmap", "--L", "3", "--gamma-range", "1.7:1.7:0.1", "--eta-range", "0.5:1.0:0.1"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert len(calls) == (spec.n_max + 1) + 61 == 50 + 61
+    metadata, _, rows = parse_csv(out)
+    assert rows == expected_rows
+    assert metadata["truncation"] == {"1.7": [49, spec.mass]}
+    assert metadata["convergence_warnings"] == ["L=3 gamma=1.7: guard mass 0.999 unreachable under cap 60"]
 
 
 def test_sweep_settings_reads_each_table_once(capsys, monkeypatch):

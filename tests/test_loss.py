@@ -22,6 +22,7 @@ from svbell.loss import _thinning_matrix, binomial_thin
 from svbell.oracle import l1_deviation_bound, mc_thin
 from svbell.singlet import (
     MAX_PHOTON_NUMBER,
+    JointCountDistribution,
     joint_distribution,
     mean_abs_difference,
 )
@@ -153,6 +154,20 @@ def test_shared_thinning_matrix_is_the_fresh_table_and_read_only(max_count, eta)
     with pytest.raises(ValueError):
         t[0, 0] = 0.5
     assert np.array_equal(_thinning_matrix(max_count, eta), pascal_table(max_count, eta))
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.37, 0.5, 1.0])
+def test_a_stack_is_thinned_bit_for_bit_as_each_table_alone(eta):
+    # bell_sv thins a chain's (2, n, n) kept pair in one broadcast product;
+    # sv_mixture thins the pair's first table alone.  Both give the same bits.
+    rng = np.random.default_rng(11)
+    for size in range(1, MAX_PHOTON_NUMBER + 2):
+        probs = rng.random((2, size, size))
+        stack = binomial_thin(JointCountDistribution(probs / probs.sum()), eta)
+        assert stack.probs.shape == (2, size, size) and stack.max_count == size - 1
+        for k in range(2):
+            alone = binomial_thin(JointCountDistribution(probs[k] / probs.sum()), eta)
+            assert stack.probs[k].tobytes() == alone.probs.tobytes()
 
 
 @contextmanager

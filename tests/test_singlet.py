@@ -446,6 +446,20 @@ def test_mean_abs_difference_matches_the_explicit_formula(size):
     assert mean_abs_difference(dist) == expected
 
 
+@pytest.mark.parametrize("size", range(1, MAX_PHOTON_NUMBER + 2))
+def test_a_stack_is_measured_bit_for_bit_as_each_table_alone(size):
+    # One reduction over each table's two count axes: a stack gives one value
+    # per table, each the value that table gives alone, and one table a float.
+    probs = np.random.default_rng(size).random((2, size, size))
+    stack = JointCountDistribution(probs)
+    assert stack.max_count == size - 1
+    for measure in (lambda dist: dist.mass, mean_abs_difference):
+        alone = [measure(JointCountDistribution(table)) for table in probs]
+        assert all(type(value) is float for value in alone)
+        assert [value.hex() for value in measure(stack)] == [value.hex() for value in alone]
+    assert alone[0] == float(np.sum(_distances(size) * probs[0]))
+
+
 def _assert_the_bitwise_distance_and_thinning_contract(table, eta):
     # The explicit int |i - j| formula and the explicit products, compared with ==.
     size = table.max_count + 1

@@ -135,6 +135,27 @@ def test_truncation_cap_exceeded_at_high_gain():
         assert str(raised.value) == message
 
 
+def test_an_unreachable_mass_is_summed_once_and_raised_on_every_read(monkeypatch):
+    calls = []
+
+    def counted(N, gamma):
+        calls.append(N)
+        return lambda_sq(N, gamma)
+
+    monkeypatch.setattr(svbell.sv, "lambda_sq", counted)
+    spec = SVSpec(1.7, GUARD_MASS)
+    raised = []
+    for read in [lambda: spec.n_max, lambda: spec.mass, lambda: sv_mixture(0.3, spec), lambda: spec.n_max]:
+        with pytest.raises(CapExceededError) as info:
+            read()
+        raised.append(info)
+    assert calls == list(range(61))
+    assert len({str(info.value) for info in raised}) == 1
+    assert str(raised[0].value).startswith("at gain 1.7, the singlet weights up to N = 60 sum to ")
+    # Each read raises a fresh error from the kept message: no traceback piles up frames.
+    assert len(raised[0].traceback) == len(raised[-1].traceback)
+
+
 def test_truncated_mass_reaches_threshold():
     spec = SVSpec(gamma=0.8)
     assert spec.mass == math.fsum(lambda_sq(n, spec.gamma) for n in range(spec.n_max + 1))
@@ -252,28 +273,35 @@ def test_kept_mixture_matches_a_fresh_build_at_every_efficiency():
 def test_kept_mixture_is_shared_and_read_only():
     spec = SVSpec(0.8)
     table = sv_mixture(0.3, spec)
-    assert sv_mixture(0.3, spec) is table
+    pair = spec._mixtures[0.3][spec.n_max].probs
+    # A read-only view of the kept pair's first table: shared, not copied.
+    assert np.shares_memory(sv_mixture(0.3, spec).probs, table.probs)
+    assert np.shares_memory(table.probs, pair) and table.probs.base is pair
     with pytest.raises(ValueError):
         table.probs[0, 0] = 1.0
     thinned = sv_mixture(0.3, spec, 0.5)
+    assert not np.shares_memory(thinned.probs, pair)
     thinned.probs[0, 0] = 1.0  # a thinned table is the caller's own
-    assert sv_mixture(0.3, spec) is table and table.probs[0, 0] != 1.0
+    again = sv_mixture(0.3, spec)
+    assert np.shares_memory(again.probs, pair) and again.probs[0, 0] == table.probs[0, 0] != 1.0
 
 
 def test_a_spec_keeps_the_pair_of_the_last_angle_it_was_used_at():
     spec = SVSpec(0.8)
     first = sv_mixture(0.1, spec)
-    assert sv_mixture(0.1, spec, 0.7) is not first and sv_mixture(0.1, spec) is first
-    # The kept pair: the table at the angle and the one at pi/2 minus it.
+    assert not np.shares_memory(sv_mixture(0.1, spec, 0.7).probs, first.probs)
+    assert np.shares_memory(sv_mixture(0.1, spec).probs, first.probs)
+    # The kept pair: one stack of the table at the angle and the one at pi/2 minus it.
     assert list(spec._mixtures) == [0.1] and list(spec._mixtures[0.1]) == [spec.n_max]
-    adjacent, closing = spec._mixtures[0.1][spec.n_max]
-    assert adjacent is first and not closing.probs.flags.writeable
-    assert np.array_equal(closing.probs, fresh_mixture(0.1, spec, 1.0, reflected=True))
+    pair = spec._mixtures[0.1][spec.n_max].probs
+    assert pair.shape == (2, spec.n_max + 1, spec.n_max + 1) and not pair.flags.writeable
+    assert first.probs.base is pair and np.array_equal(pair[0], first.probs)
+    assert np.array_equal(pair[1], fresh_mixture(0.1, spec, 1.0, reflected=True))
     second = sv_mixture(0.2, spec)  # a new angle: 0.1's pair goes
     assert list(spec._mixtures) == [0.2]
     rebuilt = sv_mixture(0.1, spec)
-    assert rebuilt is not first and np.array_equal(rebuilt.probs, first.probs)
-    assert list(spec._mixtures) == [0.1] and sv_mixture(0.2, spec) is not second
+    assert not np.shares_memory(rebuilt.probs, first.probs) and np.array_equal(rebuilt.probs, first.probs)
+    assert list(spec._mixtures) == [0.1] and not np.shares_memory(sv_mixture(0.2, spec).probs, second.probs)
     for theta in np.linspace(0.0, 0.5 * math.pi, 9):
         sv_mixture(float(theta), spec)
         assert list(spec._mixtures) == [float(theta)] and len(spec._mixtures[float(theta)]) == 1
@@ -287,7 +315,7 @@ def test_the_kept_tables_belong_to_one_spec_object():
     assert repr(spec) == "SVSpec(gamma=0.8, mass_threshold=0.99)"
     for other in [SVSpec(0.8), replace(spec), replace(spec, mass_threshold=0.999)]:
         assert other._mixtures == {}
-        assert sv_mixture(0.3, other) is not table
+        assert not np.shares_memory(sv_mixture(0.3, other).probs, table.probs)
     assert np.array_equal(sv_mixture(0.3, SVSpec(0.8)).probs, table.probs)
 
 
@@ -341,8 +369,10 @@ def test_the_closing_term_is_read_off_the_adjacent_angles_tables(gamma, eta, L, 
     closing = JointCountDistribution(fresh_mixture(chain.theta, fresh, eta, reflected=True))
     assert result.lhs == (2 * L - 1) * mean_abs_difference(adjacent)
     assert result.rhs == mean_abs_difference(closing)
-    kept = which._mixtures[chain.theta][which.n_max][1].probs
-    assert kept.tobytes() == fresh_mixture(chain.theta, fresh, 1.0, reflected=True).tobytes()
+    # The kept stack: the adjacent ladder, and the same ladder with Bob's count reversed.
+    kept = which._mixtures[chain.theta][which.n_max].probs
+    assert kept[0].tobytes() == fresh_mixture(chain.theta, fresh, 1.0).tobytes()
+    assert kept[1].tobytes() == fresh_mixture(chain.theta, fresh, 1.0, reflected=True).tobytes()
 
 
 def test_a_spec_computes_each_weight_once(monkeypatch):
