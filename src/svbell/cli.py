@@ -3,10 +3,13 @@
 CSV is the canonical output (fixed headers, UTF-8, '.' decimal separator,
 rows ordered lexicographically in the sweep variables); JSON mirrors it.
 Every output embeds its configuration (every parsed flag except --format
-and --out) and truncation mass, so any figure can be regenerated from its
-own data file.  The parser checks the syntax and size of each range; every
-value is checked by the library code that uses it, and a heatmap's cell
-count by the command.
+and --out), so any figure can be regenerated from its own data file.
+``dist`` adds its table's ``mass`` (with --gamma, the kept weight ``mass``
+and ``n_max``), ``sweep-settings --gamma`` its ``mass`` and ``n_max``, and
+``heatmap`` its ``truncation`` ([n_max, mass] per gain); ``sweep-eta`` and
+``sweep-settings --N`` are exact fixed-N figures and add nothing.  The
+parser checks the syntax and size of each range; every value is checked by
+the library code that uses it, and a heatmap's cell count by the command.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments or an
 unwritable --out path (found before any computation), 3 the weights up to

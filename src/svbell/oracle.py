@@ -2,16 +2,18 @@
 
 Two independent computation paths live here:
 
-* a four-mode Fock-space construction of the 2N-photon singlet plus explicit
-  binomial expansion of rotated number states.  The integer part of that
-  expansion (signed weights from exact integer binomials and factorials,
-  one per power of cos and target cell) depends on N alone and is built
-  once per N as one matrix.  Each observer's N+1 rotated states at an
-  angle are then its row of cos/sin monomials times that matrix, and the
-  signed amplitude tables are one batched matrix product over the entries
-  of the singlet's Fock vector; their square is the joint count table.
-  Each table of a stack of angles is bitwise the table of its angles
-  alone, and ``verify`` builds one stack per N; and
+* the 2N-photon singlet written in the Fock basis,
+  sum_n (-1)^n |n_H, (N-n)_V>_a |(N-n)_H, n_V>_b / sqrt(N+1): one signed
+  amplitude per n, paired with an explicit binomial expansion of rotated
+  number states.  The integer part of that expansion (signed weights from
+  exact integer binomials and factorials, one per power of cos and target
+  cell) depends on N alone and is built once per N as one matrix.  Each
+  observer's N+1 rotated states at an angle are then its row of cos/sin
+  monomials times that matrix, and the signed amplitude tables are one
+  batched matrix product of Alice's states, weighted by the singlet's
+  amplitudes, with Bob's; their square is the joint count table.  Each
+  table of a stack of angles is bitwise the table of its angles alone, and
+  ``verify`` builds one stack per N; and
 * a seeded Monte-Carlo realization of Bernoulli detector loss: one
   multinomial draw of how many samples fall in each cell, then two passes
   over the whole table, Bob's counts and then Alice's.  A pass resolves
@@ -40,22 +42,6 @@ MAX_ORACLE_PHOTON_NUMBER = 10
 
 # Largest Monte-Carlo sample count: the sampler counts in int64.
 MAX_MC_SAMPLES = 2**63 - 1
-
-_FockVector = dict[tuple[int, int, int, int], float]
-
-
-def _build_singlet(N: int) -> _FockVector:
-    """Sparse four-mode Fock vector of the 2N-photon singlet.
-
-    Keys are occupations (aH, aV, bH, bV); the amplitude on
-    |n, N-n>_a |N-n, n>_b is (-1)^n / sqrt(N+1).
-    """
-    if N < 0:
-        raise ValueError(f"photon number per beam must be nonnegative, got {N}")
-    if N > MAX_ORACLE_PHOTON_NUMBER:
-        raise ValueError(f"oracle supports N <= {MAX_ORACLE_PHOTON_NUMBER}, got {N}")
-    norm = 1.0 / math.sqrt(N + 1)
-    return {(n, N - n, N - n, n): (-norm if n % 2 else norm) for n in range(N + 1)}
 
 
 @lru_cache(maxsize=MAX_ORACLE_PHOTON_NUMBER + 1)
@@ -117,18 +103,6 @@ def _rotated_number_states(N: int, phi: float | Sequence[float]) -> np.ndarray:
     return (monomials @ _expansion(N)).reshape(angles.shape + (N + 1, N + 1))
 
 
-def _overlap(state: _FockVector, alice: np.ndarray, bob: np.ndarray) -> np.ndarray:
-    """Inner products of ``state`` with every pair of Alice's and Bob's states.
-
-    Entry (n, m) sums amp * alice[n, a_H] * bob[m, b_H] over the entries of
-    ``state``: one matrix product over its H occupations, batched over any
-    leading (broadcast) axes of the two stacks of states.
-    """
-    keys = np.array(list(state))
-    amps = np.fromiter(state.values(), dtype=float, count=len(state))
-    return (alice[..., keys[:, 0]] * amps) @ np.swapaxes(bob[..., keys[:, 2]], -1, -2)
-
-
 def _oracle_amplitudes(
     N: int, theta: float | Sequence[float], theta_alice: float | Sequence[float] = 0.0
 ) -> np.ndarray:
@@ -137,18 +111,27 @@ def _oracle_amplitudes(
     Entry (n, m) projects the 2N-photon singlet onto
     |n_{H+theta_alice}, (N-n)_{V+theta_alice}>_a together with
     |(N-m)_{H+theta}, m_{V+theta}>_b.  Each observer's N+1 rotated number
-    states are expanded once, as one matrix, and paired with every state of
-    the other observer.  A nonzero theta_alice checks that joint statistics
-    depend on the polarizer angles only through their difference.
+    states are expanded once, as one matrix.  The singlet's term n pairs
+    Alice's H occupation n with Bob's N-n, so the table sums Alice's column
+    n, times (-1)^n / sqrt(N+1), against Bob's column N-n.  A nonzero
+    theta_alice checks that joint statistics depend on the polarizer angles
+    only through their difference.
 
     ``theta`` and ``theta_alice`` may be arrays of angles that broadcast
     together; the result then stacks one table per angle pair, each bitwise
-    the table of that pair alone.
+    the table of that pair alone.  Raises ``TypeError`` for an N that is
+    not an integer and ``ValueError`` for a negative one or one above
+    ``MAX_ORACLE_PHOTON_NUMBER``.
     """
-    state = _build_singlet(N)
+    if operator.index(N) < 0:
+        raise ValueError(f"photon number per beam must be nonnegative, got {N}")
+    if N > MAX_ORACLE_PHOTON_NUMBER:
+        raise ValueError(f"oracle supports N <= {MAX_ORACLE_PHOTON_NUMBER}, got {N}")
+    norm = 1.0 / math.sqrt(N + 1)
+    amps = np.where(np.arange(N + 1) % 2, -norm, norm)
     alice = _rotated_number_states(N, theta_alice)
-    bob = _rotated_number_states(N, theta)[..., ::-1, :]
-    return _overlap(state, alice, bob)
+    bob = _rotated_number_states(N, theta)[..., ::-1, ::-1]
+    return (alice * amps) @ np.swapaxes(bob, -1, -2)
 
 
 def oracle_joint_distribution(
@@ -207,13 +190,17 @@ def mc_thin(
     1 + 2 max_count draws, however many samples or nonzero cells.  The
     output is rescaled by the input's mass, the sum of its table, so it
     estimates the same table that the exact channel produces.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  A stack of tables is rejected.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"detection efficiency must lie in [0, 1], got {eta}")
     samples = operator.index(samples)
     if not 1 <= samples <= MAX_MC_SAMPLES:
         raise ValueError(f"samples must lie in [1, {MAX_MC_SAMPLES}], got {samples}")
+    if dist.probs.ndim != 2:
+        raise ValueError(
+            f"mc_thin samples one table, got probabilities of shape {dist.probs.shape}"
+        )
     flat = dist.probs.ravel()
     if not np.all(flat >= 0.0):
         raise ValueError("probabilities must be nonnegative and not NaN")

@@ -1,6 +1,8 @@
-"""Brute-force oracle tests: Fock construction, rotations, Monte-Carlo loss."""
+"""Brute-force oracle tests: Fock amplitudes, rotations, Monte-Carlo loss."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from svbell.loss import binomial_thin
 from svbell.oracle import (
-    _build_singlet,
     _expansion,
     _oracle_amplitudes,
     _rotated_number_states,
@@ -17,7 +18,7 @@ from svbell.oracle import (
     mc_thin,
     oracle_joint_distribution,
 )
-from svbell import singlet
+from svbell import oracle, singlet
 from svbell.singlet import JointCountDistribution, joint_distribution
 
 ANGLE_GRID = [0.0, math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
@@ -25,35 +26,29 @@ ANGLE_GRID = [0.0, math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math
 SHARED_ROTATIONS = [(0.3, 0.75), (0.2, 1.5), (math.pi / 16, 3 * math.pi / 16), (1.1, 1.1)]
 
 
-def test_build_singlet_vacuum():
-    assert _build_singlet(0) == {(0, 0, 0, 0): 1.0}
+@pytest.mark.parametrize("call", [_oracle_amplitudes, oracle_joint_distribution])
+def test_oracle_checks_the_photon_number(call):
+    with pytest.raises(ValueError, match="oracle supports N <= 10, got 11"):
+        call(11, 0.3)
+    with pytest.raises(ValueError, match="nonnegative, got -1"):
+        call(-1, 0.3)
+    with pytest.raises(TypeError):
+        call(2.5, 0.3)
+    # numpy integers are integers.
+    assert np.array_equal(call(np.int64(2), 0.3), call(2, 0.3))
 
 
-def test_build_singlet_two_photons():
-    state = _build_singlet(1)
-    root_half = 1.0 / math.sqrt(2.0)
-    assert state[(0, 1, 1, 0)] == pytest.approx(root_half)
-    assert state[(1, 0, 0, 1)] == pytest.approx(-root_half)
-    assert len(state) == 2
-
-
-def test_build_singlet_six_photons():
-    state = _build_singlet(3)
-    assert len(state) == 4
-    assert sorted(state.values()) == pytest.approx([-0.5, -0.5, 0.5, 0.5])
-    assert state[(0, 3, 3, 0)] == pytest.approx(0.5)
-    assert state[(1, 2, 2, 1)] == pytest.approx(-0.5)
-
-
-@pytest.mark.parametrize("N", range(11))
-def test_build_singlet_normalized(N):
-    norm = sum(a * a for a in _build_singlet(N).values())
-    assert norm == pytest.approx(1.0, abs=1e-12)
-
-
-def test_build_singlet_range_error():
-    with pytest.raises(ValueError, match="oracle supports N <= 10"):
-        _build_singlet(11)
+def test_oracle_takes_only_the_table_type_from_svbell():
+    # The oracle checks the closed forms, so it may share no code with them:
+    # from the rest of svbell it imports the result type and nothing else.
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("svbell")):
+            imported |= {(node.level, node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("svbell") for alias in node.names)
+    assert imported == {(1, "singlet", "JointCountDistribution")}
 
 
 def test_rotated_projection_two_photon_hand_values():
@@ -64,8 +59,9 @@ def test_rotated_projection_two_photon_hand_values():
     assert amps[0, 1] == pytest.approx(-math.sin(theta) / math.sqrt(2.0), abs=1e-14)
 
 
-@pytest.mark.parametrize("N", range(7))
+@pytest.mark.parametrize("N", range(11))
 def test_identity_rotation_recovers_fock_coefficients(N):
+    # The singlet's amplitudes: sign (-1)^n, support on n = m, unit norm.
     amps = _oracle_amplitudes(N, 0.0)
     for n in range(N + 1):
         for m in range(N + 1):
@@ -374,3 +370,14 @@ def test_mc_thin_draws_once_per_photon_for_the_whole_table(monkeypatch, N, eta):
     dist = joint_distribution(N, math.pi / 8)
     mc_thin(dist, eta, 10**6, seed=3)
     assert calls == {"multinomial": 1, "binomial": 2 * dist.max_count}
+
+
+def test_mc_thin_rejects_a_stack_before_any_draw(monkeypatch):
+    # A leading axis stacks tables; the sampler takes one table.
+    def no_generator(seed):
+        raise AssertionError("mc_thin drew before rejecting its input")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    stack = JointCountDistribution(np.stack([joint_distribution(3, 0.3).probs] * 2))
+    with pytest.raises(ValueError, match=r"one table, got probabilities of shape \(2, 4, 4\)"):
+        mc_thin(stack, 0.5, 100, seed=0)
