@@ -5,8 +5,8 @@ public name is imported from its module, e.g.
 ``from svbell.singlet import joint_distribution``.
 """
 
-from .chain import bell_fixed_N, bell_sv, make_chain, rhs_sv_asymptotic
-from .sv import SVSpec, lambda_sq
+from .chain import bell_fixed_N, make_chain
+from .sv import SVSpec, bell_sv, lambda_sq, rhs_sv_asymptotic
 
 __version__ = "0.1.0"
 

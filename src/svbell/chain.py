@@ -8,9 +8,9 @@ terms share one joint distribution, and the inequality reads
 
     LHS = (2L-1) <|m - n|>_theta   >=   <|m - n|>_theta' = RHS.
 
-Local models obey it; the quantum Bell parameter B = LHS - RHS turns
-negative once L is large enough.  Closed forms for the L -> infinity limits
-are provided alongside the finite-L evaluation.
+Local models obey it; the quantum Bell parameter B = LHS - RHS turns negative
+once L is large enough.  This module is the inequality alone; the squeezed
+vacuum's Bell value is ``sv.bell_sv``.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-from .loss import _check_efficiency, binomial_thin
+from .loss import _check_efficiency
 # joint_distribution is unused here; perfbench/test_perfbench.py reads it from this module.
-from .singlet import _check_photon_number, joint_distribution, mean_abs_difference
-from .sv import _MAX_GAIN_E2, SVSpec, _check_gain, _lossless_pair
+from .singlet import _check_photon_number, joint_distribution
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,8 @@ class BellBreakdown:
     """LHS, RHS and Bell parameter of one chain evaluation.
 
     ``bell`` is ``lhs - rhs``, worked out on each read.  Fixed-N values are
-    exact finite sums and leave ``n_max`` and ``mass`` unset.  For the
-    squeezed vacuum they are read off truncated tables, and ``n_max`` and
-    ``mass`` are the truncation point and weight sum of the ``SVSpec`` that
-    set them (weights up to ``n_max``, not renormalized).
+    exact finite sums and leave ``n_max`` and ``mass`` unset; ``sv.bell_sv``
+    reads its values off truncated tables and sets both from its spec.
     """
 
     lhs: float
@@ -100,21 +97,6 @@ def bell_fixed_N(N: int, chain: ChainSpec, eta: float = 1.0) -> BellBreakdown:
     return BellBreakdown(lhs, rhs)
 
 
-def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
-    """Bell breakdown for the squeezed vacuum, read off its mixture tables.
-
-    theta' = pi/2 - theta, so both lossless mixtures truncated by ``spec``
-    come from one pass over the singlet tables at theta, as one stack (see
-    ``sv._lossless_pair``) thinned once at eta; one reduction gives both
-    distances.  ``n_max`` and ``mass`` are ``spec.n_max`` and ``spec.mass``.
-    The 2N-photon component contributes ``lambda_sq(N, gamma) * bell_fixed_N(N, chain, eta).bell``.
-    """
-    _check_efficiency(eta)
-    pair = _lossless_pair(chain.theta, spec)
-    adjacent, closing = mean_abs_difference(binomial_thin(pair, eta) if eta < 1.0 else pair)
-    return BellBreakdown((2 * chain.L - 1) * adjacent, closing, spec.n_max, spec.mass)
-
-
 def asymptotic_bell_fixed_N(N: int) -> float:
     """Closed-form L -> infinity Bell value for the 2N-photon singlet.
 
@@ -128,16 +110,3 @@ def asymptotic_bell_fixed_N(N: int) -> float:
     if N % 2:
         return -(N + 1) / 2
     return -(N * (N + 2)) / (2 * (N + 1))
-
-
-def rhs_sv_asymptotic(gamma: float) -> float:
-    """Closed-form L -> infinity RHS for the squeezed vacuum.
-
-    Summing the fixed-N limits with weights lambda_N^2 gives
-    sinh(2 gamma)^3 / sinh(4 gamma) = sinh(2 gamma) tanh(2 gamma) / 2; the
-    Bell parameter approaches its negative since the LHS vanishes.  Defined
-    for 0 < gamma <= asinh(max float) / 2 ~ 355.24, where sinh(2 gamma)
-    still fits a float; a larger gain raises ValueError.
-    """
-    _check_gain(gamma, _MAX_GAIN_E2)
-    return math.sinh(2.0 * gamma) * math.tanh(2.0 * gamma) / 2.0

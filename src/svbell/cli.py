@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import BellBreakdown, ChainSpec, bell_fixed_N, bell_sv, make_chain
+from .chain import BellBreakdown, ChainSpec, bell_fixed_N, make_chain
 from .lhv import lhv_minimum
 from .loss import _check_efficiency, binomial_thin
 from .oracle import (
@@ -39,7 +39,7 @@ from .oracle import (
     oracle_joint_distribution,
 )
 from .singlet import MAX_PHOTON_NUMBER, _table_masses, joint_distribution
-from .sv import CapExceededError, SVSpec, _at_mass, _check_mass_threshold, sv_mixture
+from .sv import CapExceededError, SVSpec, _at_mass, _check_mass_threshold, bell_sv, sv_mixture
 
 # Figure-pipeline convergence guard: squeezed-vacuum sweeps are repeated at
 # this mass threshold and flagged when the Bell parameter moves too much.

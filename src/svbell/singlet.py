@@ -6,10 +6,11 @@ perfectly anticorrelated polarizations::
     |psi_N> = (N+1)^(-1/2) * sum_n (-1)^n |n_H, (N-n)_V>_a |(N-n)_H, n_V>_b
 
 Alice counts ``n`` photons in her H output; Bob counts ``m`` photons in his
-V+theta output, where theta is the relative polarizer angle.  Under the
-Schwinger map the amplitude is an entry of the polarization rotation
-restricted to N photons.  Only the count tables p leave this module; the
-signed D_N is the state each step carries on, not an output::
+V+theta output, theta the relative polarizer angle: the port that holds Alice's
+partner photons at theta = 0.  His H+theta port counts N - m, which gives the
+table at pi/2 - theta.  Under the Schwinger map the amplitude is an entry of the
+polarization rotation restricted to N photons.  Only the count tables p leave
+this module; the signed D_N is the state each step carries on, not an output::
 
     A_N(n, m | theta) = (-1)^m D_N(theta)[n, m] / sqrt(N+1)
     p(n, m | theta)   = D_N(theta)[n, m]^2 / (N+1)

@@ -1,4 +1,4 @@
-"""Four-mode squeezed vacuum: singlet weights, truncation, mixtures.
+"""Four-mode squeezed vacuum: singlet weights, truncation, mixtures, Bell values.
 
 Type-II parametric down-conversion with gain gamma emits a coherent
 superposition of 2N-photon polarization singlets with weights
@@ -10,7 +10,8 @@ mixtures of the fixed-N tables.  The infinite sum is truncated at the
 smallest N_max whose cumulative weight reaches a configured mass threshold
 (0.99 by default); truncated weights are deliberately *not* renormalized.
 Only the spec declares its truncation, and keeps each chain's two lossless
-mixtures as one stack (see ``SVSpec``); a mixture is just its table.
+mixtures as one stack (see ``SVSpec``); a mixture is just its table, and
+``bell_sv`` thins and measures the whole stack to evaluate a ``chain`` on it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .chain import BellBreakdown, ChainSpec
 from .loss import _check_efficiency, binomial_thin
 from .singlet import (
     MAX_PHOTON_NUMBER,
@@ -29,6 +31,7 @@ from .singlet import (
     _check_angle,
     _check_photon_number,
     joint_distribution,
+    mean_abs_difference,
 )
 
 
@@ -149,6 +152,19 @@ def mean_photons_per_beam(gamma: float) -> float:
     return 2.0 * math.sinh(gamma) ** 2
 
 
+def rhs_sv_asymptotic(gamma: float) -> float:
+    """Closed-form L -> infinity RHS for the squeezed vacuum.
+
+    Summing the fixed-N limits with weights lambda_N^2 gives
+    sinh(2 gamma)^3 / sinh(4 gamma) = sinh(2 gamma) tanh(2 gamma) / 2; the
+    Bell parameter approaches its negative since the LHS vanishes.  Defined
+    for 0 < gamma <= asinh(max float) / 2 ~ 355.24, where sinh(2 gamma)
+    still fits a float; a larger gain raises ValueError.
+    """
+    _check_gain(gamma, _MAX_GAIN_E2)
+    return math.sinh(2.0 * gamma) * math.tanh(2.0 * gamma) / 2.0
+
+
 class CapExceededError(RuntimeError):
     """The weights up to MAX_PHOTON_NUMBER photons per beam sum to less than the mass threshold."""
 
@@ -162,7 +178,7 @@ def _lossless_pair(theta: float, spec: SVSpec) -> JointCountDistribution:
     when ``spec`` is its guard): its blocks hold the same partial sums, so the
     pair is bit for bit a fresh build.  A larger kept pair is never cut down.
     """
-    _check_angle(theta)
+    _check_angle(theta)  # not only in joint_distribution: a bad angle raises before an unreachable mass
     weights, n_max = spec._truncation[0], spec.n_max
     kept = spec._mixtures.pop(theta, {})
     pair = kept.get(n_max)
@@ -194,6 +210,21 @@ def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistri
     _check_efficiency(eta)
     mixture = JointCountDistribution(_lossless_pair(theta, spec).probs[0])
     return binomial_thin(mixture, eta) if eta < 1.0 else mixture
+
+
+def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
+    """Bell breakdown for the squeezed vacuum, read off its mixture tables.
+
+    theta' = pi/2 - theta, so both lossless mixtures truncated by ``spec``
+    come from one pass over the singlet tables at theta, as one stack (see
+    ``_lossless_pair``) thinned once at eta; one reduction gives both
+    distances.  ``n_max`` and ``mass`` are ``spec.n_max`` and ``spec.mass``.
+    The 2N-photon component contributes ``lambda_sq(N, gamma) * bell_fixed_N(N, chain, eta).bell``.
+    """
+    _check_efficiency(eta)
+    pair = _lossless_pair(chain.theta, spec)
+    adjacent, closing = mean_abs_difference(binomial_thin(pair, eta) if eta < 1.0 else pair)
+    return BellBreakdown((2 * chain.L - 1) * adjacent, closing, spec.n_max, spec.mass)
 
 
 def intensity_correlation(theta_a: float, theta_b: float, gamma: float) -> float:

@@ -13,22 +13,18 @@ import numpy as np
 import pytest
 
 from gaussian_series import series_limit, series_weight
-from svbell.chain import (
-    asymptotic_bell_fixed_N,
-    bell_fixed_N,
-    bell_sv,
-    make_chain,
-    rhs_sv_asymptotic,
-)
+from svbell.chain import asymptotic_bell_fixed_N, bell_fixed_N, make_chain
 from svbell.lhv import lhv_minimum
 from svbell.loss import binomial_thin
 from svbell.oracle import l1_deviation_bound, mc_thin, oracle_joint_distribution
 from svbell.singlet import joint_distribution
 from svbell.sv import (
     SVSpec,
+    bell_sv,
     correlation_visibility,
     lambda_sq,
     mean_photons_per_beam,
+    rhs_sv_asymptotic,
 )
 
 

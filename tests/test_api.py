@@ -82,11 +82,30 @@ def test_each_top_level_name_is_its_module_object():
         assert getattr(svbell, name) is getattr(module, name)
 
 
+def test_chain_imports_nothing_from_sv_and_only_sv_names_its_private_parts():
+    # The inequality knows nothing of the state; the kept pair's format and
+    # the gain limits are known to sv alone.
+    private = {"_lossless_pair", "_check_gain", "_MAX_GAIN_E2", "_MAX_GAIN_E4"}
+    for path in sorted(Path(svbell.__file__).parent.glob("*.py")):
+        names = set()  # every name, attribute, imported name and imported module in the file
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name for alias in node.names} | {getattr(node, "module", None)}
+        if path.name == "chain.py":
+            assert not {"sv", "svbell.sv"} & names
+        if path.name != "sv.py":
+            assert not private & names, path.name
+
+
 def test_import_svbell_loads_neither_the_oracle_nor_the_local_bound():
     env = dict(os.environ, PYTHONPATH=str(Path(svbell.__file__).parents[1]))
     probe = "import sys, svbell; print([m for m in sys.modules if m in ('svbell.oracle', 'svbell.lhv')])"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, encoding="utf-8", check=True
     )
     assert result.stdout.strip() == "[]"
 

@@ -17,14 +17,12 @@ from svbell.chain import (
     _mean_distance,
     asymptotic_bell_fixed_N,
     bell_fixed_N,
-    bell_sv,
     make_chain,
-    rhs_sv_asymptotic,
 )
 from svbell.loss import binomial_thin
 from svbell.singlet import MAX_PHOTON_NUMBER, joint_distribution, mean_abs_difference
 from svbell.cli import GUARD_MASS
-from svbell.sv import SVSpec, _at_mass, lambda_sq, sv_mixture
+from svbell.sv import SVSpec, _at_mass, bell_sv, lambda_sq, rhs_sv_asymptotic, sv_mixture
 
 
 def test_make_chain_examples():

@@ -19,11 +19,11 @@ from gaussian_series import mean_distance
 import svbell.cli
 import svbell.sv
 from svbell import singlet
-from svbell.chain import bell_sv, make_chain
+from svbell.chain import make_chain
 from svbell.cli import GUARD_MASS, MAX_GRID_POINTS, main, run_verification
 from svbell.oracle import mc_thin
 from svbell.singlet import joint_distribution
-from svbell.sv import SVSpec
+from svbell.sv import SVSpec, bell_sv
 
 
 def _counting(calls, name, fn):
@@ -160,6 +160,9 @@ def test_gains_past_the_float_range_of_cosh4_exit_3(argv, capsys):
         # two faults, the second of which is the unreachable truncation mass
         ["dist", "--gamma", "5", "--theta", "3.0"],
         ["heatmap", "--L", "2", "--gamma-range", "5:5.1:0.1", "--eta-range", "0.5:1.5:0.5"],
+        ["sweep-settings", "--gamma", "5", "--eta", "1.5", "--L-range", "2:3"],
+        ["sweep-settings", "--gamma", "5", "--L-range", "1:3"],
+        ["dist", "--gamma", "5", "--theta", "0.1", "--eta", "1.5"],
         # non-finite grid bounds or steps
         ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.5:inf:0.1"],
         ["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.5:1:nan"],
@@ -716,7 +719,7 @@ def test_cli_import_needs_no_scipy():
     env = dict(os.environ, PYTHONPATH=str(Path(svbell.__file__).parents[1]))
     probe = "import sys, svbell.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, encoding="utf-8", check=True
     )
     assert result.stdout.strip() == "[]"
 

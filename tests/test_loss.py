@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from fresh_rotation import fresh_rotation, reflected_rotation
 from svbell import loss
-from svbell.chain import bell_sv, make_chain
+from svbell.chain import make_chain
 from svbell.loss import _thinning_matrix, binomial_thin
 from svbell.oracle import l1_deviation_bound, mc_thin
 from svbell.singlet import (
@@ -26,7 +26,7 @@ from svbell.singlet import (
     joint_distribution,
     mean_abs_difference,
 )
-from svbell.sv import SVSpec, lambda_sq
+from svbell.sv import SVSpec, bell_sv, lambda_sq
 
 HALF_PI = 0.5 * math.pi
 

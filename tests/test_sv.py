@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from fresh_rotation import fresh_rotations
 from gaussian_series import series_weight
-from svbell.chain import bell_sv, make_chain, rhs_sv_asymptotic
+from svbell.chain import make_chain
 from svbell.loss import binomial_thin
 from svbell.oracle import mc_thin
 from svbell.singlet import JointCountDistribution, joint_distribution, mean_abs_difference
@@ -24,10 +24,12 @@ from svbell.sv import (
     CapExceededError,
     SVSpec,
     _at_mass,
+    bell_sv,
     correlation_visibility,
     intensity_correlation,
     lambda_sq,
     mean_photons_per_beam,
+    rhs_sv_asymptotic,
     sv_mixture,
 )
 
