@@ -22,7 +22,9 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
+import random
 import sys
 from typing import Optional, Sequence
 
@@ -227,7 +229,8 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10*
     """Run the normalization, oracle-equivalence, LHV and loss suites.
 
     - normalization: the table mass is 1 within 1e-9 for N <= 12 at 20
-      seeded angles, all angles stepped together;
+      angles from ``random.Random(seed).uniform(0, pi/2)``, all angles
+      stepped together;
     - oracle_equivalence: the tables equal the Fock oracle's within 1e-10 for
       N <= oracle_max_N at six fixed angles, and at three pairs of polarizer
       angles the oracle depends only on their difference; the oracle builds
@@ -236,21 +239,25 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10*
       deterministic strategy is 0 at (L, cap) = (2, 3), (3, 2) and (4, 12);
     - loss_channel: Monte Carlo thinning of the N = 3 table at pi/8 lies
       within the L1 bound of the exact channel at efficiencies 0.5 and 0.83,
-      and thinning twice equals thinning once at the product efficiency.
+      and thinning twice equals thinning once at the product efficiency;
+      ``mc_thin`` draws with seed + 1.
 
-    Deterministic for a fixed seed; returns a report dict with one entry per
+    Deterministic for a fixed seed, a nonnegative integer: raises
+    ``TypeError`` for another type and ``ValueError`` for a negative one
+    before any suite runs.  Returns a report dict with one entry per
     suite and an overall flag.
     """
     if not 0 <= oracle_max_N <= MAX_ORACLE_PHOTON_NUMBER:
         raise ValueError(f"oracle_max_N must lie in [0, {MAX_ORACLE_PHOTON_NUMBER}], got {oracle_max_N}")
     if not 1 <= mc_samples <= MAX_MC_SAMPLES:
         raise ValueError(f"mc_samples must lie in [1, {MAX_MC_SAMPLES}], got {mc_samples}")
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = random.Random(seed)
     suites = []
 
-    thetas = [float(t) for t in rng.uniform(0.0, math.pi / 2, size=20)]
+    thetas = [rng.uniform(0.0, math.pi / 2) for _ in range(20)]
     worst_mass = float(np.max(np.abs(_table_masses(12, thetas) - 1.0)))
     suites.append(
         {"name": "normalization", "passed": bool(worst_mass <= 1e-9), "worst_mass_error": worst_mass}

@@ -14,13 +14,15 @@ Two independent computation paths live here:
   amplitudes, with Bob's; their square is the joint count table.  Each
   table of a stack of angles is bitwise the table of its angles alone, and
   ``verify`` builds one stack per N; and
-* a seeded Monte-Carlo realization of Bernoulli detector loss: one
-  multinomial draw of how many samples fall in each cell, then two passes
-  over the whole table, Bob's counts and then Alice's.  A pass resolves
-  each photon once, by one binomial draw over every group of samples with
-  the same count and detections so far: 1 + 2 max_count draws per table,
-  however many samples or nonzero cells.  Every photon of every sample is
-  still an independent Bernoulli(eta) event, as if drawn one by one.
+* a seeded Monte-Carlo realization of Bernoulli detector loss, drawn from
+  one ``random.Random`` per call: conditional binomials spread the samples
+  over the cells, then two passes over the whole table, Bob's counts and
+  then Alice's.  A pass resolves each photon once, by one binomial draw for
+  every group of samples with the same count and detections so far, so the
+  draws number at most (k^2 - 1) + k^2 (k - 1) for a k x k table, however
+  many samples.  Counts are Python ints, exact at any sample count, and
+  every photon of every sample is still an independent Bernoulli(eta)
+  event, as if drawn one by one.
 
 Neither path shares code with the closed-form modules; that independence is
 the point.  The Fock oracle's scale is deliberately small (N <= 10).
@@ -30,8 +32,9 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -40,7 +43,8 @@ from .singlet import JointCountDistribution
 # Oracle scale: exact enumeration stays cheap and obviously correct here.
 MAX_ORACLE_PHOTON_NUMBER = 10
 
-# Largest Monte-Carlo sample count: the sampler counts in int64.
+# Largest Monte-Carlo sample count, the largest int64: counts are Python ints,
+# exact at any size, and the table of counts is rescaled as float64.
 MAX_MC_SAMPLES = 2**63 - 1
 
 
@@ -144,22 +148,113 @@ def oracle_joint_distribution(
     return _oracle_amplitudes(N, theta, theta_alice) ** 2
 
 
-def _thin_columns(rng: np.random.Generator, cells: np.ndarray, eta: float) -> np.ndarray:
+def _stirling_tail(x: int) -> float:
+    """lgamma(x + 1) less Stirling's (x + 1/2) log(x + 1) - (x + 1) + log(2 pi) / 2.
+
+    From x = 9 up the series 1/(12 z) - 1/(360 z^3) + 1/(1260 z^5), z = x + 1,
+    which is within 1e-10 there and stays so at any x; below it, lgamma.
+    """
+    z = x + 1.0
+    if z < 10.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - 0.5 * math.log(2.0 * math.pi)
+    return (1.0 / 12.0 - (1.0 / 360.0 - 1.0 / (1260.0 * z * z)) / (z * z)) / z
+
+
+def _log_pmf_ratio(n: int, p: float, k: int, m: int) -> float:
+    """log of P(k) / P(m) for a Binomial(n, p), from Stirling's formula.
+
+    Each difference of logs of nearby numbers is taken as a log1p of their
+    gap, so the rounding error is about 1e-16 |k - m|: below 1e-5 within
+    10^11 of the mode, at any n.  Differences of lgamma would round by
+    about 1e4 at n near 2^63, where lgamma is near 2e20.
+    """
+    return (
+        (k - m) * math.log((n - k + 1) * p / ((k + 1) * (1.0 - p)))
+        + (m + 0.5) * math.log1p((m - k) / (k + 1))
+        + (n - m + 0.5) * math.log1p((k - m) / (n - k + 1))
+        + _stirling_tail(m) + _stirling_tail(n - m) - _stirling_tail(k) - _stirling_tail(n - k)
+    )
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One Binomial(n, p) draw from ``rng``: a Python int in [0, n].
+
+    For p above 1/2 it draws the failures, a Binomial(n, 1 - p).  Below a
+    mean of 10 the geometric method counts the successes whose geometric
+    gaps fit in n trials; a gap past the trials left ends the draw, so a
+    subnormal p, whose gap overflows any int, draws 0.  From a mean of 10 up
+    it is Hoermann's BTRS, transformed rejection with squeeze (J. Stat.
+    Comput. Simul. 46, 101 (1993)), the algorithm of CPython 3.12's
+    ``random.binomialvariate``, here on every Python.  CPython takes the
+    log-ratio of BTRS's final acceptance test, a number of order 1, from
+    differences of lgamma.  At n near 2^63 their rounding, about 1e4,
+    swamps that test, and loss sampled so fails ``verify``'s L1 bound at
+    most seeds; ``_log_pmf_ratio`` takes it from Stirling's formula instead.
+    """
+    if n == 0 or p == 0.0:
+        return 0
+    if p == 1.0:
+        return n
+    flip = p > 0.5
+    if flip:
+        p = 1.0 - p
+    uniform = rng.random
+    if n * p < 10.0:
+        log_q = math.log1p(-p)
+        k = trials = 0
+        while True:
+            # 1 - random() lies in (0, 1], so its log is finite.
+            gap = math.log(1.0 - uniform()) / log_q
+            if gap >= n - trials:
+                break
+            trials += math.floor(gap) + 1
+            k += 1
+    else:
+        spq = math.sqrt(n * p * (1.0 - p))
+        b = 1.15 + 2.53 * spq
+        a = -0.0873 + 0.0248 * b + 0.01 * p
+        c = n * p + 0.5
+        vr = 0.92 - 4.2 / b
+        alpha = (2.83 + 5.1 / b) * spq
+        mode = math.floor((n + 1) * p)
+        while True:
+            u = uniform() - 0.5
+            us = 0.5 - abs(u)
+            if us == 0.0:  # the hat's pole: random() returned 0
+                continue
+            k = math.floor((2.0 * a / us + b) * u + c)
+            if not 0 <= k <= n:
+                continue
+            v = 1.0 - uniform()
+            if us >= 0.07 and v <= vr:
+                break
+            if math.log(v * alpha / (a / (us * us) + b)) <= _log_pmf_ratio(n, p, k, mode):
+                break
+    return n - k if flip else k
+
+
+def _thin_columns(rng: random.Random, cells: Iterable[Sequence[int]], eta: float) -> list[list[int]]:
     """Entry (i, j): the samples of row i of ``cells`` that detect j of their photons.
 
     A sample in column m holds m photons.  Before round r the samples of
     column r join a pool of those with r photons left, grouped by row and
-    detections so far; one binomial draw detects the next photon of each.
+    detections so far; one ``_binomial`` draw per group detects the next
+    photon of each of its samples, k (k - 1) / 2 draws per row of k cells.
     """
-    size = cells.shape[1]
-    pool = np.zeros_like(cells)
-    for r in range(size - 1, 0, -1):
-        pool[:, 0] += cells[:, r]
-        hit = rng.binomial(pool[:, : size - r], eta)
-        pool[:, : size - r] -= hit
-        pool[:, 1 : size - r + 1] += hit
-    pool[:, 0] += cells[:, 0]
-    return pool
+    thinned = []
+    for row in cells:
+        size = len(row)
+        pool = [0] * size
+        for r in range(size - 1, 0, -1):
+            pool[0] += row[r]
+            # Downwards, so the samples a draw moves up are not drawn again.
+            for j in range(size - r - 1, -1, -1):
+                hit = _binomial(rng, pool[j], eta)
+                pool[j] -= hit
+                pool[j + 1] += hit
+        pool[0] += row[0]
+        thinned.append(pool)
+    return thinned
 
 
 def l1_deviation_bound(cells: int, samples: int, alpha: float) -> float:
@@ -182,21 +277,28 @@ def mc_thin(
 ) -> JointCountDistribution:
     """Empirical loss channel: sample joint counts, thin each binomially.
 
-    One multinomial draw spreads ``samples`` i.i.d. (n, m) pairs over the
-    cells of ``dist`` (normalized by its mass).  Bob's pass then thins the
-    m photons of every sample, one binomial draw per photon for the whole
-    table, and sums m out; Alice's pass thins n the same way.  Each sample
-    thus gets independent Binomial(n, eta), Binomial(m, eta) counts, from
-    1 + 2 max_count draws, however many samples or nonzero cells.  The
-    output is rescaled by the input's mass, the sum of its table, so it
-    estimates the same table that the exact channel produces.
-    Deterministic for a fixed seed.  A stack of tables is rejected.
+    Conditional binomials spread ``samples`` i.i.d. (n, m) pairs over the
+    cells of ``dist`` (normalized by its mass): each cell in turn draws from
+    the samples left, at its share of the mass left, and the last cell takes
+    the rest.  Bob's pass then thins the m photons of every sample, one
+    binomial draw per photon for each group of samples with the same count
+    and detections, and sums m out; Alice's pass thins n the same way.  Each
+    sample thus gets independent Binomial(n, eta), Binomial(m, eta) counts,
+    from at most (k^2 - 1) + k^2 (k - 1) draws for a k x k table, however
+    many samples.  The output is rescaled by the input's mass, the sum of
+    its table, so it estimates the same table that the exact channel
+    produces.  Deterministic for a fixed seed, a nonnegative integer: raises
+    ``TypeError`` for another type and ``ValueError`` for a negative one.  A
+    stack of tables is rejected.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"detection efficiency must lie in [0, 1], got {eta}")
     samples = operator.index(samples)
     if not 1 <= samples <= MAX_MC_SAMPLES:
         raise ValueError(f"samples must lie in [1, {MAX_MC_SAMPLES}], got {samples}")
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if dist.probs.ndim != 2:
         raise ValueError(
             f"mc_thin samples one table, got probabilities of shape {dist.probs.shape}"
@@ -207,8 +309,18 @@ def mc_thin(
     mass = dist.mass
     if not 0.0 < mass < math.inf:
         raise ValueError(f"mass must be positive and finite, got {mass}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    cells = rng.multinomial(samples, flat / mass).reshape(dist.probs.shape)
+    rng = random.Random(seed)
+    # The mass from each cell on: at least the cell's own, so no share exceeds 1.
+    tails = np.cumsum(flat[::-1])[::-1].tolist()
+    left, drawn = samples, []
+    for prob, tail in zip(flat[:-1].tolist(), tails):
+        count = _binomial(rng, left, prob / tail if prob else 0.0)
+        drawn.append(count)
+        left -= count
+    drawn.append(left)
+    width = dist.probs.shape[1]
+    cells = [drawn[i : i + width] for i in range(0, len(drawn), width)]
     bob = _thin_columns(rng, cells, eta)
-    counts = _thin_columns(rng, bob.T, eta).T
+    alice = _thin_columns(rng, zip(*bob), eta)
+    counts = np.array(alice, dtype=float).T
     return JointCountDistribution(counts * (mass / samples))

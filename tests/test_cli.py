@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -643,7 +644,8 @@ def test_verify_passes_on_seeds_that_tripped_the_per_cell_threshold(seed):
 def test_verify_normalization_is_the_worst_cached_table_mass(seed):
     # The suite steps its 20 seeded angles together; each mass must be the
     # one joint_distribution declares.
-    thetas = np.random.default_rng(np.random.SeedSequence(seed)).uniform(0.0, math.pi / 2, size=20)
+    rng = random.Random(seed)
+    thetas = [rng.uniform(0.0, math.pi / 2) for _ in range(20)]
     expected = max(abs(joint_distribution(N, float(t)).mass - 1.0) for N in range(13) for t in thetas)
     suites = {s["name"]: s for s in run_verification(oracle_max_N=0, seed=seed)["suites"]}
     assert suites["normalization"]["worst_mass_error"] == expected
@@ -679,6 +681,17 @@ def test_verify_negative_seed_exits_2(capsys, compute_calls):
     assert (code, out) == (2, "")
     assert err == "error: seed must be nonnegative, got -1\n"
     assert compute_calls == ["run_verification"]  # no suite ran
+
+
+@pytest.mark.parametrize("seed,error", [(-1, ValueError), (1.5, TypeError)])
+def test_verification_takes_a_nonnegative_integer_seed_before_any_suite(seed, error, monkeypatch):
+    # random.Random would seed -s like s and take a float.
+    def no_suite(*args):
+        raise AssertionError("a suite ran before the seed was checked")
+
+    monkeypatch.setattr(svbell.cli, "_table_masses", no_suite)
+    with pytest.raises(error):
+        run_verification(seed=seed)
 
 
 @pytest.mark.parametrize("seed", [0, 9, 20])
@@ -722,6 +735,20 @@ def test_cli_import_needs_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, encoding="utf-8", check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_verify_never_imports_numpy_random():
+    # numpy.random loads OpenSSL's hash module; verify draws from the random module.
+    env = dict(os.environ, PYTHONPATH=str(Path(svbell.__file__).parents[1]))
+    probe = (
+        "import sys; from svbell.cli import main\n"
+        "code = main(['verify', '--oracle-max-N', '0', '--mc-samples', '10'])\n"
+        "print(code, 'numpy.random' in sys.modules, file=sys.stderr)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, encoding="utf-8", check=True
+    )
+    assert result.stderr.splitlines()[-1] == "0 False"
 
 
 def test_verify_respects_oracle_budget(capsys):

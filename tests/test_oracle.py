@@ -2,6 +2,7 @@
 
 import ast
 import math
+import random
 from pathlib import Path
 
 import numpy as np
@@ -281,8 +282,8 @@ def test_mc_thin_validates_arguments():
         mc_thin(dist, 0.5, 0, seed=0)
     with pytest.raises(ValueError):
         mc_thin(dist, 0.5, 2**63, seed=0)
-    # A fractional sample count: multinomial would draw 10 and the rescale
-    # divide by 10.5.  numpy integers stay valid.
+    # A fractional sample count: the rescale would divide by 10.5 counts
+    # that are not whole.  numpy integers stay valid.
     with pytest.raises(TypeError):
         mc_thin(dist, 0.5, 10.5, seed=0)
     assert mc_thin(dist, 0.5, np.int64(10), seed=0).mass == pytest.approx(1.0)
@@ -343,41 +344,126 @@ def test_mc_thin_cost_does_not_grow_with_the_samples():
     assert counts.sum() == pytest.approx(samples, rel=1e-12)
 
 
-class _CountingGenerator:
-    """A numpy Generator that counts its calls of each method."""
-
-    def __init__(self, rng, calls):
-        self._rng, self._calls = rng, calls
-
-    def __getattr__(self, name):
-        method = getattr(self._rng, name)
-
-        def counted(*args, **kwargs):
-            self._calls[name] = self._calls.get(name, 0) + 1
-            return method(*args, **kwargs)
-
-        return counted
-
-
 @pytest.mark.parametrize("N", [0, 3, 30, 60])
 @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0])
 def test_mc_thin_draws_once_per_photon_for_the_whole_table(monkeypatch, N, eta):
-    # One multinomial over the cells, then one binomial per photon of each
-    # pass: 1 + 2 max_count draws, however many cells hold samples.
-    default_rng = np.random.default_rng
-    calls = {"multinomial": 0, "binomial": 0}
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: _CountingGenerator(default_rng(seed), calls))
+    # Conditional binomials over all cells but the last, then one binomial
+    # per photon of each group of each pass: at most (k^2 - 1) + k^2 (k - 1)
+    # draws for a k x k table, however many samples.
+    binomial = oracle._binomial
+    calls = []
+
+    def counted(rng, n, p):
+        calls.append(n)
+        return binomial(rng, n, p)
+
+    monkeypatch.setattr(oracle, "_binomial", counted)
     dist = joint_distribution(N, math.pi / 8)
-    mc_thin(dist, eta, 10**6, seed=3)
-    assert calls == {"multinomial": 1, "binomial": 2 * dist.max_count}
+    k = dist.max_count + 1
+    for samples in (10**6, 2**62):
+        calls.clear()
+        mc_thin(dist, eta, samples, seed=3)
+        assert len(calls) <= (k**2 - 1) + k**2 * (k - 1)
+        assert max(calls, default=0) <= samples
 
 
 def test_mc_thin_rejects_a_stack_before_any_draw(monkeypatch):
     # A leading axis stacks tables; the sampler takes one table.
-    def no_generator(seed):
+    def no_draw(rng, n, p):
         raise AssertionError("mc_thin drew before rejecting its input")
 
-    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.setattr(oracle, "_binomial", no_draw)
     stack = JointCountDistribution(np.stack([joint_distribution(3, 0.3).probs] * 2))
     with pytest.raises(ValueError, match=r"one table, got probabilities of shape \(2, 4, 4\)"):
         mc_thin(stack, 0.5, 100, seed=0)
+
+
+@pytest.mark.parametrize("seed,error", [(-1, ValueError), (1.5, TypeError), ("1", TypeError)])
+def test_mc_thin_takes_a_nonnegative_integer_seed_before_any_draw(monkeypatch, seed, error):
+    # random.Random would seed -s like s and take a float or a str.
+    def no_draw(rng, n, p):
+        raise AssertionError("mc_thin drew before rejecting its seed")
+
+    monkeypatch.setattr(oracle, "_binomial", no_draw)
+    with pytest.raises(error):
+        mc_thin(joint_distribution(3, 0.3), 0.5, 100, seed=seed)
+
+
+def test_mc_thin_takes_a_numpy_integer_seed():
+    dist = joint_distribution(3, 0.3)
+    assert np.array_equal(mc_thin(dist, 0.5, 100, seed=np.int64(4)).probs, mc_thin(dist, 0.5, 100, seed=4).probs)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_binomial_of_no_trials_is_zero(p):
+    assert oracle._binomial(random.Random(1), 0, p) == 0
+
+
+@pytest.mark.parametrize("n", [1, 7, 1000, 2**63 - 1])
+def test_binomial_at_certain_outcomes_is_exact(n):
+    rng = random.Random(2)
+    assert oracle._binomial(rng, n, 0.0) == 0
+    assert oracle._binomial(rng, n, 1.0) == n
+
+
+@pytest.mark.parametrize("n,p", [(20, 0.75), (40, 0.875), (10**6, 0.625)])
+def test_binomial_above_one_half_draws_the_failures(n, p):
+    # 1 - p is exact for these p, so both draws read the same stream.
+    for seed in range(20):
+        assert oracle._binomial(random.Random(seed), n, p) == n - oracle._binomial(random.Random(seed), n, 1.0 - p)
+
+
+@pytest.mark.parametrize("n", [1, 10**6, 2**63 - 1])
+@pytest.mark.parametrize("p", [8.5e-315, 5e-324])
+def test_binomial_at_a_subnormal_p_draws_no_success(n, p):
+    # Each gap is log(u) / log1p(-p), far past any int: the draw ends at once.
+    rng = random.Random(3)
+    assert all(oracle._binomial(rng, n, p) == 0 for _ in range(100))
+    assert all(oracle._binomial(rng, n, 1.0 - p) == n for _ in range(100))
+
+
+@pytest.mark.parametrize("p", [1e-19, 0.25, 0.5, 0.75, 1.0 - 1e-16])
+def test_binomial_of_the_largest_sample_count_is_an_int_in_range(p):
+    n = 2**63 - 1
+    rng = random.Random(4)
+    for _ in range(200):
+        k = oracle._binomial(rng, n, p)
+        assert type(k) is int and 0 <= k <= n
+
+
+@pytest.mark.parametrize("n,p", [(34, 0.3), (1000, 0.5), (10**5, 0.01), (10**5, 0.3)])
+def test_log_pmf_ratio_matches_lgamma_where_lgamma_is_exact(n, p):
+    m = math.floor((n + 1) * p)
+    lpq = math.log(p / (1.0 - p))
+    for k in sorted({0, 1, 2, 9, 10, m - 1, m, m + 1, n // 2, n - 10, n - 1, n}):
+        exact = math.lgamma(m + 1) + math.lgamma(n - m + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        exact += (k - m) * lpq
+        assert oracle._log_pmf_ratio(n, p, k, m) == pytest.approx(exact, rel=1e-9, abs=1e-9), k
+
+
+@pytest.mark.parametrize("p", [1e-6, 0.5])
+def test_binomial_of_the_largest_sample_count_is_normal(p):
+    # At n = 2^63 - 1 the binomial is normal to about 1e-9.  Differences of
+    # lgamma in BTRS's acceptance test put about 0.035 (p = 1e-6) to 0.15
+    # (p = 1/2) of L1 between these bins and the normal's.
+    n, draws = 2**63 - 1, 10**5
+    sd = math.sqrt(n * p * (1.0 - p))
+    rng = random.Random(5)
+    scores = [(oracle._binomial(rng, n, p) - n * p) / sd for _ in range(draws)]
+    edges = [-math.inf, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, math.inf]
+    histogram = np.histogram(scores, bins=edges)[0] / draws
+    normal = np.diff([0.5 * math.erfc(-z / math.sqrt(2.0)) for z in edges])
+    # A correct sampler fails with probability at most alpha = 1e-3.
+    assert np.abs(histogram - normal).sum() < l1_deviation_bound(len(normal), draws, 1e-3)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+@pytest.mark.parametrize("n", [33, 34])
+def test_binomial_histogram_matches_the_pmf(n, p):
+    # n min(p, 1 - p) is 9.9 at n = 33 (geometric method) and 10.2 at n = 34 (BTRS).
+    draws = 10**5
+    rng = random.Random(1000 * n + int(10 * p))
+    histogram = np.bincount([oracle._binomial(rng, n, p) for _ in range(draws)], minlength=n + 1)
+    pmf = np.array([math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)])
+    # A correct sampler fails with probability at most alpha = 1e-3.
+    assert np.abs(histogram / draws - pmf).sum() < l1_deviation_bound(n + 1, draws, 1e-3)
