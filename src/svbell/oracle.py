@@ -238,8 +238,9 @@ def _thin_columns(rng: random.Random, cells: Iterable[Sequence[int]], eta: float
 
     A sample in column m holds m photons.  Before round r the samples of
     column r join a pool of those with r photons left, grouped by row and
-    detections so far; one ``_binomial`` draw per group detects the next
-    photon of each of its samples, k (k - 1) / 2 draws per row of k cells.
+    detections so far; one ``_binomial`` draw per nonempty group detects the
+    next photon of each of its samples, at most k (k - 1) / 2 draws per row
+    of k cells.
     """
     thinned = []
     for row in cells:
@@ -249,9 +250,10 @@ def _thin_columns(rng: random.Random, cells: Iterable[Sequence[int]], eta: float
             pool[0] += row[r]
             # Downwards, so the samples a draw moves up are not drawn again.
             for j in range(size - r - 1, -1, -1):
-                hit = _binomial(rng, pool[j], eta)
-                pool[j] -= hit
-                pool[j + 1] += hit
+                if pool[j]:
+                    hit = _binomial(rng, pool[j], eta)
+                    pool[j] -= hit
+                    pool[j + 1] += hit
         pool[0] += row[0]
         thinned.append(pool)
     return thinned
@@ -285,11 +287,13 @@ def mc_thin(
     and detections, and sums m out; Alice's pass thins n the same way.  Each
     sample thus gets independent Binomial(n, eta), Binomial(m, eta) counts,
     from at most (k^2 - 1) + k^2 (k - 1) draws for a k x k table, however
-    many samples.  The output is rescaled by the input's mass, the sum of
-    its table, so it estimates the same table that the exact channel
-    produces.  Deterministic for a fixed seed, a nonnegative integer: raises
-    ``TypeError`` for another type and ``ValueError`` for a negative one.  A
-    stack of tables is rejected.
+    many samples.  Empty cells and groups draw nothing.  Each draw is a
+    Python call, so the time grows as k^3: about 0.23 s for a 61 x 61
+    table (Python 3.11, 2-core Xeon).  The output is rescaled by the
+    input's mass, the sum of its table, so it estimates the same table that
+    the exact channel produces.  Deterministic for a fixed seed, a
+    nonnegative integer: raises ``TypeError`` for another type and
+    ``ValueError`` for a negative one.  A stack of tables is rejected.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"detection efficiency must lie in [0, 1], got {eta}")
@@ -314,7 +318,7 @@ def mc_thin(
     tails = np.cumsum(flat[::-1])[::-1].tolist()
     left, drawn = samples, []
     for prob, tail in zip(flat[:-1].tolist(), tails):
-        count = _binomial(rng, left, prob / tail if prob else 0.0)
+        count = _binomial(rng, left, prob / tail) if prob and left else 0
         drawn.append(count)
         left -= count
     drawn.append(left)

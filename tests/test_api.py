@@ -101,6 +101,20 @@ def test_chain_imports_nothing_from_sv_and_only_sv_names_its_private_parts():
             assert not private & names, path.name
 
 
+def test_no_module_names_numpy_random():
+    # Every draw comes from a seeded random.Random, on any numpy.
+    for path in sorted(Path(svbell.__file__).parent.glob("*.py")):
+        names = set()  # every dotted attribute and imported name in the file
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute):
+                names.add(ast.unparse(node))
+            elif isinstance(node, ast.Import):
+                names |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                names |= {f"{node.module}.{alias.name}" for alias in node.names}
+        assert not [n for n in names if n.split(".")[:2] in (["np", "random"], ["numpy", "random"])], path.name
+
+
 def test_import_svbell_loads_neither_the_oracle_nor_the_local_bound():
     env = dict(os.environ, PYTHONPATH=str(Path(svbell.__file__).parents[1]))
     probe = "import sys, svbell; print([m for m in sys.modules if m in ('svbell.oracle', 'svbell.lhv')])"
