@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaussian_series import mean_distance, series_weight
-import svbell.chain
 import svbell.loss
+import svbell.singlet
 from svbell.chain import (
     ChainSpec,
     _mean_distance,
@@ -132,25 +132,39 @@ def test_weighted_fixed_N_sums_give_the_gaussian_closed_form(gamma, eta, theta):
     assert series == pytest.approx(gaussian, rel=2e-15)
 
 
-def test_two_photon_two_settings_efficiency_threshold_is_exact():
-    # B(eta) = 2 eta (1 - eta) + eta^2 (1 - sqrt 2) = eta (2 - (1 + sqrt 2) eta),
-    # which changes sign at eta = 2 / (1 + sqrt 2) = 2 sqrt 2 - 2.
-    chain = make_chain(2)
-    threshold = 2.0 * math.sqrt(2.0) - 2.0
+TWO_PHOTON_THRESHOLDS = {2: 2.0 * math.sqrt(2.0) - 2.0, 3: 0.8699290, 5: 0.9137341, 10: 0.9535472}
+
+
+@pytest.mark.parametrize("L", TWO_PHOTON_THRESHOLDS)
+def test_two_photon_efficiency_threshold_is_exact(L):
+    # With t = pi/(4L), sin((2L-1) t) = cos t, so
+    # B(eta) = (2L-2) eta (1 - eta) + eta^2 ((2L-1) sin^2 t - cos^2 t) = eta (2L-2 - D eta),
+    # D = 2L-2 + cos^2 t - (2L-1) sin^2 t, which changes sign at eta* = (2L-2) / D:
+    # at L = 2, D = 1 + sqrt 2 and eta* = 2 sqrt 2 - 2.  B sums 2L - 1 terms,
+    # so its rounding, and the tolerance, grow with 2L - 1.
+    chain = make_chain(L)
+    t = chain.theta
+    d = 2 * L - 2 + math.cos(t) ** 2 - (2 * L - 1) * math.sin(t) ** 2
+    eta_star = (2 * L - 2) / d
+    assert eta_star == pytest.approx(TWO_PHOTON_THRESHOLDS[L], abs=5e-8)
+    tol = (2 * L - 1) / 3 * 1e-15
     for eta in [0.3, 0.75, 0.9, 1.0]:
-        expected = eta * (2.0 - (1.0 + math.sqrt(2.0)) * eta)
-        assert bell_fixed_N(1, chain, eta).bell == pytest.approx(expected, abs=1e-15)
-    assert abs(bell_fixed_N(1, chain, threshold).bell) <= 1e-15
-    assert bell_fixed_N(1, chain, threshold - 1e-12).bell > 0.0
-    assert bell_fixed_N(1, chain, threshold + 1e-12).bell < 0.0
+        expected = eta * (2 * L - 2 - d * eta)
+        assert bell_fixed_N(1, chain, eta).bell == pytest.approx(expected, abs=tol)
+    assert abs(bell_fixed_N(1, chain, eta_star).bell) <= tol
+    assert bell_fixed_N(1, chain, eta_star - 1e-12).bell > 0.0
+    assert bell_fixed_N(1, chain, eta_star + 1e-12).bell < 0.0
 
 
 def test_bell_fixed_N_builds_and_thins_no_table(monkeypatch):
+    # Every table build steps through singlet._rotation and _step, and every
+    # thinning reads loss._thinning_matrix, each looked up when called.
     def forbidden(*args, **kwargs):
         raise AssertionError("bell_fixed_N must not build or thin a count table")
 
-    monkeypatch.setattr(svbell.chain, "joint_distribution", forbidden)
-    monkeypatch.setattr(svbell.loss, "binomial_thin", forbidden)
+    monkeypatch.setattr(svbell.singlet, "_rotation", forbidden)
+    monkeypatch.setattr(svbell.singlet, "_step", forbidden)
+    monkeypatch.setattr(svbell.loss, "_thinning_matrix", forbidden)
     result = bell_fixed_N(60, make_chain(7), 0.5)
     assert result.bell == result.lhs - result.rhs
     assert bell_fixed_N(1, make_chain(2)).bell == pytest.approx(1.0 - math.sqrt(2.0), abs=1e-15)
