@@ -124,6 +124,7 @@ def test_import_svbell_loads_neither_the_oracle_nor_the_local_bound():
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.filterwarnings("error")
 def test_readme_library_example_runs_and_its_component_sum_is_the_bell_value():
     block = _readme_library_example()
     namespace: dict = {}

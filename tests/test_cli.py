@@ -640,6 +640,18 @@ def test_verify_passes_on_seeds_that_tripped_the_per_cell_threshold(seed):
     assert run_verification(seed=seed)["passed"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "oracle_max_N, mc_samples, seed",
+    [(10, 10, 0), (0, 10, 0), (6, 1, 3)] + [(0, 2**63 - 1, seed) for seed in range(10)],
+)
+def test_verify_passes_at_the_extreme_sizes(oracle_max_N, mc_samples, seed):
+    # The oracle at its largest and smallest sizes; the loss check at one
+    # sample, where every binomial draw has n <= 1, and at the largest
+    # count, where the sampler's acceptance test needs Stirling's formula.
+    assert run_verification(oracle_max_N=oracle_max_N, seed=seed, mc_samples=mc_samples)["passed"]
+
+
 @pytest.mark.parametrize("seed", [0, 42])
 def test_verify_normalization_is_the_worst_cached_table_mass(seed):
     # The suite steps its 20 seeded angles together; each mass must be the
