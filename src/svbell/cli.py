@@ -40,7 +40,7 @@ from .oracle import (
     mc_thin,
     oracle_joint_distribution,
 )
-from .singlet import MAX_PHOTON_NUMBER, _table_masses, joint_distribution
+from .singlet import MAX_PHOTON_NUMBER, _stacked_tables, joint_distribution
 from .sv import CapExceededError, SVSpec, _at_mass, _check_mass_threshold, bell_sv, sv_mixture
 
 # Figure-pipeline convergence guard: squeezed-vacuum sweeps are repeated at
@@ -231,10 +231,10 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10*
     - normalization: the table mass is 1 within 1e-9 for N <= 12 at 20
       angles from ``random.Random(seed).uniform(0, pi/2)``, all angles
       stepped together;
-    - oracle_equivalence: the tables equal the Fock oracle's within 1e-10 for
-      N <= oracle_max_N at six fixed angles, and at three pairs of polarizer
-      angles the oracle depends only on their difference; the oracle builds
-      each N's nine angle pairs as one stack;
+    - oracle_equivalence: per N, one Fock-oracle stack of nine angle pairs
+      against the stepped stack of their differences b - a (tests pin its bits
+      to the cached tables), within 1e-10 at six fixed angles and at three
+      pairs on which only the difference may matter, for N <= oracle_max_N;
     - lhv_bound: the chained inequality's exact local minimum over every
       deterministic strategy is 0 at (L, cap) = (2, 3), (3, 2) and (4, 12);
     - loss_channel: Monte Carlo thinning of the N = 3 table at pi/8 lies
@@ -258,20 +258,20 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10*
     suites = []
 
     thetas = [rng.uniform(0.0, math.pi / 2) for _ in range(20)]
-    worst_mass = float(np.max(np.abs(_table_masses(12, thetas) - 1.0)))
+    masses = [np.add.reduce(probs, axis=(-2, -1)) for probs in _stacked_tables(12, thetas)]
+    worst_mass = float(np.max(np.abs(np.array(masses) - 1.0)))
     suites.append(
         {"name": "normalization", "passed": bool(worst_mass <= 1e-9), "worst_mass_error": worst_mass}
     )
 
-    # One oracle stack per N: Alice at 0 against six grid angles, then three
-    # angle pairs at which only the difference may matter; against the
-    # cached tables the CLI serves.
+    # One oracle stack per N, Alice at 0 against six grid angles, then three angle
+    # pairs at which only the difference may matter, against their differences' stack.
     grid = [0.0, math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
     alice = [0.0] * len(grid) + [0.3, 0.2, math.pi / 16]
     bob = grid + [0.75, 1.5, 3 * math.pi / 16]
     worst = worst_rel = 0.0
-    for n in range(oracle_max_N + 1):
-        closed = np.stack([joint_distribution(n, b - a).probs for a, b in zip(alice, bob)])
+    stacks = _stacked_tables(oracle_max_N, [b - a for a, b in zip(alice, bob)])
+    for n, closed in enumerate(stacks):
         diff = np.abs(closed - oracle_joint_distribution(n, bob, alice))
         worst = max(worst, float(diff[: len(grid)].max()))
         worst_rel = max(worst_rel, float(diff[len(grid) :].max()))

@@ -35,9 +35,9 @@ D_{n+1} depends on D_n and theta alone, so the cache that serves
 ``joint_distribution`` keeps one step per (N, theta): a miss steps on from
 the cached N - 1, and the tables N = 0..n_max at one angle cost n_max steps
 in all, in any request order.  It holds at most 256 (D, table) pairs,
-15.2 MB at N = 60.  Verify's normalization check steps all its angles
-together in one stack instead, outside the cache.  Both kinds of step read
-their per-photon constants (the sqrt(i) column and its reverse, the column
+15.2 MB at N = 60.  Verify's normalization and oracle checks each step
+their angles together in one stack, outside the cache.  Every step reads
+its per-photon constants (the sqrt(i) column and its reverse, the column
 norms and a -1/+1 sign row over the two column halves) from a second cache,
 read-only, one entry per n = 0..59: 60,480 bytes of data when full.
 """
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -157,22 +158,20 @@ def _rotation(N: int, theta: float) -> tuple[np.ndarray, JointCountDistribution]
     return d, JointCountDistribution(probs)
 
 
-def _table_masses(max_N: int, thetas: list[float]) -> np.ndarray:
-    """Masses of the tables N = 0..max_N at each angle, stepped together.
+def _stacked_tables(max_N: int, thetas: list[float]) -> Iterator[np.ndarray]:
+    """The tables N = 0..max_N at every angle, stepped together: one stack per N.
 
-    Entry [N, i] equals ``joint_distribution(N, thetas[i]).mass`` bit for
-    bit; the stacked D_N bypass the rotation cache and are not kept.  Its
-    caller passes valid input: 0 <= max_N <= 60 and angles in [0, pi/2].
+    Each is fresh, (len(thetas), N + 1, N + 1), entry i bit for bit
+    ``joint_distribution(N, thetas[i]).probs``; the stacked D_N bypass the
+    cache.  Its caller passes 0 <= max_N <= 60 and angles in [0, pi/2].
     """
     cos_sin = np.array([_cos_sin(theta) for theta in thetas]).reshape(-1, 2, 1, 1)
     c, s = cos_sin[:, 0], cos_sin[:, 1]
     d = np.ones((len(thetas), 1, 1))
-    masses = np.empty((max_N + 1, len(thetas)))
     for N in range(max_N + 1):
         if N:
             d = _step(d, c, s)
-        masses[N] = (d**2 / (N + 1)).sum(axis=(-2, -1))
-    return masses
+        yield d**2 / (N + 1)
 
 
 def joint_distribution(N: int, theta: float) -> JointCountDistribution:

@@ -17,6 +17,7 @@ mixtures as one stack (see ``SVSpec``); a mixture is just its table, and
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -225,6 +226,47 @@ def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
     pair = _lossless_pair(chain.theta, spec)
     adjacent, closing = mean_abs_difference(binomial_thin(pair, eta) if eta < 1.0 else pair)
     return BellBreakdown((2 * chain.L - 1) * adjacent, closing, spec.n_max, spec.mass)
+
+
+def _difference_parameter(theta: float, gamma: float, eta: float) -> float:
+    """A = eta s^2 (1 - eta + eta c^2 sin^2 theta), s = sinh(gamma), c = cosh(gamma).
+
+    A <= (s c)^2 fits a float up to gamma = log(8 max float) / 4 ~ 177.97;
+    a larger gain raises ValueError.
+    """
+    _check_angle(theta)
+    _check_efficiency(eta)
+    _check_gain(gamma, _MAX_GAIN_E4)
+    return eta * math.sinh(gamma) ** 2 * (1.0 - eta + eta * math.cosh(gamma) ** 2 * math.sin(theta) ** 2)
+
+
+def mean_abs_count_difference(theta: float, gamma: float, eta: float = 1.0) -> float:
+    """Exact E|k| = 2A / sqrt(1 + 4A) of the untruncated squeezed vacuum, k = m - n.
+
+    A as in ``count_difference_pmf``, 0 < gamma <= ~177.97; the truncated
+    mixtures' ``mean_abs_difference`` lies below it.  Evaluated as
+    A / sqrt(A + 1/4), so that 4A cannot overflow.
+    """
+    a = _difference_parameter(theta, gamma, eta)
+    return a / math.sqrt(a + 0.25)
+
+
+def count_difference_pmf(k: int, theta: float, gamma: float, eta: float = 1.0) -> float:
+    """Exact probability that Bob counts k more photons than Alice (discrete Laplace).
+
+    P(k) = (1 - r) / (1 + r) r^|k|, r = 2A / (1 + 2A + sqrt(1 + 4A)),
+    A = eta s^2 (1 - eta + eta c^2 sin^2 theta), s = sinh(gamma), c = cosh(gamma)
+    (Weedbrook et al., RMP 84, 621 (2012)), for integer k and 0 < gamma <= ~177.97.
+    Evaluated as exp(|k| log r) / sqrt(1 + 4A), log r = -2 asinh(1 / (2 sqrt A)):
+    accurate where r is tiny and where it rounds to 1.
+    """
+    k = abs(operator.index(k))
+    a = _difference_parameter(theta, gamma, eta)
+    if a == 0.0:  # eta = 0, or eta = 1 at theta = 0: the counts agree
+        return float(k == 0)
+    log_r = -2.0 * math.asinh(0.5 / math.sqrt(a))
+    # Past |k| = 2^1023 the exponent is below -1e150 at every allowed A: P(k) is 0 either way.
+    return math.exp(log_r * min(k, 2**1023)) * 0.5 / math.sqrt(a + 0.25)
 
 
 def intensity_correlation(theta_a: float, theta_b: float, gamma: float) -> float:

@@ -51,7 +51,7 @@ def _public_definitions(module):
 
 def test_readme_library_section_documents_every_public_name():
     bullets = _readme_library_bullets()
-    assert sum(len(names) for names in bullets.values()) == 23
+    assert sum(len(names) for names in bullets.values()) == 25
     for module, names in bullets.items():
         for name in names:
             assert hasattr(importlib.import_module(f"svbell.{module}"), name), (module, name)

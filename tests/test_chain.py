@@ -22,7 +22,15 @@ from svbell.chain import (
 from svbell.loss import binomial_thin
 from svbell.singlet import MAX_PHOTON_NUMBER, joint_distribution, mean_abs_difference
 from svbell.cli import GUARD_MASS
-from svbell.sv import SVSpec, _at_mass, bell_sv, lambda_sq, rhs_sv_asymptotic, sv_mixture
+from svbell.sv import (
+    SVSpec,
+    _at_mass,
+    bell_sv,
+    lambda_sq,
+    mean_abs_count_difference,
+    rhs_sv_asymptotic,
+    sv_mixture,
+)
 
 
 def test_make_chain_examples():
@@ -120,12 +128,15 @@ def test_mean_distance_matches_the_thinned_table(N, theta, eta):
 
 @pytest.mark.parametrize(
     "gamma, eta, theta",
-    [(0.3, 1.0, 0.4), (0.8, 0.9, math.pi / 8), (1.2, 0.5, 1.3), (0.6, 0.75, 0.0)],
+    [(0.3, 1.0, 0.4), (0.8, 0.9, math.pi / 8), (1.2, 0.5, 1.3), (0.6, 0.75, 0.0), (0.05, 1.0, 0.3),
+     (1.0, 0.2, math.pi / 2), (1.2, 1.0, math.pi / 2), (0.9, 1.0, 0.0)],
 )
 def test_weighted_fixed_N_sums_give_the_gaussian_closed_form(gamma, eta, theta):
     # The fixed-N sums are the tanh(g)^2 expansion of 2A / sqrt(1 + 4A),
     # A = eta s^2 (1 - eta + eta c^2 sin^2 theta): two exact paths agree.
+    # sv's law evaluates A / sqrt(A + 1/4), the same bits as this copy.
     gaussian = mean_distance(gamma, eta, theta)
+    assert mean_abs_count_difference(theta, gamma, eta) == gaussian
     series = math.fsum(series_weight(n, gamma) * _mean_distance(n, theta, eta) for n in range(600))
     # lambda_sq rounds tanh(g)^(2N) / cosh(g)^4 to a few ulp, which sets this
     # tolerance; the sums alone agree with 40-digit arithmetic to about 1e-16.

@@ -664,10 +664,14 @@ def test_verify_normalization_is_the_worst_cached_table_mass(seed):
 
 
 def test_a_second_verify_reads_every_singlet_table_from_the_cache():
+    # The loss suite's N = 3 table at pi/8 is the only one verify asks the
+    # cache for, one miss per step N = 0..3; the normalization and oracle
+    # suites step their angles together outside it, at any seed.
+    singlet._rotation.cache_clear()
     run_verification(oracle_max_N=10, seed=3)
-    misses = singlet._rotation.cache_info().misses
+    assert singlet._rotation.cache_info().misses == 4
     run_verification(oracle_max_N=10, seed=4)
-    assert singlet._rotation.cache_info().misses == misses
+    assert singlet._rotation.cache_info().misses == 4
 
 
 @pytest.mark.parametrize("samples", ["0", str(2**63), "100000000000000000000"])
@@ -701,7 +705,7 @@ def test_verification_takes_a_nonnegative_integer_seed_before_any_suite(seed, er
     def no_suite(*args):
         raise AssertionError("a suite ran before the seed was checked")
 
-    monkeypatch.setattr(svbell.cli, "_table_masses", no_suite)
+    monkeypatch.setattr(svbell.cli, "_stacked_tables", no_suite)
     with pytest.raises(error):
         run_verification(seed=seed)
 

@@ -269,7 +269,7 @@ def test_step_constants_cache_is_bounded_and_frozen():
         with empty_rotation_cache():
             for theta in (0.3, 1.2):
                 joint_distribution(MAX_PHOTON_NUMBER, theta)
-        singlet._table_masses(MAX_PHOTON_NUMBER, [0.0, 0.7, HALF_PI])
+        list(singlet._stacked_tables(MAX_PHOTON_NUMBER, [0.0, 0.7, HALF_PI]))
         # The second angle and the stack step on the first angle's constants.
         assert constants.cache_info().misses == constants.cache_info().currsize == MAX_PHOTON_NUMBER
         arrays = [array for n in range(MAX_PHOTON_NUMBER) for array in constants(n)]
@@ -285,10 +285,14 @@ def test_step_constants_cache_is_bounded_and_frozen():
     ),
 )
 def test_stacked_table_masses_are_the_cached_tables_masses(max_N, thetas):
-    masses = singlet._table_masses(max_N, thetas)
-    assert masses.shape == (max_N + 1, len(thetas))
-    for column, theta in zip(masses.T, thetas):
-        assert column.tolist() == [joint_distribution(N, theta).mass for N in range(max_N + 1)]
+    stacks = list(singlet._stacked_tables(max_N, thetas))
+    assert len(stacks) == max_N + 1
+    for N, stack in enumerate(stacks):
+        cached = [joint_distribution(N, theta) for theta in thetas]
+        assert stack.shape == (len(thetas), N + 1, N + 1) and stack.flags.writeable
+        assert all(same_bits(probs, table.probs) for probs, table in zip(stack, cached))
+        assert not any(np.shares_memory(stack, table.probs) for table in cached)
+        assert np.add.reduce(stack, axis=(-2, -1)).tolist() == [table.mass for table in cached]
 
 
 def test_threads_sharing_the_rotation_cache_get_the_tables_they_ask_for():

@@ -26,8 +26,10 @@ from svbell.sv import (
     _at_mass,
     bell_sv,
     correlation_visibility,
+    count_difference_pmf,
     intensity_correlation,
     lambda_sq,
+    mean_abs_count_difference,
     mean_photons_per_beam,
     rhs_sv_asymptotic,
     sv_mixture,
@@ -188,9 +190,11 @@ def test_spec_validation():
         correlation_visibility,
         rhs_sv_asymptotic,
         mean_photons_per_beam,
+        lambda g: mean_abs_count_difference(0.3, g, 0.9),
+        lambda g: count_difference_pmf(1, 0.3, g, 0.9),
     ],
     ids=["SVSpec", "lambda_sq", "intensity_correlation", "correlation_visibility", "rhs_sv_asymptotic",
-         "mean_photons_per_beam"],
+         "mean_photons_per_beam", "mean_abs_count_difference", "count_difference_pmf"],
 )
 def test_gain_must_be_positive_and_finite(evaluate, gamma):
     with pytest.raises(ValueError, match="gain must be positive and finite"):
@@ -508,3 +512,94 @@ def test_visibility_limits():
     gammas = [0.1, 0.5, 1.0, 2.0, 4.0]
     values = [correlation_visibility(g) for g in gammas]
     assert all(a > b for a, b in zip(values, values[1:]))
+
+
+HALF_PI = 0.5 * math.pi
+
+
+def exact_difference_law(theta, gamma, eta, ks):
+    """E|k|, and P(k) with |k log r| for each k, from 60-digit decimal arithmetic.
+
+    sin is its Taylor series, and 1 - r = (1 + sqrt(1 + 4A)) / (1 + 2A + sqrt(1 + 4A))
+    has no cancellation, nor has log r = log(1 - (1 - r)), summed as a series where r >= 1/2.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        g, e, t = Decimal(gamma), Decimal(eta), Decimal(theta)
+        sin, term, n = t, t, 1
+        while abs(term) > Decimal(10) ** -70:
+            term = -term * t * t / ((2 * n) * (2 * n + 1))
+            sin, n = sin + term, n + 1
+        exp_g = g.exp()
+        s, c = (exp_g - 1 / exp_g) / 2, (exp_g + 1 / exp_g) / 2
+        a = e * s * s * (1 - e + e * c * c * sin * sin)
+        if a == 0:
+            return 0.0, [(Decimal(k == 0), 0.0) for k in ks]
+        root = (1 + 4 * a).sqrt()
+        r, q = 2 * a / (1 + 2 * a + root), (1 + root) / (1 + 2 * a + root)
+        if r < Decimal("0.5"):
+            log_r = r.ln()
+        else:  # r's own digits would round towards 1
+            log_r, term, j = Decimal(0), q, 1
+            while term > Decimal(10) ** -70 * q:
+                log_r, term, j = log_r - term / j, term * q, j + 1
+        exponents = [abs(k) * log_r for k in ks]
+        law = [(q / (1 + r) * x.exp() if x > -800 else Decimal(0), float(-x)) for x in exponents]
+        return float(2 * a / root), law
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gamma=st.floats(math.log(1e-6), math.log(E4_LIMIT)).map(lambda x: min(math.exp(x), E4_LIMIT)),
+    eta=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+    theta=st.one_of(st.sampled_from([0.0, HALF_PI]), st.floats(0.0, HALF_PI)),
+)
+@example(gamma=E4_LIMIT, eta=1.0, theta=HALF_PI)  # the largest A, where r rounds to 1
+@example(gamma=1e-6, eta=1.0, theta=1e-3)  # A ~ 1e-18, where r is tiny
+def test_count_difference_law_matches_60_digit_arithmetic(gamma, eta, theta):
+    # A rounds within a few ulp, or a few units of 2^-1074 where it is
+    # subnormal; P(k) = exp(|k| log r) / sqrt(1 + 4A) adds one ulp per unit
+    # of its exponent.  Below 1e-300 P(k) may be subnormal.
+    ks = [0, 1, -1, 2, -7, 30, -1000, 10**6, 10**12, 10**400]
+    mean, law = exact_difference_law(theta, gamma, eta, ks)
+    assert abs(mean_abs_count_difference(theta, gamma, eta) - mean) <= 8 * max(2.0**-52 * mean, 2.0**-1074)
+    for k, (exact, exponent) in zip(ks, law):
+        p = count_difference_pmf(k, theta, gamma, eta)
+        if exact > Decimal("1e-300"):
+            assert abs(Decimal(p) - exact) <= Decimal(8 * (1 + exponent) * 2.0**-52) * exact, k
+        else:
+            assert 0.0 <= p <= 1e-300, k
+
+
+def test_count_difference_law_fits_a_float_up_to_its_gain_limit():
+    # A <= sinh(2 gamma)^2 / 4 ~ e^(4 gamma) / 16 <= max float / 2 at the limit.
+    mean = mean_abs_count_difference(HALF_PI, E4_LIMIT, 1.0)
+    assert mean == pytest.approx(math.sqrt(sys.float_info.max / 2), rel=1e-12)
+    # r rounds to 1 there, yet P(k) still falls off with |k|.
+    top = count_difference_pmf(0, HALF_PI, E4_LIMIT, 1.0)
+    assert 0.0 < count_difference_pmf(10**150, HALF_PI, E4_LIMIT, 1.0) < top
+    for gamma in [math.nextafter(E4_LIMIT, math.inf), 356.0, 1e300]:
+        for evaluate in (mean_abs_count_difference, lambda *args: count_difference_pmf(0, *args)):
+            with pytest.raises(ValueError, match="for this value to fit a float"):
+                evaluate(0.0, gamma, 0.0)
+    with pytest.raises(TypeError):
+        count_difference_pmf(1.0, 0.3, 0.8, 0.9)
+
+
+@pytest.mark.parametrize(
+    "gamma, eta, theta",
+    [(0.3, 1.0, 0.4), (0.8, 0.9, math.pi / 8), (0.5, 0.5, HALF_PI), (0.7, 0.75, 0.0), (0.9, 1.0, 1.1)],
+)
+def test_count_difference_law_is_the_mixture_histogram_plus_its_tail(gamma, eta, theta):
+    # The mixture keeps mass 1 - 1e-13 of the state and drops the rest, so
+    # P(k) lies above its histogram of k = m - n, and the gaps sum to the
+    # dropped mass.  Both sides round within a few ulp of 1.
+    spec = SVSpec(gamma, 1.0 - 1e-13)
+    table = sv_mixture(theta, spec, eta).probs
+    size = spec.n_max + 1
+    histogram = {k: math.fsum(np.diagonal(table, offset=k)) for k in range(1 - size, size)}
+    ks = range(-2 * size, 2 * size + 1)
+    gaps = [count_difference_pmf(k, theta, gamma, eta) - histogram.get(k, 0.0) for k in ks]
+    slack = 2e-15
+    assert min(gaps) >= -slack
+    assert abs(math.fsum(gaps) - (1.0 - spec.mass)) <= slack
