@@ -228,13 +228,16 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
 def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10**10) -> dict:
     """Run the normalization, oracle-equivalence, LHV and loss suites.
 
+    The two closed-form suites share one stacked pass: the 20 normalization
+    angles and the nine oracle angle differences step together through
+    N = 0..12 (tests pin each stack entry's bits to its cached table).
+
     - normalization: the table mass is 1 within 1e-9 for N <= 12 at 20
-      angles from ``random.Random(seed).uniform(0, pi/2)``, all angles
-      stepped together;
+      angles from ``random.Random(seed).uniform(0, pi/2)``;
     - oracle_equivalence: per N, one Fock-oracle stack of nine angle pairs
-      against the stepped stack of their differences b - a (tests pin its bits
-      to the cached tables), within 1e-10 at six fixed angles and at three
-      pairs on which only the difference may matter, for N <= oracle_max_N;
+      against the stepped tables of their differences b - a, within 1e-10
+      at six fixed angles and at three pairs on which only the difference
+      may matter, for N <= oracle_max_N;
     - lhv_bound: the chained inequality's exact local minimum over every
       deterministic strategy is 0 at (L, cap) = (2, 3), (3, 2) and (4, 12);
     - loss_channel: Monte Carlo thinning of the N = 3 table at pi/8 lies
@@ -242,39 +245,46 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10*
       and thinning twice equals thinning once at the product efficiency;
       ``mc_thin`` draws with seed + 1.
 
-    Deterministic for a fixed seed, a nonnegative integer: raises
-    ``TypeError`` for another type and ``ValueError`` for a negative one
-    before any suite runs.  Returns a report dict with one entry per
-    suite and an overall flag.
+    Deterministic for a fixed seed.  ``oracle_max_N``, ``seed`` and
+    ``mc_samples`` are integers (``operator.index``; the report echoes them
+    as ints): any other type raises ``TypeError``, and a value out of range
+    ``ValueError``, before any suite runs.  Returns a report dict with one
+    entry per suite and an overall flag.
     """
+    oracle_max_N = operator.index(oracle_max_N)
+    mc_samples = operator.index(mc_samples)
+    seed = operator.index(seed)
     if not 0 <= oracle_max_N <= MAX_ORACLE_PHOTON_NUMBER:
         raise ValueError(f"oracle_max_N must lie in [0, {MAX_ORACLE_PHOTON_NUMBER}], got {oracle_max_N}")
     if not 1 <= mc_samples <= MAX_MC_SAMPLES:
         raise ValueError(f"mc_samples must lie in [1, {MAX_MC_SAMPLES}], got {mc_samples}")
-    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = random.Random(seed)
     suites = []
 
+    # One stepped stack per N = 0..12 (12 >= MAX_ORACLE_PHOTON_NUMBER): the
+    # 20 normalization angles, then the differences of nine oracle angle
+    # pairs, Alice at 0 against six grid angles and three pairs at which only
+    # the difference may matter.  The oracle expands both observers at once.
     thetas = [rng.uniform(0.0, math.pi / 2) for _ in range(20)]
-    masses = [np.add.reduce(probs, axis=(-2, -1)) for probs in _stacked_tables(12, thetas)]
-    worst_mass = float(np.max(np.abs(np.array(masses) - 1.0)))
-    suites.append(
-        {"name": "normalization", "passed": bool(worst_mass <= 1e-9), "worst_mass_error": worst_mass}
-    )
-
-    # One oracle stack per N, Alice at 0 against six grid angles, then three angle
-    # pairs at which only the difference may matter, against their differences' stack.
     grid = [0.0, math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
     alice = [0.0] * len(grid) + [0.3, 0.2, math.pi / 16]
     bob = grid + [0.75, 1.5, 3 * math.pi / 16]
-    worst = worst_rel = 0.0
-    stacks = _stacked_tables(oracle_max_N, [b - a for a, b in zip(alice, bob)])
-    for n, closed in enumerate(stacks):
-        diff = np.abs(closed - oracle_joint_distribution(n, bob, alice))
-        worst = max(worst, float(diff[: len(grid)].max()))
-        worst_rel = max(worst_rel, float(diff[len(grid) :].max()))
+    masses, diffs = [], []
+    for n, stack in enumerate(_stacked_tables(12, thetas + [b - a for a, b in zip(alice, bob)])):
+        masses.append(np.add.reduce(stack[: len(thetas)], axis=(-2, -1)))
+        if n <= oracle_max_N:
+            diff = np.abs(stack[len(thetas) :] - oracle_joint_distribution(n, bob, alice))
+            diffs.append(diff.max(axis=(-2, -1)))
+    # np.max, unlike Python's max, keeps a NaN, so a NaN table fails its suite.
+    worst_mass = float(np.max(np.abs(np.array(masses) - 1.0)))
+    diffs = np.array(diffs)
+    worst = float(np.max(diffs[:, : len(grid)]))
+    worst_rel = float(np.max(diffs[:, len(grid) :]))
+    suites.append(
+        {"name": "normalization", "passed": bool(worst_mass <= 1e-9), "worst_mass_error": worst_mass}
+    )
     suites.append(
         {
             "name": "oracle_equivalence",
@@ -301,11 +311,12 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10*
     efficiencies = (0.5, 0.83)
     alpha = 1e-3
     eps = l1_deviation_bound(dist.probs.size, mc_samples, alpha / len(efficiencies))
-    worst_l1 = 0.0
+    l1 = []
     for eta in efficiencies:
         exact = binomial_thin(dist, eta)
         empirical = mc_thin(dist, eta, mc_samples, seed=seed + 1)
-        worst_l1 = max(worst_l1, float(np.abs(empirical.probs - exact.probs).sum()))
+        l1.append(np.abs(empirical.probs - exact.probs).sum())
+    worst_l1 = float(np.max(l1))
     twice = binomial_thin(binomial_thin(dist, 0.9), 0.8)
     once = binomial_thin(dist, 0.72)
     semigroup = float(np.max(np.abs(twice.probs - once.probs)))

@@ -9,11 +9,12 @@ Two independent computation paths live here:
   exact integer binomials and factorials, one per power of cos and target
   cell) depends on N alone and is built once per N as one matrix.  Each
   observer's N+1 rotated states at an angle are then its row of cos/sin
-  monomials times that matrix, and the signed amplitude tables are one
-  batched matrix product of Alice's states, weighted by the singlet's
-  amplitudes, with Bob's; their square is the joint count table.  Each
-  table of a stack of angles is bitwise the table of its angles alone, and
-  ``verify`` builds one stack per N; and
+  monomials times that matrix; both observers' angles go through one such
+  product, one lookup of the matrix per call.  The signed amplitude tables
+  are one batched matrix product of Alice's states, weighted by the
+  singlet's amplitudes, with Bob's; their square is the joint count table.
+  Each table of a stack of angles is bitwise the table of its angles alone,
+  and ``verify`` builds one stack per N; and
 * a seeded Monte-Carlo realization of Bernoulli detector loss, drawn from
   one ``random.Random`` per call: conditional binomials spread the samples
   over the cells, then two passes over the whole table, Bob's counts and
@@ -114,8 +115,9 @@ def _oracle_amplitudes(
 
     Entry (n, m) projects the 2N-photon singlet onto
     |n_{H+theta_alice}, (N-n)_{V+theta_alice}>_a together with
-    |(N-m)_{H+theta}, m_{V+theta}>_b.  Each observer's N+1 rotated number
-    states are expanded once, as one matrix.  The singlet's term n pairs
+    |(N-m)_{H+theta}, m_{V+theta}>_b.  Alice's and Bob's angles broadcast
+    together and are expanded in one call, each observer's N+1 rotated
+    number states one matrix per angle.  The singlet's term n pairs
     Alice's H occupation n with Bob's N-n, so the table sums Alice's column
     n, times (-1)^n / sqrt(N+1), against Bob's column N-n.  A nonzero
     theta_alice checks that joint statistics depend on the polarizer angles
@@ -133,9 +135,8 @@ def _oracle_amplitudes(
         raise ValueError(f"oracle supports N <= {MAX_ORACLE_PHOTON_NUMBER}, got {N}")
     norm = 1.0 / math.sqrt(N + 1)
     amps = np.where(np.arange(N + 1) % 2, -norm, norm)
-    alice = _rotated_number_states(N, theta_alice)
-    bob = _rotated_number_states(N, theta)[..., ::-1, ::-1]
-    return (alice * amps) @ np.swapaxes(bob, -1, -2)
+    alice, bob = _rotated_number_states(N, np.broadcast_arrays(theta_alice, theta))
+    return (alice * amps) @ np.swapaxes(bob[..., ::-1, ::-1], -1, -2)
 
 
 def oracle_joint_distribution(

@@ -35,8 +35,8 @@ D_{n+1} depends on D_n and theta alone, so the cache that serves
 ``joint_distribution`` keeps one step per (N, theta): a miss steps on from
 the cached N - 1, and the tables N = 0..n_max at one angle cost n_max steps
 in all, in any request order.  It holds at most 256 (D, table) pairs,
-15.2 MB at N = 60.  Verify's normalization and oracle checks each step
-their angles together in one stack, outside the cache.  Every step reads
+15.2 MB at N = 60.  Verify's normalization and oracle checks share one
+stack: their angles step together, outside the cache.  Every step reads
 its per-photon constants (the sqrt(i) column and its reverse, the column
 norms and a -1/+1 sign row over the two column halves) from a second cache,
 read-only, one entry per n = 0..59: 60,480 bytes of data when full.

@@ -22,8 +22,8 @@ import svbell.sv
 from svbell import singlet
 from svbell.chain import make_chain
 from svbell.cli import GUARD_MASS, MAX_GRID_POINTS, main, run_verification
-from svbell.oracle import mc_thin
-from svbell.singlet import joint_distribution
+from svbell.oracle import mc_thin, oracle_joint_distribution
+from svbell.singlet import _stacked_tables, joint_distribution
 from svbell.sv import SVSpec, bell_sv
 
 
@@ -148,6 +148,8 @@ def test_gains_past_the_float_range_of_cosh4_exit_3(argv, capsys):
         ["sweep-settings", "--N", "1", "--L-range", "1:5"],
         ["sweep-settings", "--N", "1", "--L-range", "5"],
         ["verify", "--oracle-max-N", "12"],
+        ["verify", "--oracle-max-N", "3.0"],  # run_verification takes integers only
+        ["verify", "--mc-samples", "1e6"],
         ["sweep-settings", "--gamma", "nan", "--L-range", "2:60"],  # non-finite gain
         ["sweep-settings", "--gamma", "inf", "--L-range", "2:60"],
         ["heatmap", "--L", "2", "--gamma-range", "0:0.2:0.1", "--eta-range", "0.9:1:0.1"],
@@ -699,15 +701,49 @@ def test_verify_negative_seed_exits_2(capsys, compute_calls):
     assert compute_calls == ["run_verification"]  # no suite ran
 
 
-@pytest.mark.parametrize("seed,error", [(-1, ValueError), (1.5, TypeError)])
-def test_verification_takes_a_nonnegative_integer_seed_before_any_suite(seed, error, monkeypatch):
-    # random.Random would seed -s like s and take a float.
+@pytest.mark.parametrize(
+    "kwargs,error",
+    [  # ids: the seed's value, or the argument and its value, then the error
+        pytest.param({"seed": -1}, ValueError, id="-1-ValueError"),
+        pytest.param({"seed": 1.5}, TypeError, id="1.5-TypeError"),
+        pytest.param({"oracle_max_N": 3.0}, TypeError, id="oracle_max_N-3.0-TypeError"),
+        pytest.param({"mc_samples": 1e6}, TypeError, id="mc_samples-1e6-TypeError"),
+    ],
+)
+def test_verification_takes_a_nonnegative_integer_seed_before_any_suite(kwargs, error, monkeypatch):
+    # random.Random would seed -s like s and take a float; a float size
+    # would pass the range checks and fail, if at all, inside a suite.
     def no_suite(*args):
-        raise AssertionError("a suite ran before the seed was checked")
+        raise AssertionError("a suite ran before the arguments were checked")
 
     monkeypatch.setattr(svbell.cli, "_stacked_tables", no_suite)
     with pytest.raises(error):
-        run_verification(seed=seed)
+        run_verification(**kwargs)
+
+
+def test_verification_echoes_its_sizes_as_ints():
+    report = run_verification(oracle_max_N=True, seed=np.int64(2), mc_samples=np.uint8(10))
+    sizes = [report[name] for name in ("oracle_max_N", "seed", "mc_samples")]
+    assert sizes == [1, 2, 10] and all(type(size) is int for size in sizes)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**31 - 1])
+@pytest.mark.parametrize("oracle_max_N", [0, 6, 10])
+def test_the_shared_ladder_changes_no_reported_number(seed, oracle_max_N):
+    # Each closed-form suite rebuilt from a stack of its own angles alone.
+    rng = random.Random(seed)
+    thetas = [rng.uniform(0.0, math.pi / 2) for _ in range(20)]
+    masses = [np.add.reduce(stack, axis=(-2, -1)) for stack in _stacked_tables(12, thetas)]
+    grid = [0.0, math.pi / 16, math.pi / 8, math.pi / 4, 3 * math.pi / 8, math.pi / 2]
+    alice = [0.0] * 6 + [0.3, 0.2, math.pi / 16]
+    bob = grid + [0.75, 1.5, 3 * math.pi / 16]
+    stacks = _stacked_tables(oracle_max_N, [b - a for a, b in zip(alice, bob)])
+    diffs = [np.abs(stack - oracle_joint_distribution(N, bob, alice)) for N, stack in enumerate(stacks)]
+    suites = {s["name"]: s for s in run_verification(oracle_max_N, seed, 10)["suites"]}
+    assert suites["normalization"]["worst_mass_error"] == float(np.max(np.abs(np.array(masses) - 1.0)))
+    oracle = suites["oracle_equivalence"]
+    assert oracle["worst_abs_diff"] == max(float(diff[:6].max()) for diff in diffs)
+    assert oracle["worst_invariance_diff"] == max(float(diff[6:].max()) for diff in diffs)
 
 
 @pytest.mark.parametrize("seed", [0, 9, 20])
@@ -793,6 +829,27 @@ def test_verify_checks_invariance_at_every_oracle_size(oracle_max_N, monkeypatch
     suite = suites["oracle_equivalence"]
     assert not suite["passed"]
     assert suite["worst_invariance_diff"] > 1e-10 >= suite["worst_abs_diff"]
+
+
+@pytest.mark.parametrize(
+    "name,suite,field",
+    [
+        ("oracle_joint_distribution", "oracle_equivalence", "worst_abs_diff"),
+        ("mc_thin", "loss_channel", "worst_l1"),
+    ],
+)
+def test_verify_fails_on_a_nan_table(name, suite, field, monkeypatch):
+    # Python's max(0.0, nan) is 0.0, so a running max must not drop a NaN.
+    real = getattr(svbell.cli, name)
+
+    def with_nan(*args, **kwargs):
+        table = real(*args, **kwargs)
+        getattr(table, "probs", table)[..., 0, 0] = math.nan  # an array, or mc_thin's table
+        return table
+
+    monkeypatch.setattr(svbell.cli, name, with_nan)
+    report = {s["name"]: s for s in run_verification(oracle_max_N=0, mc_samples=10)["suites"]}[suite]
+    assert not report["passed"] and math.isnan(report[field])
 
 
 def test_verify_reports_exact_local_minima():

@@ -86,7 +86,8 @@ def test_expansion_is_built_once_per_photon_number_and_read_only():
     _expansion.cache_clear()
     for theta_a, theta_b in SHARED_ROTATIONS:
         _oracle_amplitudes(5, theta_b, theta_a)
-    assert (_expansion.cache_info().hits, _expansion.cache_info().misses) == (7, 1)
+    # One lookup per call: both observers' angles are expanded together.
+    assert (_expansion.cache_info().hits, _expansion.cache_info().misses) == (3, 1)
     weights = _expansion(5)
     assert weights.shape == (6, 36)
     with pytest.raises(ValueError):
@@ -120,6 +121,11 @@ def test_stacked_oracle_slices_equal_scalar_calls(N, thetas, data):
         assert scalar.shape == (N + 1, N + 1)
         assert np.array_equal(table, scalar)
     assert np.array_equal(oracle_joint_distribution(N, thetas, theta_alice), stacked**2)
+    # The other direction: Alice's stack against one Bob angle.
+    flipped = _oracle_amplitudes(N, thetas[0], thetas)
+    assert flipped.shape == (len(thetas), N + 1, N + 1)
+    for table, theta_a in zip(flipped, thetas):
+        assert np.array_equal(table, _oracle_amplitudes(N, thetas[0], theta_a))
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])

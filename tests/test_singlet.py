@@ -281,7 +281,7 @@ def test_step_constants_cache_is_bounded_and_frozen():
 @given(
     max_N=st.integers(0, MAX_PHOTON_NUMBER),
     thetas=st.lists(
-        st.one_of(st.sampled_from([0.0, HALF_PI]), st.floats(0.0, HALF_PI)), max_size=25
+        st.one_of(st.sampled_from([0.0, HALF_PI]), st.floats(0.0, HALF_PI)), max_size=32
     ),
 )
 def test_stacked_table_masses_are_the_cached_tables_masses(max_N, thetas):
