@@ -34,12 +34,15 @@ Ann. Phys. 202, 22 (1990)); ``sv`` reads both ends of a chain off one ladder.
 D_{n+1} depends on D_n and theta alone, so the cache that serves
 ``joint_distribution`` keeps one step per (N, theta): a miss steps on from
 the cached N - 1, and the tables N = 0..n_max at one angle cost n_max steps
-in all, in any request order.  It holds at most 256 (D, table) pairs,
-15.2 MB at N = 60.  Verify's normalization and oracle checks share one
-stack: their angles step together, outside the cache.  Every step reads
-its per-photon constants (the sqrt(i) column and its reverse, the column
-norms and a -1/+1 sign row over the two column halves) from a second cache,
-read-only, one entry per n = 0..59: 60,480 bytes of data when full.
+in all, in any request order.  It holds at most 61 (D, table) pairs, one
+full ladder N = 0..60 at one angle, 3.6 MB at N = 60: no command reuses
+more, and a caller that cycles through several angles rebuilds an angle's
+ladder (N steps) when it returns to it.  Verify's normalization and oracle
+checks share one stack: their angles step together, outside the cache.
+Every step reads its per-photon constants (the sqrt(i) column and its
+reverse, the column norms and a -1/+1 sign row over the two column halves)
+from a second cache, read-only, one entry per n = 0..59: 60,480 bytes of
+data when full.
 """
 
 from __future__ import annotations
@@ -148,7 +151,7 @@ def _step(d: np.ndarray, c: float | np.ndarray, s: float | np.ndarray) -> np.nda
     return (c * x + (s * signs) * y) / norms
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=MAX_PHOTON_NUMBER + 1)
 def _rotation(N: int, theta: float) -> tuple[np.ndarray, JointCountDistribution]:
     """D_N(theta) and its frozen count table, one step on from the cached N - 1."""
     d = np.ones((1, 1)) if N == 0 else _step(_rotation(N - 1, theta)[0], *_cos_sin(theta))
@@ -185,17 +188,12 @@ def joint_distribution(N: int, theta: float) -> JointCountDistribution:
     return _rotation(N, theta)[1]
 
 
-@lru_cache(maxsize=MAX_PHOTON_NUMBER + 1)
-def _distances(size: int) -> np.ndarray:
-    """Read-only float64 table |i - j| over a size x size count table.
-
-    Its entries are small integers, exact in float64, so the product with a
-    count table needs no int -> float cast and each entry is unchanged.
-    """
-    counts = np.arange(size, dtype=np.float64)
-    distances = np.abs(counts[:, None] - counts[None, :])
-    distances.setflags(write=False)
-    return distances
+# Read-only float64 table |i - j| over the largest count table; a table of
+# size k reads its top-left k x k block.  Its entries are small integers,
+# exact in float64, so the product with a count table needs no int -> float
+# cast and each entry is unchanged.
+_DISTANCES = np.abs(np.arange(MAX_PHOTON_NUMBER + 1.0)[:, None] - np.arange(MAX_PHOTON_NUMBER + 1.0))
+_DISTANCES.setflags(write=False)
 
 
 def mean_abs_difference(dist: JointCountDistribution) -> float | list:
@@ -208,4 +206,5 @@ def mean_abs_difference(dist: JointCountDistribution) -> float | list:
     reference checks.  One ``np.add.reduce`` per table, as ``np.sum`` does: a float bit for bit
     ``float(np.sum(|i - j| * probs))``, or a list with one such value per table of a stack.
     """
-    return np.add.reduce(_distances(dist.max_count + 1) * dist.probs, axis=(-2, -1)).tolist()
+    size = dist.max_count + 1
+    return np.add.reduce(_DISTANCES[:size, :size] * dist.probs, axis=(-2, -1)).tolist()

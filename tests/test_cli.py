@@ -23,7 +23,7 @@ from svbell import singlet
 from svbell.chain import make_chain
 from svbell.cli import GUARD_MASS, MAX_GRID_POINTS, main, run_verification
 from svbell.oracle import mc_thin, oracle_joint_distribution
-from svbell.singlet import _stacked_tables, joint_distribution
+from svbell.singlet import MAX_PHOTON_NUMBER, _stacked_tables, joint_distribution
 from svbell.sv import SVSpec, bell_sv
 
 
@@ -674,6 +674,31 @@ def test_a_second_verify_reads_every_singlet_table_from_the_cache():
     assert singlet._rotation.cache_info().misses == 4
     run_verification(oracle_max_N=10, seed=4)
     assert singlet._rotation.cache_info().misses == 4
+
+
+@pytest.mark.parametrize(
+    "argv, misses",
+    [
+        # One ladder N = 0..56, the guard's n_max at gain 1.6, however many
+        # gains and efficiencies reuse it; a second heatmap reads it all again.
+        (["heatmap", "--L", "2", "--gamma-range", "0.2:1.6:0.2", "--eta-range", "0.9:1.0:0.1"], [57, 57]),
+        (["dist", "--N", "60", "--theta", "0.3"], [61, 61]),
+        # A fresh angle per L, one ladder N = 0..10 each, every table built
+        # once; a second sweep returns to angles whose ladders have gone.
+        (["sweep-settings", "--gamma", "0.8", "--L-range", "2:60"], [59 * 11, 2 * 59 * 11]),
+    ],
+    ids=["heatmap", "dist", "sweep-settings"],
+)
+def test_the_rotation_cache_serves_the_reuse_within_a_command(argv, misses, capsys):
+    # The shipped bound, one full ladder at one angle, is all that a command
+    # reuses: each distinct (N, theta) table is one miss, and the cache holds
+    # the last ladder whole.
+    singlet._rotation.cache_clear()
+    for expected in misses:
+        assert run_cli(argv, capsys)[0] == 0
+        info = singlet._rotation.cache_info()
+        assert (info.misses, info.currsize) == (expected, min(expected, MAX_PHOTON_NUMBER + 1))
+    assert info.maxsize == MAX_PHOTON_NUMBER + 1
 
 
 @pytest.mark.parametrize("samples", ["0", str(2**63), "100000000000000000000"])

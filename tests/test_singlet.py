@@ -23,7 +23,7 @@ from svbell.oracle import mc_thin, oracle_joint_distribution
 from svbell.singlet import (
     MAX_PHOTON_NUMBER,
     JointCountDistribution,
-    _distances,
+    _DISTANCES,
     joint_distribution,
     mean_abs_difference,
 )
@@ -102,7 +102,7 @@ def test_cached_tables_are_frozen():
     # The whole table, mass included, is built once and shared.
     assert joint_distribution(2, 0.3) is dist
     with pytest.raises(ValueError):
-        _distances(3)[0, 1] = 7
+        _DISTANCES[0, 1] = 7
 
 
 MAX_PAIRS = singlet._rotation.cache_info().maxsize
@@ -129,7 +129,7 @@ def empty_rotation_cache(maxsize=MAX_PAIRS, build=BUILD_PAIR):
         max_size=30,
     ),
     order=st.sampled_from(["as drawn", "increasing N", "decreasing N"]),
-    max_pairs=st.sampled_from([61, 150, MAX_PAIRS]),
+    max_pairs=st.sampled_from([8, 30, MAX_PAIRS]),
 )
 def test_rotation_cache_tables_are_the_fresh_tables(requests, order, max_pairs):
     # Any order of (N, theta) requests, with pairs dropped and rebuilt under
@@ -151,8 +151,8 @@ def test_rotation_cache_tables_are_the_fresh_tables(requests, order, max_pairs):
 
 
 def test_rotation_cache_is_bounded():
-    # Tables at more angles than fit hold no more than 512 tables of N = 60,
-    # D and table alike: every pair the cache let go is freed.
+    # Tables at more angles than fit hold no more than one ladder's pairs
+    # (D and table alike) of N = 60: every pair the cache let go is freed.
     held = []
 
     def recorded(N, theta):
@@ -167,11 +167,11 @@ def test_rotation_cache_is_bounded():
         gc.collect()
         live = [array for array in (ref() for ref in held) if array is not None]
         assert len(live) == 2 * rotation.cache_info().currsize <= 2 * MAX_PAIRS
-        bound = 512 * (MAX_PHOTON_NUMBER + 1) ** 2 * 8
+        assert MAX_PAIRS == MAX_PHOTON_NUMBER + 1
+        # Worst case: every kept pair is two 61 x 61 float arrays, 3.6 MB.
+        bound = 2 * MAX_PAIRS * (MAX_PHOTON_NUMBER + 1) ** 2 * 8
         assert sum(array.nbytes for array in live) <= bound
-        # Worst case: every kept pair is two 61 x 61 float arrays.
         assert max(array.nbytes for array in live) == (MAX_PHOTON_NUMBER + 1) ** 2 * 8
-        assert 2 * MAX_PAIRS * (MAX_PHOTON_NUMBER + 1) ** 2 * 8 <= bound
         for theta in thetas:  # tiny tables at many angles are bounded by count
             for n in range(3):
                 joint_distribution(n, theta / 7)
@@ -461,7 +461,7 @@ def test_a_stack_is_measured_bit_for_bit_as_each_table_alone(size):
         alone = [measure(JointCountDistribution(table)) for table in probs]
         assert all(type(value) is float for value in alone)
         assert [value.hex() for value in measure(stack)] == [value.hex() for value in alone]
-    assert alone[0] == float(np.sum(_distances(size) * probs[0]))
+    assert alone[0] == float(np.sum(_DISTANCES[:size, :size] * probs[0]))
 
 
 def _assert_the_bitwise_distance_and_thinning_contract(table, eta):
@@ -474,7 +474,7 @@ def _assert_the_bitwise_distance_and_thinning_contract(table, eta):
     t = _thinning_matrix(table.max_count, eta)
     assert np.array_equal(thinned.probs, t @ table.probs @ t.T)
     assert thinned.mass == float(thinned.probs.sum())
-    distances = _distances(size)
+    distances = _DISTANCES[:size, :size]
     assert distances.dtype == np.float64 and not distances.flags.writeable
     assert np.array_equal(distances, explicit)
 
