@@ -10,9 +10,11 @@ Two independent computation paths live here:
   cell) depends on N alone and is built once per N as one matrix.  Each
   observer's N+1 rotated states at an angle are then its row of cos/sin
   monomials times that matrix; both observers' angles go through one such
-  product, one lookup of the matrix per call.  The signed amplitude tables
-  are one batched matrix product of Alice's states, weighted by the
-  singlet's amplitudes, with Bob's; their square is the joint count table.
+  product, one lookup of the matrix per call.  An angle set's powers of cos
+  and sin, up to the tenth, are taken once and then read for every N.  The
+  signed amplitude tables are one batched matrix product of Alice's states,
+  weighted by the singlet's amplitudes, with Bob's; their square is the
+  joint count table.
   Each table of a stack of angles is bitwise the table of its angles alone,
   and ``verify`` builds one stack per N; and
 * a seeded Monte-Carlo realization of Bernoulli detector loss, drawn from
@@ -47,6 +49,10 @@ MAX_ORACLE_PHOTON_NUMBER = 10
 # Largest Monte-Carlo sample count, the largest int64: counts are Python ints,
 # exact at any size, and the table of counts is rescaled as float64.
 MAX_MC_SAMPLES = 2**63 - 1
+
+# The singlet's signs (-1)^n, n = 0..MAX_ORACLE_PHOTON_NUMBER.
+_SIGNS = np.array([(-1.0) ** n for n in range(MAX_ORACLE_PHOTON_NUMBER + 1)])
+_SIGNS.flags.writeable = False
 
 
 @lru_cache(maxsize=MAX_ORACLE_PHOTON_NUMBER + 1)
@@ -86,25 +92,44 @@ def _expansion(N: int) -> np.ndarray:
     return weights
 
 
-def _rotated_number_states(N: int, phi: float | Sequence[float]) -> np.ndarray:
-    """Row j: coefficients of |j_{H+phi}, (N-j)_{V+phi}> in the (H, V) Fock basis.
+# verify reads one angle set for every N; a few sets cover a caller that
+# alternates between them.  A set holds 176 bytes per angle, verify's 3 KB.
+@lru_cache(maxsize=8)
+def _angle_powers(angles: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """cos^a and sin^a of each float64 angle in ``angles``, a = 0..MAX_ORACLE_PHOTON_NUMBER.
 
-    Entry (j, w) multiplies |w, N-w>.  The row of monomials cos^a sin^(N-a)
-    of each angle times ``_expansion(N)``, reshaped.  ``phi`` may be an
-    array of angles: the result then holds one table per angle, each its own
-    one-row matrix product and so bitwise the table of that angle alone.
-    Raises ``ValueError`` for an angle that is not finite.
+    Two read-only (k, 1, MAX_ORACLE_PHOTON_NUMBER + 1) tables for k angles,
+    taken once per angle set and read for every N.  Keyed by the angles'
+    bytes, so -0.0 and 0.0 stay apart.  Raises ``ValueError`` for an angle
+    that is not finite; a raise is not cached, so every such call raises.
     """
-    angles = np.asarray(phi, dtype=float)
-    flat = angles.ravel().tolist()
+    flat = np.frombuffer(angles).tolist()
     for angle in flat:
         if not math.isfinite(angle):
             raise ValueError(f"polarizer angles must be finite, got {angle}")
     # math's cos and sin, one angle at a time, as a scalar call takes them.
     cos = np.array([math.cos(angle) for angle in flat])[:, None, None]
     sin = np.array([math.sin(angle) for angle in flat])[:, None, None]
-    a = np.arange(N + 1)
-    monomials = cos**a * sin ** (N - a)
+    a = np.arange(MAX_ORACLE_PHOTON_NUMBER + 1)
+    powers = cos**a, sin**a
+    for table in powers:
+        table.flags.writeable = False
+    return powers
+
+
+def _rotated_number_states(N: int, phi: float | Sequence[float]) -> np.ndarray:
+    """Row j: coefficients of |j_{H+phi}, (N-j)_{V+phi}> in the (H, V) Fock basis.
+
+    Entry (j, w) multiplies |w, N-w>.  The row of monomials cos^a sin^(N-a)
+    of each angle, read from ``_angle_powers``, times ``_expansion(N)``,
+    reshaped.  ``phi`` may be an array of angles: the result then holds one
+    table per angle, each its own one-row matrix product and so bitwise the
+    table of that angle alone.  Raises ``ValueError`` for an angle that is
+    not finite.
+    """
+    angles = np.asarray(phi, dtype=float)
+    cos, sin = _angle_powers(angles.tobytes())
+    monomials = cos[..., : N + 1] * sin[..., N::-1]
     return (monomials @ _expansion(N)).reshape(angles.shape + (N + 1, N + 1))
 
 
@@ -133,9 +158,11 @@ def _oracle_amplitudes(
         raise ValueError(f"photon number per beam must be nonnegative, got {N}")
     if N > MAX_ORACLE_PHOTON_NUMBER:
         raise ValueError(f"oracle supports N <= {MAX_ORACLE_PHOTON_NUMBER}, got {N}")
-    norm = 1.0 / math.sqrt(N + 1)
-    amps = np.where(np.arange(N + 1) % 2, -norm, norm)
-    alice, bob = _rotated_number_states(N, np.broadcast_arrays(theta_alice, theta))
+    alice_angles, bob_angles = np.asarray(theta_alice, dtype=float), np.asarray(theta, dtype=float)
+    if alice_angles.shape != bob_angles.shape:
+        alice_angles, bob_angles = np.broadcast_arrays(alice_angles, bob_angles)
+    alice, bob = _rotated_number_states(N, (alice_angles, bob_angles))
+    amps = _SIGNS[: N + 1] / math.sqrt(N + 1)
     return (alice * amps) @ np.swapaxes(bob[..., ::-1, ::-1], -1, -2)
 
 
@@ -267,7 +294,9 @@ def l1_deviation_bound(cells: int, samples: int, alpha: float) -> float:
     cells obeys P(||p_hat - p||_1 >= eps) <= (2^k - 2) exp(-n eps^2 / 2)
     (Weissman et al., HP Labs HPL-2003-97) at every sample count; this is
     eps = sqrt(2 (k ln 2 + ln(1/alpha)) / n), with 2^k in place of 2^k - 2.
+    Raises ``TypeError`` for ``cells`` or ``samples`` that is not an integer.
     """
+    cells, samples = operator.index(cells), operator.index(samples)
     if cells < 1 or samples < 1:
         raise ValueError(f"cells and samples must be at least 1, got {cells} and {samples}")
     if not 0.0 < alpha < 1.0:

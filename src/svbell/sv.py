@@ -232,12 +232,16 @@ def _difference_parameter(theta: float, gamma: float, eta: float) -> float:
     """A = eta s^2 (1 - eta + eta c^2 sin^2 theta), s = sinh(gamma), c = cosh(gamma).
 
     A <= (s c)^2 fits a float up to gamma = log(8 max float) / 4 ~ 177.97;
-    a larger gain raises ValueError.
+    a larger gain raises ValueError.  Evaluated as
+    eta s^2 (1 - eta) + (eta s c sin theta)^2, squaring the product last, so
+    that A underflows only where its exact value does; sin^2 theta alone
+    underflows below theta ~ 1.5e-154 at any gain.
     """
     _check_angle(theta)
     _check_efficiency(eta)
     _check_gain(gamma, _MAX_GAIN_E4)
-    return eta * math.sinh(gamma) ** 2 * (1.0 - eta + eta * math.cosh(gamma) ** 2 * math.sin(theta) ** 2)
+    s, c = math.sinh(gamma), math.cosh(gamma)
+    return eta * s**2 * (1.0 - eta) + (eta * s * c * math.sin(theta)) ** 2
 
 
 def mean_abs_count_difference(theta: float, gamma: float, eta: float = 1.0) -> float:

@@ -42,5 +42,5 @@ def series_limit(N):
 def mean_distance(gamma, eta, theta):
     """<|m - n|>_theta of the untruncated squeezed vacuum at efficiency eta."""
     s, c = math.sinh(gamma), math.cosh(gamma)
-    a = eta * s**2 * (1.0 - eta + eta * c**2 * math.sin(theta) ** 2)
+    a = eta * s**2 * (1.0 - eta) + (eta * s * c * math.sin(theta)) ** 2
     return 2.0 * a / math.sqrt(1.0 + 4.0 * a)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from gaussian_series import mean_distance
 import svbell.cli
 import svbell.sv
-from svbell import singlet
+from svbell import oracle, singlet
 from svbell.chain import make_chain
 from svbell.cli import GUARD_MASS, MAX_GRID_POINTS, main, run_verification
 from svbell.oracle import mc_thin, oracle_joint_distribution
@@ -699,6 +699,14 @@ def test_the_rotation_cache_serves_the_reuse_within_a_command(argv, misses, caps
         info = singlet._rotation.cache_info()
         assert (info.misses, info.currsize) == (expected, min(expected, MAX_PHOTON_NUMBER + 1))
     assert info.maxsize == MAX_PHOTON_NUMBER + 1
+
+
+def test_verify_takes_its_oracle_angle_powers_once():
+    # One angle set, Alice's and Bob's nine angles, for every N = 0..10.
+    oracle._angle_powers.cache_clear()
+    run_verification(oracle_max_N=10)
+    info = oracle._angle_powers.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 10, 1)
 
 
 @pytest.mark.parametrize("samples", ["0", str(2**63), "100000000000000000000"])

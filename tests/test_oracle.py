@@ -128,12 +128,70 @@ def test_stacked_oracle_slices_equal_scalar_calls(N, thetas, data):
         assert np.array_equal(table, _oracle_amplitudes(N, thetas[0], theta_a))
 
 
+def _uncached_amplitudes(N, theta, theta_alice=0.0):
+    """``_oracle_amplitudes`` as the monomial formula, each angle's powers taken afresh."""
+    angles = np.asarray(np.broadcast_arrays(theta_alice, theta), dtype=float)
+    flat = angles.ravel().tolist()
+    cos = np.array([math.cos(angle) for angle in flat])[:, None, None]
+    sin = np.array([math.sin(angle) for angle in flat])[:, None, None]
+    a = np.arange(N + 1)
+    alice, bob = ((cos**a * sin ** (N - a)) @ _expansion(N)).reshape(angles.shape + (N + 1, N + 1))
+    norm = 1.0 / math.sqrt(N + 1)
+    amps = np.where(np.arange(N + 1) % 2, -norm, norm)
+    return (alice * amps) @ np.swapaxes(bob[..., ::-1, ::-1], -1, -2)
+
+
+def _same_bits(x, y):
+    # uint64 views: -0.0 and 0.0 differ, and so would two NaNs of other payloads.
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+# Signed zeros too: the cache keys on the angles' bytes, so 0.0 and -0.0 stay apart.
+_SIGNED_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi / 2]), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(0, 10), data=st.data())
+def test_cached_angle_powers_give_the_uncached_formulas_bits(N, data):
+    stack = st.lists(_SIGNED_ANGLES, min_size=1, max_size=12)
+    theta = data.draw(st.one_of(_SIGNED_ANGLES, stack))
+    size = len(theta) if isinstance(theta, list) else 1
+    theta_alice = data.draw(
+        st.one_of(_SIGNED_ANGLES, st.lists(_SIGNED_ANGLES, min_size=size, max_size=size))
+    )
+    expected = _uncached_amplitudes(N, theta, theta_alice)
+    # The first call may build the angle set's powers; the second reads them.
+    for _ in range(2):
+        assert _same_bits(_oracle_amplitudes(N, theta, theta_alice), expected)
+        assert _same_bits(oracle_joint_distribution(N, theta, theta_alice), expected**2)
+    # Another N reads the same cached powers.
+    other = data.draw(st.integers(0, 10))
+    assert _same_bits(_oracle_amplitudes(other, theta, theta_alice), _uncached_amplitudes(other, theta, theta_alice))
+
+
+def test_angle_powers_are_cached_read_only_per_angle_set():
+    assert oracle._angle_powers.cache_info().maxsize == 8
+    _oracle_amplitudes(3, [0.0, 0.4], [-0.0, 0.1])
+    cos, sin = oracle._angle_powers(np.array([[-0.0, 0.1], [0.0, 0.4]]).tobytes())
+    assert cos.shape == sin.shape == (4, 1, 11)
+    assert np.signbit(sin[0, 0, 1]) and not np.signbit(sin[2, 0, 1])
+    for table in (cos, sin):
+        with pytest.raises(ValueError):
+            table[0, 0, 0] = 2.0
+
+
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
 def test_oracle_rejects_angles_that_are_not_finite(angle):
-    for call in (_oracle_amplitudes, oracle_joint_distribution):
-        for theta, theta_alice in [(angle, 0.0), ([0.1, angle], 0.0), (0.1, angle), (0.1, [0.2, angle])]:
-            with pytest.raises(ValueError, match=f"finite, got {angle}"):
-                call(2, theta, theta_alice)
+    oracle._angle_powers.cache_clear()
+    # A raise is not cached: a repeat raises again.
+    for _ in range(2):
+        for call in (_oracle_amplitudes, oracle_joint_distribution):
+            for theta, theta_alice in [(angle, 0.0), ([0.1, angle], 0.0), (0.1, angle), (0.1, [0.2, angle])]:
+                with pytest.raises(ValueError, match=f"finite, got {angle}"):
+                    call(2, theta, theta_alice)
+    assert oracle._angle_powers.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("N", [0, 4])
@@ -272,11 +330,22 @@ def test_l1_deviation_bound_solves_the_weissman_inequality(cells, samples, alpha
     eps = l1_deviation_bound(cells, samples, alpha)
     assert 2.0**cells * math.exp(-samples * eps**2 / 2.0) == pytest.approx(alpha, rel=1e-9)
     assert (2.0**cells - 2.0) * math.exp(-samples * eps**2 / 2.0) <= alpha
+    # numpy integers are integers.
+    assert l1_deviation_bound(np.int64(cells), np.int64(samples), alpha) == eps
 
 
-@pytest.mark.parametrize("cells,samples,alpha", [(0, 10, 1e-3), (4, 0, 1e-3), (4, 10, 0.0), (4, 10, 1.0), (4, 10, 2.0), (4, 10, math.nan)])
+@pytest.mark.parametrize(
+    "cells,samples,alpha",
+    [(0, 10, 1e-3), (4, 0, 1e-3), (4, 10, 0.0), (4, 10, 1.0), (4, 10, 2.0), (4, 10, math.nan)]
+    + [(bad, 10, 1e-3) for bad in (math.nan, math.inf, 2.5)]
+    + [(4, bad, 1e-3) for bad in (math.nan, math.inf, 2.5)],
+)
 def test_l1_deviation_bound_validates_arguments(cells, samples, alpha):
-    with pytest.raises(ValueError):
+    # A count that is not an integer raises TypeError: a NaN count made the
+    # radius NaN, and an infinite one made it infinite or 0, which fail or
+    # pass every table.
+    counts_are_ints = isinstance(cells, int) and isinstance(samples, int)
+    with pytest.raises(ValueError if counts_are_ints else TypeError):
         l1_deviation_bound(cells, samples, alpha)
 
 

@@ -556,6 +556,11 @@ def exact_difference_law(theta, gamma, eta, ks):
 )
 @example(gamma=E4_LIMIT, eta=1.0, theta=HALF_PI)  # the largest A, where r rounds to 1
 @example(gamma=1e-6, eta=1.0, theta=1e-3)  # A ~ 1e-18, where r is tiny
+# sin(theta)^2 underflows at these angles, though A does not: A ~ 1e-192,
+# then A subnormal, where squaring sin(theta) first lost all or most of it.
+@example(gamma=148.4131591025766, eta=1.0, theta=4.7515727952447306e-225)
+@example(gamma=math.e, eta=1.0, theta=1.0753713455245772e-162)
+@example(gamma=7.38905609893065, eta=5e-324, theta=0.0)  # A subnormal through eta: eta s^2 rounds once
 def test_count_difference_law_matches_60_digit_arithmetic(gamma, eta, theta):
     # A rounds within a few ulp, or a few units of 2^-1074 where it is
     # subnormal; P(k) = exp(|k| log r) / sqrt(1 + 4A) adds one ulp per unit
