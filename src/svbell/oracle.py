@@ -11,10 +11,10 @@ Two independent computation paths live here:
   observer's N+1 rotated states at an angle are then its row of cos/sin
   monomials times that matrix; both observers' angles go through one such
   product, one lookup of the matrix per call.  An angle set's powers of cos
-  and sin, up to the tenth, are taken once and then read for every N.  The
-  signed amplitude tables are one batched matrix product of Alice's states,
-  weighted by the singlet's amplitudes, with Bob's; their square is the
-  joint count table.
+  and sin, up to the tenth, are taken once and then read for every N; the
+  last set of at most 64 angles stays cached.  The signed amplitude tables
+  are one batched matrix product of Alice's states, weighted by the
+  singlet's amplitudes, with Bob's; their square is the joint count table.
   Each table of a stack of angles is bitwise the table of its angles alone,
   and ``verify`` builds one stack per N; and
 * a seeded Monte-Carlo realization of Bernoulli detector loss, drawn from
@@ -92,16 +92,22 @@ def _expansion(N: int) -> np.ndarray:
     return weights
 
 
-# verify reads one angle set for every N; a few sets cover a caller that
-# alternates between them.  A set holds 176 bytes per angle, verify's 3 KB.
-@lru_cache(maxsize=8)
+# verify reads one angle set, its 18 angles, for every N.  A set holds 176
+# bytes per angle, so only sets this small are kept.
+_MAX_CACHED_ANGLES = 64
+
+
+@lru_cache(maxsize=1)
 def _angle_powers(angles: bytes) -> tuple[np.ndarray, np.ndarray]:
     """cos^a and sin^a of each float64 angle in ``angles``, a = 0..MAX_ORACLE_PHOTON_NUMBER.
 
     Two read-only (k, 1, MAX_ORACLE_PHOTON_NUMBER + 1) tables for k angles,
     taken once per angle set and read for every N.  Keyed by the angles'
-    bytes, so -0.0 and 0.0 stay apart.  Raises ``ValueError`` for an angle
-    that is not finite; a raise is not cached, so every such call raises.
+    bytes, so -0.0 and 0.0 stay apart.  The last set's tables stay resident
+    until another set replaces them; ``_rotated_number_states`` calls the
+    uncached ``_angle_powers.__wrapped__`` for a set of more than
+    ``_MAX_CACHED_ANGLES`` angles.  Raises ``ValueError`` for an angle that
+    is not finite; a raise is not cached, so every such call raises.
     """
     flat = np.frombuffer(angles).tolist()
     for angle in flat:
@@ -122,13 +128,16 @@ def _rotated_number_states(N: int, phi: float | Sequence[float]) -> np.ndarray:
 
     Entry (j, w) multiplies |w, N-w>.  The row of monomials cos^a sin^(N-a)
     of each angle, read from ``_angle_powers``, times ``_expansion(N)``,
-    reshaped.  ``phi`` may be an array of angles: the result then holds one
-    table per angle, each its own one-row matrix product and so bitwise the
-    table of that angle alone.  Raises ``ValueError`` for an angle that is
-    not finite.
+    reshaped.  The powers of a set of at most ``_MAX_CACHED_ANGLES`` angles
+    stay cached for the next call; a larger set's are taken afresh.
+    ``phi`` may be an array of angles: the result then holds one table per
+    angle, each its own one-row matrix product and so bitwise the table of
+    that angle alone.  Raises ``ValueError`` for an angle that is not
+    finite.
     """
     angles = np.asarray(phi, dtype=float)
-    cos, sin = _angle_powers(angles.tobytes())
+    powers = _angle_powers if angles.size <= _MAX_CACHED_ANGLES else _angle_powers.__wrapped__
+    cos, sin = powers(angles.tobytes())
     monomials = cos[..., : N + 1] * sin[..., N::-1]
     return (monomials @ _expansion(N)).reshape(angles.shape + (N + 1, N + 1))
 
@@ -172,6 +181,8 @@ def oracle_joint_distribution(
     """Full (N+1) x (N+1) joint count table: the square of ``_oracle_amplitudes``.
 
     Like it, takes arrays of angles and returns one table per angle pair.
+    The cos/sin powers of the last set of at most 64 angles stay resident,
+    176 bytes per angle, so that the next N reads them.
     """
     return _oracle_amplitudes(N, theta, theta_alice) ** 2
 

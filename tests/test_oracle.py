@@ -172,14 +172,28 @@ def test_cached_angle_powers_give_the_uncached_formulas_bits(N, data):
 
 
 def test_angle_powers_are_cached_read_only_per_angle_set():
-    assert oracle._angle_powers.cache_info().maxsize == 8
+    # One set at a time: verify reads the same set for every N.
+    assert oracle._angle_powers.cache_info().maxsize == 1
+    oracle._angle_powers.cache_clear()
     _oracle_amplitudes(3, [0.0, 0.4], [-0.0, 0.1])
     cos, sin = oracle._angle_powers(np.array([[-0.0, 0.1], [0.0, 0.4]]).tobytes())
+    info = oracle._angle_powers.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert cos.shape == sin.shape == (4, 1, 11)
     assert np.signbit(sin[0, 0, 1]) and not np.signbit(sin[2, 0, 1])
     for table in (cos, sin):
         with pytest.raises(ValueError):
             table[0, 0, 0] = 2.0
+
+
+def test_a_large_angle_set_is_not_cached():
+    oracle._angle_powers.cache_clear()
+    theta = np.linspace(0.0, math.pi, oracle._MAX_CACHED_ANGLES)
+    _oracle_amplitudes(2, theta, 0.0)  # 2 x 64 angles
+    _oracle_amplitudes(2, theta[:32], theta[32:])  # 64 angles
+    info = oracle._angle_powers.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert _same_bits(_oracle_amplitudes(2, theta, 0.0), _uncached_amplitudes(2, theta, 0.0))
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
