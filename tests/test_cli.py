@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import argparse
 import contextlib
 import inspect
 import io
@@ -544,10 +545,48 @@ def test_config_echoes_every_parsed_flag_but_the_output_ones(argv, keys, fmt, ca
     assert config["command"] == argv[0]
 
 
+def test_one_command_builds_two_parsers(monkeypatch, capsys):
+    # The top level and the named subcommand's parser; the full parser
+    # would build all five subparsers, six parsers in all.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    svbell.cli.build_parser.cache_clear()
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    code, _, _ = run_cli(["verify", "--mc-samples", "10"], capsys)
+    assert code == 0
+    assert built == ["svbell", "svbell verify"]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["dist", "--N", "1", "--theta", "0.3"], 0),
+        (["dist", "--N", "1", "--gamma", "0.5", "--theta", "0.1"], 2),  # both states
+    ],
+)
+def test_the_console_script_reads_its_command_line_from_sys_argv(argv, code, capsys, monkeypatch):
+    # The svbell script and python -m svbell.cli call run(), so main(None).
+    expected = run_cli(argv, capsys)
+    assert expected[0] == code and (expected[1] if code == 0 else expected[2])  # it printed
+    monkeypatch.setattr(sys, "argv", ["svbell", *argv])
+    with pytest.raises(SystemExit) as exc:
+        svbell.cli.run()
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == expected
+
+
 def test_one_parser_serves_commands_back_to_back(capsys):
-    # The parser is built once per process; an argparse error in between
-    # leaves nothing behind for the next command.
-    assert svbell.cli.build_parser() is svbell.cli.build_parser()
+    # One parser is built per process and shape: the full one and one per
+    # subcommand.  An argparse error in between leaves nothing behind for
+    # the next command.
+    build = svbell.cli.build_parser
+    assert build("verify") is build("verify") and build() is build()
+    assert build("verify") is not build("dist") and build("dist") is not build()
     code, out, _ = run_cli(["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.9:1:0.1"], capsys)
     assert code == 0
     assert parse_csv(out)[0]["config"] == {
@@ -947,3 +986,43 @@ def test_every_command_line_exits_0_to_3(argv):
     if code >= 2:
         assert stdout.getvalue() == ""
         assert "error: " in stderr.getvalue() and "Traceback" not in stderr.getvalue()
+
+
+def _parse(parser, argv):
+    """The parsed flags, or the exit code with what the parser printed."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            # repr, so that a NaN flag equals itself
+            return {key: repr(value) for key, value in vars(parser.parse_args(argv)).items()}
+        except SystemExit as exc:
+            return exc.code, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_argv())
+@example(argv=["dist", "--N", "1", "--theta", "0.1", "--bogus"])  # unknown flag
+@example(argv=["dist", "--N", "x", "--theta", "0.1"])  # bad type
+@example(argv=["dist", "--N", "1", "--gamma", "0.5", "--theta", "0.1"])
+@example(argv=["sweep-eta", "--N", "1", "--L", "2"])  # missing required flag
+@example(argv=["heatmap", "--L", "2", "--gamma-range", "0.1:0.2:0.1"])
+@example(argv=["verify", "--se", "3"])  # an abbreviated flag
+@example(argv=["verify", "extra"])
+@example(argv=["dist", "-h"])
+def test_the_one_command_parser_parses_as_the_full_one(argv):
+    one, full = svbell.cli.build_parser(argv[0]), svbell.cli.build_parser()
+    assert _parse(one, argv) == _parse(full, argv)
+
+
+@pytest.mark.parametrize("argv", [["--help"]] + [[command, "--help"] for command in sorted(_COMMANDS)])
+def test_help_through_main_is_the_full_parsers(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == _parse(svbell.cli.build_parser(), argv)
+    assert out.startswith("usage: svbell")
+
+
+def test_an_unknown_command_keeps_the_full_parsers_message(capsys):
+    # The subcommand metavar is set on the one-command parsers only.
+    code, out, err = run_cli(["bogus"], capsys)
+    assert (code, out) == (2, "")
+    assert "error: argument command: invalid choice: " in err
