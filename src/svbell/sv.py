@@ -5,6 +5,12 @@ superposition of 2N-photon polarization singlets with weights
 
     lambda_N^2 = cosh(gamma)^-4 (N+1) tanh(gamma)^(2N),   sum_N lambda_N^2 = 1.
 
+Every function of the gain takes 0 < gamma <= log(8 max float) / 4 ~ 177.97
+and raises ValueError outside it: there the fringe peak of
+``intensity_correlation``, about e^(4 gamma) / 8, is the first value to
+reach the largest float.  The weights up to 60 photons per beam sum to
+less than 0.99 past gamma ~ 1.8, and to less than 1e-304 past the range.
+
 Joint count predictions for the full state are the lambda_N^2-weighted
 mixtures of the fixed-N tables.  The infinite sum is truncated at the
 smallest N_max whose cumulative weight reaches a configured mass threshold
@@ -36,19 +42,15 @@ from .singlet import (
 )
 
 
-# Largest gains at which the closed forms below are finite floats: 2 sinh(gamma)^2
-# and sinh(2 gamma) grow like e^(2 gamma) and pass the largest float above
-# asinh(max) / 2 ~ 355.24; the fringe peak sinh(gamma)^2 cosh(2 gamma) grows
-# like e^(4 gamma) / 8 and passes it above log(8 max) / 4 ~ 177.97.
-_MAX_GAIN_E2 = math.asinh(sys.float_info.max) / 2
-_MAX_GAIN_E4 = (math.log(sys.float_info.max) + math.log(8.0)) / 4
+# The fringe peak sinh(gamma)^2 cosh(2 gamma) ~ e^(4 gamma) / 8 fits a float up to here.
+_MAX_GAIN = (math.log(sys.float_info.max) + math.log(8.0)) / 4
 
 
-def _check_gain(gamma: float, max_gain: float = math.inf) -> None:
+def _check_gain(gamma: float) -> None:
     if not (math.isfinite(gamma) and gamma > 0.0):
         raise ValueError(f"gain must be positive and finite, got {gamma}")
-    if gamma > max_gain:
-        raise ValueError(f"gain must be at most {max_gain!r} for this value to fit a float, got {gamma}")
+    if gamma > _MAX_GAIN:
+        raise ValueError(f"gain must be at most {_MAX_GAIN!r} for this value to fit a float, got {gamma}")
 
 
 def _check_mass_threshold(mass_threshold: float) -> None:
@@ -133,23 +135,14 @@ def lambda_sq(N: int, gamma: float) -> float:
     _check_photon_number(N)
     _check_gain(gamma)
     # The direct factor, whose bits the tests pin: about 2N <= 120 ulp off,
-    # and where tanh rounds to 1 at most 240 e^(-2 gamma) < 7e-15.
-    weight = (N + 1) * math.tanh(gamma) ** (2 * N)
-    try:
-        return weight / math.cosh(gamma) ** 4
-    except OverflowError:
-        # Above gamma ~ 178.1 cosh^4 overflows, but there cosh = e^gamma / 2
-        # to double precision, so the weight is (N+1) tanh^(2N) 16 e^(-4 gamma).
-        return weight * 16.0 * math.exp(-4.0 * gamma)
+    # and where tanh rounds to 1 at most 240 e^(-2 gamma) < 7e-15.  cosh^4
+    # fits a float up to gamma ~ 178.1, past the gain range.
+    return (N + 1) * math.tanh(gamma) ** (2 * N) / math.cosh(gamma) ** 4
 
 
 def mean_photons_per_beam(gamma: float) -> float:
-    """Mean photon count per beam, sum_N lambda_N^2 N = 2 sinh(gamma)^2.
-
-    Defined for 0 < gamma <= asinh(max float) / 2 ~ 355.24; a larger gain
-    overflows a float and raises ValueError.
-    """
-    _check_gain(gamma, _MAX_GAIN_E2)
+    """Mean photon count per beam, sum_N lambda_N^2 N = 2 sinh(gamma)^2."""
+    _check_gain(gamma)
     return 2.0 * math.sinh(gamma) ** 2
 
 
@@ -158,11 +151,9 @@ def rhs_sv_asymptotic(gamma: float) -> float:
 
     Summing the fixed-N limits with weights lambda_N^2 gives
     sinh(2 gamma)^3 / sinh(4 gamma) = sinh(2 gamma) tanh(2 gamma) / 2; the
-    Bell parameter approaches its negative since the LHS vanishes.  Defined
-    for 0 < gamma <= asinh(max float) / 2 ~ 355.24, where sinh(2 gamma)
-    still fits a float; a larger gain raises ValueError.
+    Bell parameter approaches its negative since the LHS vanishes.
     """
-    _check_gain(gamma, _MAX_GAIN_E2)
+    _check_gain(gamma)
     return math.sinh(2.0 * gamma) * math.tanh(2.0 * gamma) / 2.0
 
 
@@ -231,15 +222,14 @@ def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
 def _difference_parameter(theta: float, gamma: float, eta: float) -> float:
     """A = eta s^2 (1 - eta + eta c^2 sin^2 theta), s = sinh(gamma), c = cosh(gamma).
 
-    A <= (s c)^2 fits a float up to gamma = log(8 max float) / 4 ~ 177.97;
-    a larger gain raises ValueError.  Evaluated as
+    A <= (s c)^2 fits a float over the whole gain range.  Evaluated as
     eta s^2 (1 - eta) + (eta s c sin theta)^2, squaring the product last, so
     that A underflows only where its exact value does; sin^2 theta alone
     underflows below theta ~ 1.5e-154 at any gain.
     """
     _check_angle(theta)
     _check_efficiency(eta)
-    _check_gain(gamma, _MAX_GAIN_E4)
+    _check_gain(gamma)
     s, c = math.sinh(gamma), math.cosh(gamma)
     return eta * s**2 * (1.0 - eta) + (eta * s * c * math.sin(theta)) ** 2
 
@@ -247,9 +237,9 @@ def _difference_parameter(theta: float, gamma: float, eta: float) -> float:
 def mean_abs_count_difference(theta: float, gamma: float, eta: float = 1.0) -> float:
     """Exact E|k| = 2A / sqrt(1 + 4A) of the untruncated squeezed vacuum, k = m - n.
 
-    A as in ``count_difference_pmf``, 0 < gamma <= ~177.97; the truncated
-    mixtures' ``mean_abs_difference`` lies below it.  Evaluated as
-    A / sqrt(A + 1/4), so that 4A cannot overflow.
+    A as in ``count_difference_pmf``; the truncated mixtures'
+    ``mean_abs_difference`` lies below it.  Evaluated as A / sqrt(A + 1/4),
+    so that 4A cannot overflow.
     """
     a = _difference_parameter(theta, gamma, eta)
     return a / math.sqrt(a + 0.25)
@@ -260,7 +250,7 @@ def count_difference_pmf(k: int, theta: float, gamma: float, eta: float = 1.0) -
 
     P(k) = (1 - r) / (1 + r) r^|k|, r = 2A / (1 + 2A + sqrt(1 + 4A)),
     A = eta s^2 (1 - eta + eta c^2 sin^2 theta), s = sinh(gamma), c = cosh(gamma)
-    (Weedbrook et al., RMP 84, 621 (2012)), for integer k and 0 < gamma <= ~177.97.
+    (Weedbrook et al., RMP 84, 621 (2012)), for integer k.
     Evaluated as exp(|k| log r) / sqrt(1 + 4A), log r = -2 asinh(1 / (2 sqrt A)):
     accurate where r is tiny and where it rounds to 1.
     """
@@ -279,11 +269,12 @@ def intensity_correlation(theta_a: float, theta_b: float, gamma: float) -> float
     The closed form sinh^2 cosh^2 cos^2(theta_a - theta_b) + sinh^4 shows
     the interferometric contrast that CHSH-style correlator tests rely on:
     the angle-independent sinh^4 pedestal grows faster than the modulated
-    term, so the visibility degrades with gain.  Defined for
-    0 < gamma <= log(8 max float) / 4 ~ 177.97 at every angle; a larger gain
-    overflows a float and raises ValueError.
+    term, so the visibility degrades with gain.  Both angles must be finite.
     """
-    _check_gain(gamma, _MAX_GAIN_E4)
+    for name, angle in (("theta_a", theta_a), ("theta_b", theta_b)):
+        if not math.isfinite(angle):
+            raise ValueError(f"polarizer angle {name} must be finite, got {angle}")
+    _check_gain(gamma)
     sinh_sq = math.sinh(gamma) ** 2
     cosh_sq = math.cosh(gamma) ** 2
     return sinh_sq * cosh_sq * math.cos(theta_a - theta_b) ** 2 + sinh_sq**2
@@ -293,7 +284,7 @@ def correlation_visibility(gamma: float) -> float:
     """Visibility (max - min) / (max + min) of the correlation fringe.
 
     Equals 1 / (1 + 2 tanh(gamma)^2): 1 at vanishing gain, decaying to 1/3
-    (thermal contrast) in the high-gain limit, finite at every gain.
+    (thermal contrast) in the high-gain limit.
     """
     _check_gain(gamma)
     return 1.0 / (1.0 + 2.0 * math.tanh(gamma) ** 2)

@@ -84,8 +84,8 @@ def test_each_top_level_name_is_its_module_object():
 
 def test_chain_imports_nothing_from_sv_and_only_sv_names_its_private_parts():
     # The inequality knows nothing of the state; the kept pair's format and
-    # the gain limits are known to sv alone.
-    private = {"_lossless_pair", "_check_gain", "_MAX_GAIN_E2", "_MAX_GAIN_E4"}
+    # the gain limit are known to sv alone.
+    private = {"_lossless_pair", "_check_gain", "_MAX_GAIN"}
     for path in sorted(Path(svbell.__file__).parent.glob("*.py")):
         names = set()  # every name, attribute, imported name and imported module in the file
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

@@ -24,6 +24,7 @@ from svbell.singlet import MAX_PHOTON_NUMBER, joint_distribution, mean_abs_diffe
 from svbell.cli import GUARD_MASS
 from svbell.sv import (
     SVSpec,
+    _MAX_GAIN,
     _at_mass,
     bell_sv,
     lambda_sq,
@@ -250,9 +251,9 @@ def test_sv_asymptotic_examples():
     assert rhs_sv_asymptotic(gamma) / math.exp(2 * gamma) == pytest.approx(0.25, abs=1e-10)
 
 
-@pytest.mark.parametrize("gamma", [120.0, 300.0])
+@pytest.mark.parametrize("gamma", [120.0, _MAX_GAIN])
 def test_sv_asymptotic_stays_finite_at_high_gain(gamma):
-    # sinh(2g)^3 alone overflows above g ~ 118.3; the value does not until g ~ 354.
+    # sinh(2g)^3 alone overflows above g ~ 118.3; the value stays finite up to the gain limit.
     assert rhs_sv_asymptotic(gamma) == pytest.approx(math.exp(2 * gamma) / 4, rel=1e-12)
 
 

@@ -123,18 +123,20 @@ def test_dist_cap_exceeded_exit_code(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, gamma",
     [
-        ["dist", "--gamma", "200", "--theta", "0"],
-        ["sweep-settings", "--gamma", "200", "--L-range", "2:3"],
-        ["heatmap", "--L", "2", "--gamma-range", "200:200:1", "--eta-range", "0.9:1:0.1"],
+        (["sweep-settings", "--gamma", "178", "--L-range", "2:3"], 178.0),
+        (["heatmap", "--L", "2", "--gamma-range", "1:178:1", "--eta-range", "1:1:0.1"], 178.0),
+        (["dist", "--gamma", "1e308", "--theta", "0"], 1e308),
     ],
+    ids=["sweep-settings", "heatmap", "dist"],
 )
-def test_gains_past_the_float_range_of_cosh4_exit_3(argv, capsys):
+def test_gains_past_the_gain_limit_exit_2(argv, gamma, capsys, compute_calls):
+    # Each exited 3 once its weights had underflowed; now the gain is rejected first.
     code, out, err = run_cli(argv, capsys)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (code, out) == (2, "")
+    assert err == f"error: gain must be at most {svbell.sv._MAX_GAIN!r} for this value to fit a float, got {gamma}\n"
+    assert compute_calls == []
 
 
 @pytest.mark.parametrize(
@@ -263,6 +265,24 @@ def test_oversized_grids_are_rejected_by_the_parser(argv, capsys):
         svbell.cli.build_parser().parse_args(argv)
     assert exc.value.code == 2
     assert f"more than {svbell.cli.MAX_GRID_POINTS} points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep-settings", "--N", "1", "--L-range", "5:2"], "argument --L-range: empty range '5:2'"),
+        (["sweep-settings", "--N", "1", "--L-range", "2:x"], "argument --L-range: expected a:b with integers, got '2:x'"),
+        (["heatmap", "--L", "2", "--gamma-range", "1:1:1", "--eta-range", "0.5:1.0"],
+         "argument --eta-range: expected a:b:step, got '0.5:1.0'"),
+        (["sweep-eta", "--N", "1", "--L", "2", "--eta-range", "0.5:1.0:0"], "argument --eta-range: bad range '0.5:1.0:0'"),
+    ],
+    ids=["empty-L-range", "non-integer-L", "two-field-eta-range", "zero-eta-step"],
+)
+def test_malformed_ranges_exit_2_with_their_message(argv, message, capsys, compute_calls):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"svbell {argv[0]}: error: {message}\n")
+    assert compute_calls == []
 
 
 def test_largest_grid_is_accepted_by_the_parser():

@@ -17,7 +17,7 @@ from gaussian_series import series_weight
 from svbell.chain import make_chain
 from svbell.loss import binomial_thin
 from svbell.oracle import mc_thin
-from svbell.singlet import JointCountDistribution, joint_distribution, mean_abs_difference
+from svbell.singlet import MAX_PHOTON_NUMBER, JointCountDistribution, joint_distribution, mean_abs_difference
 import svbell.sv
 from svbell.cli import GUARD_MASS
 from svbell.sv import (
@@ -71,9 +71,16 @@ def test_partial_sums_monotone():
     assert partial[-1] == pytest.approx(1.0, abs=1e-9)
 
 
+# The one gain range ends where the fringe peak, about e^(4 gamma) / 8, passes the largest float.
+GAIN_LIMIT = (math.log(sys.float_info.max) + math.log(8.0)) / 4
+
+
 def test_weights_keep_their_bits_below_the_float_range_of_cosh4():
-    for gamma in [1e-9, 0.3, 0.8, 1.5, 20.0, 178.0]:
-        for n in [0, 1, 7, 60]:
+    # cosh^4 fits a float up to gamma ~ 178.1, so one formula holds across the range.
+    rng = random.Random(43)
+    seeded = [GAIN_LIMIT * (1.0 - rng.random()) ** 4 for _ in range(40)]  # in (0, GAIN_LIMIT]
+    for gamma in [1e-9, 0.3, 0.8, 1.5, 20.0, 177.0, GAIN_LIMIT] + seeded:
+        for n in range(MAX_PHOTON_NUMBER + 1):
             assert lambda_sq(n, gamma) == (n + 1) * math.tanh(gamma) ** (2 * n) / math.cosh(gamma) ** 4
 
 
@@ -97,7 +104,7 @@ def exact_weight(N, gamma):
         return float((Decimal(N + 1).ln() + exponent - 4 * log_cosh).exp()), float(exponent)
 
 
-@pytest.mark.parametrize("gamma", [19.5, 20.0, 60.0, 150.0])
+@pytest.mark.parametrize("gamma", [19.5, 20.0, 60.0, 150.0, GAIN_LIMIT])
 def test_weights_where_tanh_rounds_to_one_match_exact_arithmetic(gamma):
     # tanh(gamma) is 1.0 in floats here, yet the weights carry tanh^(2N).
     # Allowed relative error: 32 ulp for the direct factor up to N = 60
@@ -113,10 +120,13 @@ def test_weights_where_tanh_rounds_to_one_match_exact_arithmetic(gamma):
 
 @pytest.mark.parametrize("gamma", [178.2, 200.0, 800.0, 1e308])
 def test_weights_past_the_float_range_of_cosh4_are_negligible(gamma):
-    # cosh(gamma)^4 overflows above gamma ~ 178.1; the weights underflow instead.
-    assert all(0.0 <= lambda_sq(n, gamma) < 1e-300 for n in [0, 1, 60])
-    with pytest.raises(CapExceededError):
-        SVSpec(gamma).n_max
+    # There tanh^(2N) <= 1 and cosh^4 > e^(4 gamma) / 16, so the weights up to
+    # N = 60 sum to less than (1 + 2 + ... + 61) 16 e^(-4 gamma): rejecting
+    # these gains loses no weight worth keeping.
+    assert 1891 * 16 * math.exp(-4.0 * gamma) < 1e-300
+    for evaluate in (SVSpec, lambda g: lambda_sq(0, g)):
+        with pytest.raises(ValueError, match="for this value to fit a float"):
+            evaluate(gamma)
 
 
 def test_truncation_point_small_gain():
@@ -201,31 +211,41 @@ def test_gain_must_be_positive_and_finite(evaluate, gamma):
         evaluate(gamma)
 
 
-# Where the closed forms pass the largest float: e^(2 gamma) / 2 and e^(4 gamma) / 8.
-E2_LIMIT = math.asinh(sys.float_info.max) / 2
-E4_LIMIT = (math.log(sys.float_info.max) + math.log(8.0)) / 4
-
-
 @pytest.mark.parametrize(
-    "evaluate, max_gain",
+    "evaluate",
     [
-        (mean_photons_per_beam, E2_LIMIT),
-        (rhs_sv_asymptotic, E2_LIMIT),
-        (lambda g: intensity_correlation(0.3, 0.3, g), E4_LIMIT),
+        lambda g: SVSpec(g, mass_threshold=1e-310).mass,  # the weights up to N = 60 sum to ~2e-305 at the limit
+        lambda g: lambda_sq(60, g),
+        mean_photons_per_beam,
+        rhs_sv_asymptotic,
+        lambda g: intensity_correlation(0.3, 0.3, g),
+        correlation_visibility,
+        lambda g: mean_abs_count_difference(HALF_PI, g, 1.0),
+        lambda g: count_difference_pmf(1, HALF_PI, g, 1.0),
     ],
-    ids=["mean_photons_per_beam", "rhs_sv_asymptotic", "intensity_correlation"],
+    ids=["SVSpec", "lambda_sq", "mean_photons_per_beam", "rhs_sv_asymptotic", "intensity_correlation",
+         "correlation_visibility", "mean_abs_count_difference", "count_difference_pmf"],
 )
-def test_closed_forms_are_finite_up_to_their_gain_limit_and_reject_larger_gains(evaluate, max_gain):
-    # At the limit the value is within a factor 4 of the largest float, so the limit is tight.
-    assert sys.float_info.max / 4 <= evaluate(max_gain) <= sys.float_info.max
-    for gamma in [math.nextafter(max_gain, math.inf), 356.0, 1e300]:
-        with pytest.raises(ValueError, match="for this value to fit a float"):
+def test_closed_forms_are_finite_up_to_their_gain_limit_and_reject_larger_gains(evaluate):
+    assert 0.0 < evaluate(GAIN_LIMIT) < math.inf
+    for gamma in [math.nextafter(GAIN_LIMIT, math.inf), 1e308]:
+        with pytest.raises(ValueError) as raised:
             evaluate(gamma)
+        assert str(raised.value) == f"gain must be at most {GAIN_LIMIT!r} for this value to fit a float, got {gamma}"
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.7, 0.5 * math.pi])
 def test_intensity_correlation_is_finite_at_its_gain_limit_at_every_angle(delta):
-    assert math.isfinite(intensity_correlation(0.0, delta, E4_LIMIT))
+    # Within a factor 4 of the largest float at every angle, so the limit is tight.
+    assert sys.float_info.max / 4 <= intensity_correlation(0.0, delta, GAIN_LIMIT) <= sys.float_info.max
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_intensity_correlation_rejects_angles_that_are_not_finite(bad):
+    for name, angles in (("theta_a", (bad, 0.3)), ("theta_b", (0.3, bad))):
+        with pytest.raises(ValueError) as raised:
+            intensity_correlation(*angles, 0.8)
+        assert str(raised.value) == f"polarizer angle {name} must be finite, got {bad}"
 
 
 def test_mixture_is_vacuum_at_vanishing_gain():
@@ -492,9 +512,10 @@ def test_intensity_correlation_against_truncated_fock_sum():
         assert total == pytest.approx(intensity_correlation(0.0, delta, gamma), abs=1e-8)
 
 
-@pytest.mark.parametrize("gamma", [178.0, 180.0, 360.0, 1e300])
-def test_visibility_stays_finite_at_any_gain(gamma):
-    # The fringe's sinh^2 cosh^2 overflows near gamma 178; the visibility does not.
+@pytest.mark.parametrize("gamma", [20.0, 60.0, 120.0, GAIN_LIMIT])
+def test_visibility_is_a_third_up_to_the_gain_limit(gamma):
+    # Where tanh rounds to 1 the visibility is the thermal contrast, up to the
+    # gain where the fringe's sinh^2 cosh^2 reaches the largest float.
     assert abs(correlation_visibility(gamma) - 1.0 / 3.0) <= 1e-15
 
 
@@ -550,11 +571,11 @@ def exact_difference_law(theta, gamma, eta, ks):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    gamma=st.floats(math.log(1e-6), math.log(E4_LIMIT)).map(lambda x: min(math.exp(x), E4_LIMIT)),
+    gamma=st.floats(math.log(1e-6), math.log(GAIN_LIMIT)).map(lambda x: min(math.exp(x), GAIN_LIMIT)),
     eta=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
     theta=st.one_of(st.sampled_from([0.0, HALF_PI]), st.floats(0.0, HALF_PI)),
 )
-@example(gamma=E4_LIMIT, eta=1.0, theta=HALF_PI)  # the largest A, where r rounds to 1
+@example(gamma=GAIN_LIMIT, eta=1.0, theta=HALF_PI)  # the largest A, where r rounds to 1
 @example(gamma=1e-6, eta=1.0, theta=1e-3)  # A ~ 1e-18, where r is tiny
 # sin(theta)^2 underflows at these angles, though A does not: A ~ 1e-192,
 # then A subnormal, where squaring sin(theta) first lost all or most of it.
@@ -578,12 +599,12 @@ def test_count_difference_law_matches_60_digit_arithmetic(gamma, eta, theta):
 
 def test_count_difference_law_fits_a_float_up_to_its_gain_limit():
     # A <= sinh(2 gamma)^2 / 4 ~ e^(4 gamma) / 16 <= max float / 2 at the limit.
-    mean = mean_abs_count_difference(HALF_PI, E4_LIMIT, 1.0)
+    mean = mean_abs_count_difference(HALF_PI, GAIN_LIMIT, 1.0)
     assert mean == pytest.approx(math.sqrt(sys.float_info.max / 2), rel=1e-12)
     # r rounds to 1 there, yet P(k) still falls off with |k|.
-    top = count_difference_pmf(0, HALF_PI, E4_LIMIT, 1.0)
-    assert 0.0 < count_difference_pmf(10**150, HALF_PI, E4_LIMIT, 1.0) < top
-    for gamma in [math.nextafter(E4_LIMIT, math.inf), 356.0, 1e300]:
+    top = count_difference_pmf(0, HALF_PI, GAIN_LIMIT, 1.0)
+    assert 0.0 < count_difference_pmf(10**150, HALF_PI, GAIN_LIMIT, 1.0) < top
+    for gamma in [math.nextafter(GAIN_LIMIT, math.inf), 356.0, 1e300]:
         for evaluate in (mean_abs_count_difference, lambda *args: count_difference_pmf(0, *args)):
             with pytest.raises(ValueError, match="for this value to fit a float"):
                 evaluate(0.0, gamma, 0.0)
