@@ -242,8 +242,12 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10*
       deterministic strategy is 0 at (L, cap) = (2, 3), (3, 2) and (4, 12);
     - loss_channel: Monte Carlo thinning of the N = 3 table at pi/8 lies
       within the L1 bound of the exact channel at efficiencies 0.5 and 0.83,
-      and thinning twice equals thinning once at the product efficiency;
-      ``mc_thin`` draws with seed + 1.
+      and thinning twice equals thinning once at the product efficiency.
+      Each efficiency's ``mc_thin`` seeds a fresh generator with seed + 1,
+      so both spread their samples with the same draws and thin from one
+      stream; alpha is split over them by a union bound, which holds for
+      dependent draws, so a correct channel fails with probability at most
+      alpha at any sample count.
 
     Deterministic for a fixed seed.  ``oracle_max_N``, ``seed`` and
     ``mc_samples`` are integers (``operator.index``; the report echoes them
@@ -305,8 +309,6 @@ def run_verification(oracle_max_N: int = 6, seed: int = 0, mc_samples: int = 10*
         }
     )
 
-    # alpha is split over both efficiencies, so a correct channel fails the
-    # suite with probability at most alpha at any sample count.
     dist = joint_distribution(3, math.pi / 8)
     efficiencies = (0.5, 0.83)
     alpha = 1e-3

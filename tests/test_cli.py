@@ -516,6 +516,30 @@ def test_heatmap_names_an_unreachable_guard_once_per_gain(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv,cells",
+    [
+        (["sweep-settings", "--gamma", "0.8", "--L-range", "2:4", "--mass", "0.999"], 3),
+        (["heatmap", "--L", "2", "--gamma-range", "0.7:0.8:0.1", "--eta-range", "0.9:1.0:0.1", "--mass", "0.9995"], 4),
+    ],
+)
+def test_a_run_at_the_guard_mass_or_above_is_not_checked_again(argv, cells, capsys, monkeypatch):
+    masses = []
+
+    def recorded(chain, spec, eta):
+        masses.append(spec.mass_threshold)
+        return bell_sv(chain, spec, eta)
+
+    monkeypatch.setattr(svbell.cli, "bell_sv", recorded)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    metadata, _, rows = parse_csv(out)
+    # One bell_sv call per cell, at the run's own mass, and nothing to warn of.
+    assert len(rows) == cells
+    assert masses == [float(argv[-1])] * cells
+    assert "convergence_warnings" not in metadata
+
+
 def test_heatmap_drift_warnings_name_their_cell(capsys):
     argv = ["heatmap", "--L", "2", "--gamma-range", "0.2:0.3:0.1", "--eta-range", "0.5:1.0:0.05"]
     code, out, _ = run_cli(argv, capsys)

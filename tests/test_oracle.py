@@ -1,8 +1,10 @@
 """Brute-force oracle tests: Fock amplitudes, rotations, Monte-Carlo loss."""
 
 import ast
+import itertools
 import math
 import random
+import types
 from pathlib import Path
 
 import numpy as np
@@ -186,14 +188,20 @@ def test_angle_powers_are_cached_read_only_per_angle_set():
             table[0, 0, 0] = 2.0
 
 
-def test_a_large_angle_set_is_not_cached():
+def test_a_large_angle_set_is_one_cache_entry_until_the_next_set():
     oracle._angle_powers.cache_clear()
-    theta = np.linspace(0.0, math.pi, oracle._MAX_CACHED_ANGLES)
-    _oracle_amplitudes(2, theta, 0.0)  # 2 x 64 angles
-    _oracle_amplitudes(2, theta[:32], theta[32:])  # 64 angles
+    theta = np.linspace(0.0, math.pi, 64)
+    amplitudes = _oracle_amplitudes(2, theta, 0.0)  # 2 x 64 angles
     info = oracle._angle_powers.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    assert _same_bits(_oracle_amplitudes(2, theta, 0.0), _uncached_amplitudes(2, theta, 0.0))
+    assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
+    cos, sin = oracle._angle_powers(np.asarray(np.broadcast_arrays(0.0, theta)).tobytes())
+    assert cos.shape == sin.shape == (128, 1, 11)
+    assert not cos.flags.writeable and not sin.flags.writeable
+    assert _same_bits(amplitudes, _uncached_amplitudes(2, theta, 0.0))
+    # verify's 18 angles replace the set: one entry at a time.
+    _oracle_amplitudes(2, theta[:9], theta[9:18])
+    info = oracle._angle_powers.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 1, 1)
 
 
 @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
@@ -516,6 +524,17 @@ def test_binomial_of_the_largest_sample_count_is_an_int_in_range(p):
     for _ in range(200):
         k = oracle._binomial(rng, n, p)
         assert type(k) is int and 0 <= k <= n
+
+
+@pytest.mark.parametrize("n,p", [(1000, 0.3), (10**12, 0.7), (2**63 - 1, 0.5)])
+def test_btrs_redraws_at_the_pole_of_its_hat(n, p):
+    # random() = 0 puts u at -1/2, where the hat a / us^2 has its pole: the
+    # draw is discarded, and the rest of the stream gives Random(5)'s draw.
+    rng = random.Random(5)
+    stream = itertools.chain([0.0], iter(random.Random(5).random, None))
+    stub = types.SimpleNamespace(random=stream.__next__)
+    assert oracle._binomial(stub, n, p) == oracle._binomial(rng, n, p)
+    assert stub.random() == rng.random()  # the pole cost one draw, no more
 
 
 @pytest.mark.parametrize("n,p", [(34, 0.3), (1000, 0.5), (10**5, 0.01), (10**5, 0.3)])
