@@ -4,16 +4,16 @@ CSV is the canonical output (fixed headers, UTF-8, '.' decimal separator,
 rows ordered lexicographically in the sweep variables); JSON mirrors it.
 Every output embeds its configuration (every parsed flag except --format
 and --out), so any figure can be regenerated from its own data file.
-``dist`` adds its table's ``mass`` (with --gamma, the kept weight ``mass``
-and ``n_max``), ``sweep-settings --gamma`` its ``mass`` and ``n_max``, and
-``heatmap`` its ``truncation`` ([n_max, mass] per gain); ``sweep-eta`` and
-``sweep-settings --N`` are exact fixed-N figures and add nothing.  The
-parser checks the syntax and size of each range; every value is checked by
-the library code that uses it, and a heatmap's cell count by the command.
+``dist`` adds its table's ``mass`` (at least --mass with --gamma),
+``sweep-settings --gamma`` its ``mass`` and ``n_max``, and ``heatmap`` its
+``truncation`` ([n_max, mass] per gain); ``sweep-eta`` and
+``sweep-settings --N`` are exact fixed-N figures and add nothing.  The parser
+checks the syntax and size of each range; every value is checked by the
+library code that uses it, and a heatmap's cell count by the command.
 
 Exit codes: 0 ok, 1 verification failure, 2 invalid arguments or an
-unwritable --out path (found before any computation), 3 the weights up to
-60 photons per beam sum to less than --mass.
+unwritable --out path (found before any computation), 3 the state up to 60
+photons per beam is not shown to hold --mass (see ``sv.CapExceededError``).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .oracle import (
     oracle_joint_distribution,
 )
 from .singlet import MAX_PHOTON_NUMBER, _stacked_tables, joint_distribution
-from .sv import CapExceededError, SVSpec, _at_mass, _check_mass_threshold, bell_sv, sv_mixture
+from .sv import CapExceededError, SVSpec, _at_mass, _check_mass_threshold, bell_sv, count_table
 
 # Figure-pipeline convergence guard: squeezed-vacuum sweeps are repeated at
 # this mass threshold and flagged when the Bell parameter moves too much.
@@ -121,17 +121,14 @@ def cmd_dist(args: argparse.Namespace) -> int:
     if args.N is not None:
         _check_mass_threshold(args.mass)  # unused with --N, but echoed in config
         dist = binomial_thin(joint_distribution(args.N, args.theta), args.eta)
-        metadata = {"mass": dist.mass}
     else:
-        spec = SVSpec(gamma=args.gamma, mass_threshold=args.mass)
-        dist = sv_mixture(args.theta, spec, args.eta)
-        metadata = {"mass": spec.mass, "n_max": spec.n_max}
+        dist = count_table(args.theta, args.gamma, args.eta, args.mass)
     rows = [
         (n, m, float(dist.probs[n, m]))
         for n in range(dist.max_count + 1)
         for m in range(dist.max_count + 1)
     ]
-    _emit(args, metadata, ("n", "m", "p"), rows)
+    _emit(args, {"mass": dist.mass}, ("n", "m", "p"), rows)
     return 0
 
 

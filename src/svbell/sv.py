@@ -1,4 +1,4 @@
-"""Four-mode squeezed vacuum: singlet weights, truncation, mixtures, Bell values.
+"""Four-mode squeezed vacuum: singlet weights, truncation, count tables, Bell values.
 
 Type-II parametric down-conversion with gain gamma emits a coherent
 superposition of 2N-photon polarization singlets with weights
@@ -11,13 +11,10 @@ and raises ValueError outside it: there the fringe peak of
 reach the largest float.  The weights up to 60 photons per beam sum to
 less than 0.99 past gamma ~ 1.8, and to less than 1e-304 past the range.
 
-Joint count predictions for the full state are the lambda_N^2-weighted
-mixtures of the fixed-N tables.  The infinite sum is truncated at the
-smallest N_max whose cumulative weight reaches a configured mass threshold
-(0.99 by default); truncated weights are deliberately *not* renormalized.
-Only the spec declares its truncation, and keeps each chain's two lossless
-mixtures as one stack (see ``SVSpec``); a mixture is just its table, and
-``bell_sv`` thins and measures the whole stack to evaluate a ``chain`` on it.
+``bell_sv`` reads the lambda_N^2-weighted mixtures of the fixed-N tables,
+truncated at the smallest N_max whose weights reach a mass threshold (0.99
+by default), not renormalized; only the spec declares its truncation (see
+``SVSpec``).  ``count_table`` is the exact lossy table, cut by its tail bound.
 """
 
 from __future__ import annotations
@@ -63,17 +60,14 @@ def _check_mass_threshold(mass_threshold: float) -> None:
 class SVSpec:
     """Gain and truncation mass of the squeezed-vacuum state.
 
-    The mixture never goes above MAX_PHOTON_NUMBER photons per beam.  A spec
-    works out its truncation (the weights up to ``n_max``, and their sum
-    ``mass``) once, on first use, or the CapExceededError that every later
-    read raises again.  It keeps the frozen ``_lossless_pair`` of the last
-    angle it was used at, so a chain's two tables are built once per spec
-    and only thinned at each efficiency.  Both live and die with the
-    object: they take no part in the constructor, ``==``, ``hash`` or
-    ``repr``, and ``replace`` or a new equal spec starts empty.  The guard
-    spec of ``_at_mass`` shares the kept pairs: at most two stacks, as two
-    separate specs would keep.  Threads sharing a spec may build a table
-    twice, never a wrong one.
+    A spec works out its truncation (the weights up to ``n_max`` <= 60, and
+    their sum ``mass``) once, on first use, or the CapExceededError that every
+    later read raises again.  It keeps the frozen ``_lossless_pair`` of the
+    last angle it was used at, so a chain's two tables are built once per
+    spec and only thinned at each efficiency.  Both go with the object: not
+    in the constructor, ``==``, ``hash`` or ``repr``; ``replace`` or a new
+    equal spec starts empty.  The guard spec of ``_at_mass`` shares the kept
+    pairs: at most two stacks.  Threads may build a table twice, never wrongly.
     """
 
     gamma: float
@@ -87,12 +81,10 @@ class SVSpec:
 
     @cached_property
     def _truncation(self) -> tuple[list[float], float]:
-        """The weights up to N_max and their correctly rounded sum.
+        """The weights up to N_max, the first N whose running sum reaches the threshold, and their sum.
 
-        N_max is the first N at which the running sum reaches the mass
-        threshold; CapExceededError if none up to MAX_PHOTON_NUMBER does.  A
-        cached_property keeps no raised exception, so the spec keeps the
-        error's message and raises it again without summing the weights again.
+        CapExceededError if no N up to MAX_PHOTON_NUMBER does.  A cached_property
+        keeps no exception, so the spec keeps the message and raises it again.
         """
         if "_unreachable" not in self.__dict__:
             weights = []
@@ -158,7 +150,7 @@ def rhs_sv_asymptotic(gamma: float) -> float:
 
 
 class CapExceededError(RuntimeError):
-    """The weights up to MAX_PHOTON_NUMBER photons per beam sum to less than the mass threshold."""
+    """The state up to MAX_PHOTON_NUMBER photons per beam is not shown to hold the mass threshold."""
 
 
 def _lossless_pair(theta: float, spec: SVSpec) -> JointCountDistribution:
@@ -188,20 +180,6 @@ def _lossless_pair(theta: float, spec: SVSpec) -> JointCountDistribution:
     spec._mixtures.clear()  # any other angle's pairs go
     spec._mixtures[theta] = kept
     return pair
-
-
-def sv_mixture(theta: float, spec: SVSpec, eta: float = 1.0) -> JointCountDistribution:
-    """Joint count table for the squeezed vacuum at relative angle theta.
-
-    Weighted mixture of the lossless fixed-N tables up to the truncation
-    point ``spec.n_max``, thinned once at efficiency eta (thinning is
-    linear).  Weights are not renormalized: the table's mass is
-    ``spec.mass`` up to rounding.  At eta = 1 it is a read-only view of the
-    frozen pair ``spec`` keeps (see ``_lossless_pair``), shared, not copied.
-    """
-    _check_efficiency(eta)
-    mixture = JointCountDistribution(_lossless_pair(theta, spec).probs[0])
-    return binomial_thin(mixture, eta) if eta < 1.0 else mixture
 
 
 def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
@@ -261,6 +239,31 @@ def count_difference_pmf(k: int, theta: float, gamma: float, eta: float = 1.0) -
     log_r = -2.0 * math.asinh(0.5 / math.sqrt(a))
     # Past |k| = 2^1023 the exponent is below -1e150 at every allowed A: P(k) is 0 either way.
     return math.exp(log_r * min(k, 2**1023)) * 0.5 / math.sqrt(a + 0.25)
+
+
+def count_table(theta: float, gamma: float, eta: float = 1.0, mass: float = 0.99) -> JointCountDistribution:
+    """Exact lossy joint count table of the squeezed vacuum, counts 0..K per beam.
+
+    Its generating function is 1 / (1 + t + A - A (zA + zB) + (A - t) zA zB),
+    t = eta s^2, A as in ``count_difference_pmf``.  Each count is geometric
+    with ratio q = t / (1 + t), so K is the smallest with 2 q^(K+1) <= 1 - mass
+    and the table keeps at least ``mass``; CapExceededError, before any table
+    is built, if K exceeds 60.  Entries far below the peak may be subnormal or 0.
+    """
+    a = _difference_parameter(theta, gamma, eta)
+    _check_mass_threshold(mass)
+    t = eta * math.sinh(gamma) ** 2
+    log_q = -math.log1p(1.0 / t) if t > 0.0 else -math.inf  # 1 / t may overflow: q = 0
+    k = max(0, math.ceil(math.log((1.0 - mass) / 2.0) / log_q) - 1)
+    if k > MAX_PHOTON_NUMBER:
+        bound = f"the tail bound needs counts up to {k} per beam, more than {MAX_PHOTON_NUMBER}"
+        raise CapExceededError(f"at gain {gamma} and efficiency {eta}, {bound}, to hold mass {mass}")
+    p = [[0.0] * (k + 2) for _ in range(k + 2)]  # row and column -1 stay 0
+    d = 1.0 + t + a
+    for n in range(k + 1):
+        for m in range(k + 1):
+            p[n][m] = ((n == m == 0) + a * (p[n - 1][m] + p[n][m - 1]) - (a - t) * p[n - 1][m - 1]) / d
+    return JointCountDistribution(np.array(p)[:-1, :-1])
 
 
 def intensity_correlation(theta_a: float, theta_b: float, gamma: float) -> float:

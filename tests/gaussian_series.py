@@ -2,6 +2,7 @@
 
 The library stops at MAX_PHOTON_NUMBER photons per beam, like its count
 tables; a series that runs past it takes its terms above it from here.
+``kept_mixture`` reads the library's own truncated series of singlet tables.
 
     lambda_N^2 = (N+1) tanh(gamma)^(2N) / cosh(gamma)^4
     B_N(L -> infinity) = -(N^2/2 + N + 1/2)/(N+1) for odd N, -(N^2/2 + N)/(N+1) for even N
@@ -15,8 +16,9 @@ distributed (Weedbrook et al., RMP 84, 621 (2012)).
 import math
 
 from svbell.chain import asymptotic_bell_fixed_N
-from svbell.singlet import MAX_PHOTON_NUMBER
-from svbell.sv import lambda_sq
+from svbell.loss import binomial_thin
+from svbell.singlet import MAX_PHOTON_NUMBER, JointCountDistribution
+from svbell.sv import _lossless_pair, lambda_sq
 
 
 def weight(N, gamma):
@@ -44,3 +46,12 @@ def mean_distance(gamma, eta, theta):
     s, c = math.sinh(gamma), math.cosh(gamma)
     a = eta * s**2 * (1.0 - eta) + (eta * s * c * math.sin(theta)) ** 2
     return 2.0 * a / math.sqrt(1.0 + 4.0 * a)
+
+
+def kept_mixture(theta, spec, eta=1.0):
+    """The lambda_N^2-weighted singlet tables up to spec.n_max at theta, thinned at eta.
+
+    At eta 1, a read-only view of the first table of the pair that spec keeps.
+    """
+    table = JointCountDistribution(_lossless_pair(theta, spec).probs[0])
+    return binomial_thin(table, eta) if eta < 1.0 else table

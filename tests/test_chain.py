@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaussian_series import mean_distance, series_weight
+from gaussian_series import kept_mixture, mean_distance, series_weight
 import svbell.loss
 import svbell.singlet
 from svbell.chain import (
@@ -30,7 +30,6 @@ from svbell.sv import (
     lambda_sq,
     mean_abs_count_difference,
     rhs_sv_asymptotic,
-    sv_mixture,
 )
 
 
@@ -291,7 +290,7 @@ def test_sv_bell_declares_its_tables_truncation(eta):
         result = bell_sv(chain, which, eta)
         # The spec's own values, bit for bit; its tables keep that mass to rounding.
         assert (result.n_max, result.mass) == (which.n_max, which.mass)
-        table = sv_mixture(chain.theta, which, eta)
+        table = kept_mixture(chain.theta, which, eta)
         assert table.max_count == which.n_max
         assert table.mass == pytest.approx(which.mass, abs=1e-14)
     fixed = bell_fixed_N(2, chain, eta)

@@ -25,7 +25,7 @@ from svbell.chain import make_chain
 from svbell.cli import GUARD_MASS, MAX_GRID_POINTS, main, run_verification
 from svbell.oracle import mc_thin, oracle_joint_distribution
 from svbell.singlet import MAX_PHOTON_NUMBER, _stacked_tables, joint_distribution
-from svbell.sv import SVSpec, bell_sv
+from svbell.sv import SVSpec, bell_sv, count_table
 
 
 def _counting(calls, name, fn):
@@ -40,7 +40,7 @@ def _counting(calls, name, fn):
 def compute_calls(monkeypatch):
     """Names of the computations the CLI starts, in call order."""
     calls = []
-    for name in ("bell_sv", "bell_fixed_N", "sv_mixture", "joint_distribution", "run_verification"):
+    for name in ("bell_sv", "bell_fixed_N", "count_table", "joint_distribution", "run_verification"):
         monkeypatch.setattr(svbell.cli, name, _counting(calls, name, getattr(svbell.cli, name)))
     return calls
 
@@ -86,19 +86,36 @@ def test_dist_sv_diagonal_support(capsys):
     code, out, _ = run_cli(["dist", "--gamma", "0.8", "--eta", "1", "--theta", "0"], capsys)
     assert code == 0
     metadata, _, rows = parse_csv(out)
-    assert metadata["mass"] >= 0.99
-    assert metadata["n_max"] >= 5
+    assert set(metadata) == {"config", "mass"} and metadata["mass"] >= 0.99
+    assert len(rows) >= 36  # counts 0..5 per beam at least
+    assert metadata["mass"] == pytest.approx(math.fsum(float(p) for _, _, p in rows), abs=1e-15)
     for n_str, m_str, p_str in rows:
         if n_str != m_str:
             assert float(p_str) == 0.0
 
 
 @pytest.mark.parametrize("eta", ["1", "0.7"])
-def test_dist_declares_its_specs_truncation(capsys, eta):
+def test_dist_declares_its_tables_mass(capsys, eta):
     code, out, _ = run_cli(["dist", "--gamma", "0.8", "--theta", "0.3", "--eta", eta, "--mass", "0.995"], capsys)
     assert code == 0
-    metadata, spec = parse_csv(out)[0], SVSpec(0.8, 0.995)
-    assert (metadata["mass"], metadata["n_max"]) == (spec.mass, spec.n_max)
+    metadata, _, rows = parse_csv(out)
+    table = count_table(0.3, 0.8, float(eta), 0.995)
+    assert set(metadata) == {"config", "mass"}
+    assert metadata["mass"] == table.mass >= 0.995
+    assert len(rows) == table.probs.size
+
+
+def test_dist_gamma_builds_no_spec_no_singlet_table_and_no_thinning(capsys, monkeypatch):
+    argv = ["dist", "--gamma", "1.2", "--theta", "0.3", "--eta", "0.8", "--mass", "0.999"]
+    expected = run_cli(argv, capsys)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dist --gamma reads the exact table alone")
+
+    for module in (svbell.cli, svbell.sv):
+        for name in ("joint_distribution", "binomial_thin", "SVSpec"):
+            monkeypatch.setattr(module, name, forbidden)
+    assert run_cli(argv, capsys) == expected and expected[0] == 0
 
 
 def test_dist_json_mirrors_csv(capsys):
@@ -119,7 +136,11 @@ def test_dist_cap_exceeded_exit_code(capsys):
         ["dist", "--gamma", "5", "--mass", "0.99", "--theta", "0.1"], capsys
     )
     assert code == 3
-    assert "error" in err
+    # 2 q^29176 <= 1 - 0.99 < 2 q^29175 for q = t / (1 + t), t = sinh(5)^2, in 50-digit arithmetic.
+    assert err == (
+        "error: at gain 5.0 and efficiency 1.0, the tail bound needs counts up to 29175 per beam, "
+        "more than 60, to hold mass 0.99\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -136,7 +157,7 @@ def test_gains_past_the_gain_limit_exit_2(argv, gamma, capsys, compute_calls):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err == f"error: gain must be at most {svbell.sv._MAX_GAIN!r} for this value to fit a float, got {gamma}\n"
-    assert compute_calls == []
+    assert compute_calls == (["count_table"] if argv[0] == "dist" else [])  # the table checks its inputs first
 
 
 @pytest.mark.parametrize(
@@ -204,11 +225,11 @@ def test_mass_1_is_invalid(argv, capsys, compute_calls):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
     assert err == "error: mass threshold must lie in (0, 1), got 1.0\n"
-    assert compute_calls == []
+    assert compute_calls == (["count_table"] if argv[:2] == ["dist", "--gamma"] else [])  # checked first
 
 
 def test_an_unreachable_mass_states_the_weight_sum_in_full(capsys):
-    argv = ["dist", "--gamma", "0.744", "--theta", "0", "--mass", "0.999999999999999"]
+    argv = ["sweep-settings", "--gamma", "0.744", "--L-range", "2:2", "--mass", "0.999999999999999"]
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (3, "")
     total = 0.0

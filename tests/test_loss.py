@@ -159,7 +159,7 @@ def test_shared_thinning_matrix_is_the_fresh_table_and_read_only(max_count, eta)
 @pytest.mark.parametrize("eta", [0.0, 0.37, 0.5, 1.0])
 def test_a_stack_is_thinned_bit_for_bit_as_each_table_alone(eta):
     # bell_sv thins a chain's (2, n, n) kept pair in one broadcast product;
-    # sv_mixture thins the pair's first table alone.  Both give the same bits.
+    # each table of it, thinned alone, gets the same bits.
     rng = np.random.default_rng(11)
     for size in range(1, MAX_PHOTON_NUMBER + 2):
         probs = rng.random((2, size, size))

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fresh_rotation import fresh_rotation, fresh_rotations, reflected_rotation
+from gaussian_series import kept_mixture
 from svbell import singlet
 from svbell.chain import BellBreakdown, asymptotic_bell_fixed_N, bell_fixed_N, make_chain
 from svbell.loss import _thinning_matrix, binomial_thin
@@ -27,7 +28,7 @@ from svbell.singlet import (
     joint_distribution,
     mean_abs_difference,
 )
-from svbell.sv import SVSpec, lambda_sq, sv_mixture
+from svbell.sv import SVSpec, count_table, lambda_sq
 
 HALF_PI = 0.5 * math.pi
 
@@ -501,8 +502,9 @@ def test_fixed_N_tables_keep_their_distance_and_thinning_bits(N, theta, eta):
 @example(gamma=1.8, theta=1.1, eta=0.9)  # n_max 60: 61 x 61 tables
 def test_mixture_tables_keep_their_distance_and_thinning_bits(gamma, theta, eta):
     spec = SVSpec(gamma)
-    _assert_the_bitwise_distance_and_thinning_contract(sv_mixture(theta, spec, eta), eta)
-    _assert_the_bitwise_distance_and_thinning_contract(sv_mixture(theta, spec), eta)
+    _assert_the_bitwise_distance_and_thinning_contract(kept_mixture(theta, spec, eta), eta)
+    _assert_the_bitwise_distance_and_thinning_contract(kept_mixture(theta, spec), eta)
+    _assert_the_bitwise_distance_and_thinning_contract(count_table(theta, gamma, eta), eta)
 
 
 def test_four_photon_mean_abs_difference_closed_form():
@@ -524,8 +526,9 @@ def test_every_producers_mass_is_the_sum_of_its_table():
     tables = [
         joint_distribution(5, 0.3),
         binomial_thin(joint_distribution(5, 0.3), 0.7),
-        sv_mixture(0.3, spec),
-        sv_mixture(0.3, spec, 0.7),
+        kept_mixture(0.3, spec),
+        kept_mixture(0.3, spec, 0.7),
+        count_table(0.3, 0.8, 0.7),
         mc_thin(joint_distribution(3, 0.3), 0.7, 10_000, seed=1),
     ]
     for table in tables:

@@ -1,9 +1,10 @@
-"""Squeezed-vacuum weights, truncation policy, mixtures, and correlations."""
+"""Squeezed-vacuum weights, truncation policy, mixtures, exact count tables, and correlations."""
 
 import math
 import random
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fresh_rotation import fresh_rotations
-from gaussian_series import series_weight
+from gaussian_series import kept_mixture, series_weight
 from svbell.chain import make_chain
 from svbell.loss import binomial_thin
 from svbell.oracle import mc_thin
@@ -27,12 +28,12 @@ from svbell.sv import (
     bell_sv,
     correlation_visibility,
     count_difference_pmf,
+    count_table,
     intensity_correlation,
     lambda_sq,
     mean_abs_count_difference,
     mean_photons_per_beam,
     rhs_sv_asymptotic,
-    sv_mixture,
 )
 
 
@@ -159,7 +160,7 @@ def test_an_unreachable_mass_is_summed_once_and_raised_on_every_read(monkeypatch
     monkeypatch.setattr(svbell.sv, "lambda_sq", counted)
     spec = SVSpec(1.7, GUARD_MASS)
     raised = []
-    for read in [lambda: spec.n_max, lambda: spec.mass, lambda: sv_mixture(0.3, spec), lambda: spec.n_max]:
+    for read in [lambda: spec.n_max, lambda: spec.mass, lambda: kept_mixture(0.3, spec), lambda: spec.n_max]:
         with pytest.raises(CapExceededError) as info:
             read()
         raised.append(info)
@@ -176,7 +177,7 @@ def test_truncated_mass_reaches_threshold():
     assert spec.mass >= spec.mass_threshold
     assert spec.mass <= 1.0
     # The mixture keeps that mass up to the rounding of its own sum.
-    assert sv_mixture(0.3, spec).mass == pytest.approx(spec.mass, abs=1e-14)
+    assert kept_mixture(0.3, spec).mass == pytest.approx(spec.mass, abs=1e-14)
 
 
 def test_spec_validation():
@@ -202,9 +203,10 @@ def test_spec_validation():
         mean_photons_per_beam,
         lambda g: mean_abs_count_difference(0.3, g, 0.9),
         lambda g: count_difference_pmf(1, 0.3, g, 0.9),
+        lambda g: count_table(0.3, g, 0.9),
     ],
     ids=["SVSpec", "lambda_sq", "intensity_correlation", "correlation_visibility", "rhs_sv_asymptotic",
-         "mean_photons_per_beam", "mean_abs_count_difference", "count_difference_pmf"],
+         "mean_photons_per_beam", "mean_abs_count_difference", "count_difference_pmf", "count_table"],
 )
 def test_gain_must_be_positive_and_finite(evaluate, gamma):
     with pytest.raises(ValueError, match="gain must be positive and finite"):
@@ -249,13 +251,13 @@ def test_intensity_correlation_rejects_angles_that_are_not_finite(bad):
 
 
 def test_mixture_is_vacuum_at_vanishing_gain():
-    dist = sv_mixture(0.4, SVSpec(gamma=1e-4))
+    dist = kept_mixture(0.4, SVSpec(gamma=1e-4))
     assert dist.max_count == 0
     assert dist.probs[0, 0] == pytest.approx(1.0, abs=1e-7)
 
 
 def test_mixture_has_diagonal_support_at_zero_angle():
-    dist = sv_mixture(0.0, SVSpec(gamma=0.8))
+    dist = kept_mixture(0.0, SVSpec(gamma=0.8))
     assert dist.mass >= 0.99
     size = dist.max_count + 1
     assert np.all(dist.probs[~np.eye(size, dtype=bool)] == 0.0)
@@ -264,14 +266,14 @@ def test_mixture_has_diagonal_support_at_zero_angle():
 
 def test_mixture_mass_equals_truncated_weight_sum():
     spec = SVSpec(gamma=0.8)
-    dist = sv_mixture(math.pi / 8, spec, eta=0.9)
+    dist = kept_mixture(math.pi / 8, spec, eta=0.9)
     expected_mass = math.fsum(lambda_sq(n, 0.8) for n in range(dist.max_count + 1))
     assert dist.mass == pytest.approx(expected_mass, abs=1e-12)
     assert dist.probs.sum() == pytest.approx(expected_mass, abs=1e-9)
 
 
 def fresh_mixture(theta, spec, eta, reflected=False):
-    """sv_mixture's table built with no shared state: fresh singlet tables, thinned.
+    """kept_mixture's table built with no shared state: fresh singlet tables, thinned.
 
     ``reflected`` builds the table at pi/2 - theta the way a spec keeps it:
     each component at theta with Bob's count reversed.
@@ -291,58 +293,58 @@ def test_kept_mixture_matches_a_fresh_build_at_every_efficiency():
     assert spec.mass == math.fsum(lambda_sq(n, spec.gamma) for n in range(spec.n_max + 1))
     for _ in range(2):  # the first call builds the lossless table; every later one reuses it
         for eta, probs in zip(etas, expected):
-            dist = sv_mixture(theta, spec, eta)
+            dist = kept_mixture(theta, spec, eta)
             assert np.array_equal(dist.probs, probs)
             assert dist.mass == pytest.approx(spec.mass, abs=1e-14)
 
 
 def test_kept_mixture_is_shared_and_read_only():
     spec = SVSpec(0.8)
-    table = sv_mixture(0.3, spec)
+    table = kept_mixture(0.3, spec)
     pair = spec._mixtures[0.3][spec.n_max].probs
     # A read-only view of the kept pair's first table: shared, not copied.
-    assert np.shares_memory(sv_mixture(0.3, spec).probs, table.probs)
+    assert np.shares_memory(kept_mixture(0.3, spec).probs, table.probs)
     assert np.shares_memory(table.probs, pair) and table.probs.base is pair
     with pytest.raises(ValueError):
         table.probs[0, 0] = 1.0
-    thinned = sv_mixture(0.3, spec, 0.5)
+    thinned = kept_mixture(0.3, spec, 0.5)
     assert not np.shares_memory(thinned.probs, pair)
     thinned.probs[0, 0] = 1.0  # a thinned table is the caller's own
-    again = sv_mixture(0.3, spec)
+    again = kept_mixture(0.3, spec)
     assert np.shares_memory(again.probs, pair) and again.probs[0, 0] == table.probs[0, 0] != 1.0
 
 
 def test_a_spec_keeps_the_pair_of_the_last_angle_it_was_used_at():
     spec = SVSpec(0.8)
-    first = sv_mixture(0.1, spec)
-    assert not np.shares_memory(sv_mixture(0.1, spec, 0.7).probs, first.probs)
-    assert np.shares_memory(sv_mixture(0.1, spec).probs, first.probs)
+    first = kept_mixture(0.1, spec)
+    assert not np.shares_memory(kept_mixture(0.1, spec, 0.7).probs, first.probs)
+    assert np.shares_memory(kept_mixture(0.1, spec).probs, first.probs)
     # The kept pair: one stack of the table at the angle and the one at pi/2 minus it.
     assert list(spec._mixtures) == [0.1] and list(spec._mixtures[0.1]) == [spec.n_max]
     pair = spec._mixtures[0.1][spec.n_max].probs
     assert pair.shape == (2, spec.n_max + 1, spec.n_max + 1) and not pair.flags.writeable
     assert first.probs.base is pair and np.array_equal(pair[0], first.probs)
     assert np.array_equal(pair[1], fresh_mixture(0.1, spec, 1.0, reflected=True))
-    second = sv_mixture(0.2, spec)  # a new angle: 0.1's pair goes
+    second = kept_mixture(0.2, spec)  # a new angle: 0.1's pair goes
     assert list(spec._mixtures) == [0.2]
-    rebuilt = sv_mixture(0.1, spec)
+    rebuilt = kept_mixture(0.1, spec)
     assert not np.shares_memory(rebuilt.probs, first.probs) and np.array_equal(rebuilt.probs, first.probs)
-    assert list(spec._mixtures) == [0.1] and not np.shares_memory(sv_mixture(0.2, spec).probs, second.probs)
+    assert list(spec._mixtures) == [0.1] and not np.shares_memory(kept_mixture(0.2, spec).probs, second.probs)
     for theta in np.linspace(0.0, 0.5 * math.pi, 9):
-        sv_mixture(float(theta), spec)
+        kept_mixture(float(theta), spec)
         assert list(spec._mixtures) == [float(theta)] and len(spec._mixtures[float(theta)]) == 1
 
 
 def test_the_kept_tables_belong_to_one_spec_object():
     spec = SVSpec(0.8)
     before = hash(spec)
-    table = sv_mixture(0.3, spec)
+    table = kept_mixture(0.3, spec)
     assert spec == SVSpec(0.8) and hash(spec) == before == hash(SVSpec(0.8))
     assert repr(spec) == "SVSpec(gamma=0.8, mass_threshold=0.99)"
     for other in [SVSpec(0.8), replace(spec), replace(spec, mass_threshold=0.999)]:
         assert other._mixtures == {}
-        assert not np.shares_memory(sv_mixture(0.3, other).probs, table.probs)
-    assert np.array_equal(sv_mixture(0.3, SVSpec(0.8)).probs, table.probs)
+        assert not np.shares_memory(kept_mixture(0.3, other).probs, table.probs)
+    assert np.array_equal(kept_mixture(0.3, SVSpec(0.8)).probs, table.probs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,7 +364,7 @@ def test_guard_mixtures_continue_the_default_mass_ones_bit_for_bit(gamma, theta,
             fresh = SVSpec(which.gamma, which.mass_threshold)  # shares nothing
             assert which.mass == fresh.mass == math.fsum(lambda_sq(n, gamma) for n in range(fresh.n_max + 1))
             for e in [eta, 1.0]:
-                dist = sv_mixture(theta, which, e)
+                dist = kept_mixture(theta, which, e)
                 assert dist.probs.view(np.uint64).tolist() == fresh_mixture(theta, fresh, e).view(np.uint64).tolist()
 
 
@@ -388,7 +390,7 @@ def test_the_closing_term_is_read_off_the_adjacent_angles_tables(gamma, eta, L, 
         bell_sv(chain, spec, eta)  # the guard's pair continues this one
     result = bell_sv(chain, which, eta)
     fresh = SVSpec(gamma, which.mass_threshold)  # shares nothing
-    direct = mean_abs_difference(sv_mixture(chain.theta_prime, fresh, eta))
+    direct = mean_abs_difference(kept_mixture(chain.theta_prime, fresh, eta))
     assert abs(result.rhs - direct) <= CLOSING_REL_TOL * direct
     # Both terms are bit for bit the fresh builds, the closing one reflected.
     adjacent = JointCountDistribution(fresh_mixture(chain.theta, fresh, eta))
@@ -415,7 +417,7 @@ def test_a_spec_computes_each_weight_once(monkeypatch):
         calls.clear()
         for theta in np.linspace(0.0, 0.5 * math.pi, 5):
             for eta in [0.3, 0.8, 1.0]:
-                sv_mixture(float(theta), which, eta)
+                kept_mixture(float(theta), which, eta)
         assert calls == list(range(which.n_max + 1))
 
 
@@ -424,13 +426,13 @@ def test_only_the_guard_helper_shares_the_kept_state():
     guard = _at_mass(spec, GUARD_MASS)
     assert guard == SVSpec(0.8, GUARD_MASS) and repr(guard) == "SVSpec(gamma=0.8, mass_threshold=0.999)"
     assert guard._mixtures is spec._mixtures
-    sv_mixture(0.3, guard)
+    kept_mixture(0.3, guard)
     for other in [SVSpec(0.8), replace(spec), replace(guard), replace(guard, mass_threshold=0.99)]:
         assert other._mixtures == {} and "_truncation" not in vars(other)
     # Two specs share at most two angles' tables, one per truncation.
     for theta in np.linspace(0.0, 0.5 * math.pi, 9):
         for which in [spec, guard]:
-            sv_mixture(float(theta), which, 0.5)
+            kept_mixture(float(theta), which, 0.5)
         assert len(spec._mixtures) <= 2
         assert sorted(spec._mixtures[float(theta)]) == [spec.n_max, guard.n_max]
 
@@ -438,7 +440,7 @@ def test_only_the_guard_helper_shares_the_kept_state():
 def test_threads_sharing_a_spec_and_its_guard_get_the_right_tables():
     gammas, thetas, masses = [0.9, 1.1], [0.1, 0.4, 0.7], [0.99, GUARD_MASS]
     expected = {
-        (g, m, t): sv_mixture(t, SVSpec(g, m)).probs for g in gammas for m in masses for t in thetas
+        (g, m, t): kept_mixture(t, SVSpec(g, m)).probs for g in gammas for m in masses for t in thetas
     }
     pairs = []
     for _ in range(20):
@@ -455,7 +457,7 @@ def test_threads_sharing_a_spec_and_its_guard_get_the_right_tables():
                 start.wait()  # every thread on fresh specs at once
                 for _ in range(6):
                     which, theta = rng.choice(spec_and_guard), rng.choice(thetas)
-                    table = sv_mixture(theta, which).probs
+                    table = kept_mixture(theta, which).probs
                     if not np.array_equal(table, expected[which.gamma, which.mass_threshold, theta]):
                         wrong.append((which, theta))
         except Exception as exc:  # reported by the assert below
@@ -477,8 +479,8 @@ def test_threads_sharing_a_spec_and_its_guard_get_the_right_tables():
 
 def test_lossy_mixture_against_monte_carlo():
     spec = SVSpec(gamma=0.8)
-    exact = sv_mixture(math.pi / 8, spec, eta=0.9)
-    lossless = sv_mixture(math.pi / 8, spec, eta=1.0)
+    exact = kept_mixture(math.pi / 8, spec, eta=0.9)
+    lossless = kept_mixture(math.pi / 8, spec, eta=1.0)
     samples = 500_000
     empirical = mc_thin(lossless, 0.9, samples, seed=404)
     sigma = np.sqrt(np.maximum(exact.probs * (1.0 - exact.probs), 1e-12) / samples)
@@ -621,7 +623,7 @@ def test_count_difference_law_is_the_mixture_histogram_plus_its_tail(gamma, eta,
     # P(k) lies above its histogram of k = m - n, and the gaps sum to the
     # dropped mass.  Both sides round within a few ulp of 1.
     spec = SVSpec(gamma, 1.0 - 1e-13)
-    table = sv_mixture(theta, spec, eta).probs
+    table = kept_mixture(theta, spec, eta).probs
     size = spec.n_max + 1
     histogram = {k: math.fsum(np.diagonal(table, offset=k)) for k in range(1 - size, size)}
     ks = range(-2 * size, 2 * size + 1)
@@ -629,3 +631,129 @@ def test_count_difference_law_is_the_mixture_histogram_plus_its_tail(gamma, eta,
     slack = 2e-15
     assert min(gaps) >= -slack
     assert abs(math.fsum(gaps) - (1.0 - spec.mass)) <= slack
+
+
+def geometric_ratio(gamma, eta):
+    """t = eta sinh(gamma)^2, each count's mean, and q = t / (1 + t), its geometric ratio."""
+    t = eta * math.sinh(gamma) ** 2
+    return t, t / (1.0 + t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    gamma=st.floats(math.log(1e-6), math.log(3.0)).map(math.exp),
+    eta=st.one_of(st.sampled_from([0.0, 5e-324, 1.0]), st.floats(0.0, 1.0)),
+    theta=st.one_of(st.sampled_from([0.0, HALF_PI]), st.floats(0.0, HALF_PI)),
+    mass=st.one_of(st.sampled_from([0.99, 1.0 - 2.0**-53]), st.floats(1e-6, 1.0, exclude_max=True)),
+)
+@example(gamma=1.9, eta=0.9, theta=0.3, mass=0.99)  # 54 counts per beam
+@example(gamma=1.914, eta=1.0, theta=HALF_PI, mass=0.99)  # 61 counts per beam, the most
+@example(gamma=2.5, eta=1.0, theta=0.0, mass=0.99)  # 197 counts per beam: CapExceededError
+def test_count_table_is_nonnegative_and_stops_at_the_first_count_its_tail_bound_allows(gamma, eta, theta, mass):
+    # Entries far below the peak underflow to subnormals, or to 0, in large
+    # tables: that is expected, and they stay nonnegative.
+    t, q = geometric_ratio(gamma, eta)
+    try:
+        table = count_table(theta, gamma, eta, mass)
+    except CapExceededError as raised:
+        assert 2.0 * q ** (MAX_PHOTON_NUMBER + 1) > (1.0 - mass) * (1.0 - 1e-9)
+        assert str(raised).startswith(f"at gain {gamma} and efficiency {eta}, the tail bound needs counts up to ")
+        return
+    k = table.max_count
+    assert table.probs.shape == (k + 1, k + 1) and np.all(table.probs >= 0.0)
+    # The sum rounds within a few ulp of 1: only a mass within 1e-15 of 1 sees that.
+    assert table.mass >= (mass if mass <= 1.0 - 1e-15 else mass - 1e-15)
+    assert 2.0 * q ** (k + 1) <= (1.0 - mass) * (1.0 + 1e-9)
+    assert k == 0 or 2.0 * q**k > (1.0 - mass) * (1.0 - 1e-9)
+
+
+def test_count_table_raises_past_60_counts_before_building_anything():
+    count_table(0.3, 0.5)  # a first call, so that tracing sees no one-time imports or caches
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError) as raised:
+            count_table(0.0, 2.5, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(raised.value) == (
+        "at gain 2.5 and efficiency 1.0, the tail bound needs counts up to 196 per beam, more than 60, "
+        "to hold mass 0.99"
+    )
+    # A 197 x 197 table of floats alone would take 310 kB.
+    assert peak < 20_000
+    assert count_table(0.3, 1.914).max_count == MAX_PHOTON_NUMBER
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.floats(0.01, 1.8), eta=st.floats(0.0, 1.0), theta=st.floats(0.0, HALF_PI))
+@example(gamma=1.8, eta=1.0, theta=1.1)  # a 61 x 61 mixture
+@example(gamma=0.8, eta=1.0, theta=0.0)  # diagonal support
+def test_count_table_lies_above_the_default_mass_mixture_by_at_most_its_dropped_weight(gamma, eta, theta):
+    # Every entry of the untruncated state is the mixture's plus the
+    # components above n_max, which sum to 1 - spec.mass.
+    spec = SVSpec(gamma)
+    table, mixture = count_table(theta, gamma, eta).probs, kept_mixture(theta, spec, eta).probs
+    size = min(len(table), len(mixture))
+    gap = table.copy()
+    gap[:size, :size] -= mixture[:size, :size]
+    slack = 1e-14
+    assert gap.min() >= -slack
+    assert gap.max() <= 1.0 - spec.mass + slack
+
+
+@pytest.mark.parametrize(
+    "gamma, eta, theta",
+    [(0.3, 1.0, 0.4), (0.8, 0.9, math.pi / 8), (0.5, 0.5, HALF_PI), (0.7, 0.75, 0.0), (1.0, 1.0, 1.1)],
+)
+def test_count_table_is_the_high_mass_mixture_and_its_diagonals_the_count_difference_law(gamma, eta, theta):
+    mass = 1.0 - 1e-13
+    table = count_table(theta, gamma, eta, mass).probs
+    mixture = kept_mixture(theta, SVSpec(gamma, mass), eta).probs
+    size = min(len(table), len(mixture))
+    assert np.abs(table[:size, :size] - mixture[:size, :size]).max() <= 1e-14
+    # P(k) lies above the table's histogram of k = m - n, and the gaps sum to
+    # the mass the table drops, up to P(|k| > 2 size) <= 2 q^(2 size + 1) ~ 1e-26.
+    size = len(table)
+    histogram = {k: math.fsum(np.diagonal(table, offset=k)) for k in range(1 - size, size)}
+    gaps = [count_difference_pmf(k, theta, gamma, eta) - histogram.get(k, 0.0) for k in range(-2 * size, 2 * size + 1)]
+    slack = 2e-15
+    assert min(gaps) >= -slack
+    assert abs(math.fsum(gaps) - (1.0 - math.fsum(table.ravel()))) <= slack
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    gamma=st.floats(0.01, 1.9),
+    eta=st.floats(0.0, 1.0),
+    theta=st.floats(0.0, HALF_PI),
+    mass=st.sampled_from([0.5, 0.99, 1.0 - 1e-9, 1.0 - 2.0**-53]),
+)
+@example(gamma=1.9, eta=1.0, theta=HALF_PI, mass=0.99)
+def test_count_table_marginals_are_thermal(gamma, eta, theta, mass):
+    # Each count is geometric, P(n) = (1 - q) q^n with mean t; the table
+    # drops P(n, m > K) <= q^(K+1) of row n, and the same of column n.
+    try:
+        table = count_table(theta, gamma, eta, mass)
+    except CapExceededError:
+        return
+    t, q = geometric_ratio(gamma, eta)
+    k = table.max_count
+    for counts in (table.probs, table.probs.T):
+        for n, row in enumerate(counts):
+            exact = q**n / (1.0 + t)
+            dropped = exact - math.fsum(row)
+            assert -1e-14 * exact <= dropped <= q ** (k + 1) + 1e-14 * exact
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.5, 1.0, 1.9])
+def test_count_table_at_crossed_polarizers_without_loss_is_two_independent_geometric_counts(gamma):
+    # At theta = pi/2, A - t = t^2: the generating function factors.  The
+    # recurrence adds a few ulp per step, up to 2K = 120 steps to the far
+    # corner: at most 4.2e-13 relative over gains 1.5 to 1.914.
+    t, q = geometric_ratio(gamma, 1.0)
+    table = count_table(HALF_PI, gamma).probs
+    counts = np.arange(len(table))
+    geometric = q**counts / (1.0 + t)
+    product = geometric[:, None] * geometric[None, :]
+    assert np.all(np.abs(table - product) <= 1e-12 * product)

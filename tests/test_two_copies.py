@@ -22,7 +22,7 @@ import pytest
 
 from svbell.loss import binomial_thin
 from svbell.singlet import MAX_PHOTON_NUMBER, joint_distribution
-from svbell.sv import correlation_visibility, intensity_correlation, lambda_sq, mean_photons_per_beam
+from svbell.sv import correlation_visibility, count_table, intensity_correlation, lambda_sq, mean_photons_per_beam
 
 # Modes aH, aV, bH, bV; the x block, then the p block.
 A_H, B_H, B_V = 0, 2, 3
@@ -89,6 +89,23 @@ def test_two_epr_copies_equal_the_supersinglet():
         series, kept = supersinglet_pgf(gamma, eta, theta, z_a, z_b)
         gaussian = two_copies_pgf(gamma, eta, theta, z_a, z_b)
         assert abs(gaussian - series) <= 1.0 - kept + 1e-14, (gamma, eta, theta, z_a, z_b)
+
+
+def test_the_exact_count_table_is_the_two_copies_generating_function():
+    # count_table shares no code with the covariance: it runs the recurrence
+    # of 1/D, D the Gaussian generating function's denominator.  |z| <= 1
+    # bounds the omitted counts by the mass the table drops.
+    rng = random.Random(45)
+    seeded = [
+        (rng.uniform(0.05, 1.0), rng.random(), rng.uniform(0.0, math.pi / 2), rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0))
+        for _ in range(200)
+    ]
+    for gamma, eta, theta, z_a, z_b in CORNERS + seeded:
+        table = count_table(theta, gamma, eta, 1.0 - 1e-12)
+        powers = np.arange(table.max_count + 1)
+        exact = z_a**powers @ table.probs @ z_b**powers
+        gaussian = two_copies_pgf(gamma, eta, theta, z_a, z_b)
+        assert abs(gaussian - exact) <= 1.0 - table.mass + 1e-14, (gamma, eta, theta, z_a, z_b)
 
 
 def second_moments(v, j, k):
