@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain import BellBreakdown, ChainSpec, bell_fixed_N, make_chain
+from .chain import BellBreakdown, bell_fixed_N, make_chain
 from .lhv import lhv_minimum
 from .loss import _check_efficiency, binomial_thin
 from .oracle import (
@@ -41,7 +41,8 @@ from .oracle import (
     oracle_joint_distribution,
 )
 from .singlet import MAX_PHOTON_NUMBER, _stacked_tables, joint_distribution
-from .sv import CapExceededError, SVSpec, _at_mass, _check_mass_threshold, bell_sv, count_table
+from .sv import CapExceededError, SVSpec, _at_mass, _bell_sv_sweep, _check_mass_threshold, bell_sv
+from .sv import count_table
 
 # Figure-pipeline convergence guard: squeezed-vacuum sweeps are repeated at
 # this mass threshold and flagged when the Bell parameter moves too much.
@@ -132,27 +133,19 @@ def cmd_dist(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sv_bell_with_guard(
-    chain: ChainSpec, spec: SVSpec, guard: SVSpec, eta: float, name_eta: bool = False
-) -> tuple[BellBreakdown, Optional[str]]:
-    """bell_sv at spec, checked against the same state at the guard mass.
-
-    Drift warnings name eta if ``name_eta``; an unreachable guard mass does not.
-    """
-    result = bell_sv(chain, spec, eta)
-    if spec.mass_threshold >= GUARD_MASS:
-        return result, None
-    where = f"L={chain.L} gamma={spec.gamma}"
-    try:
-        tighter = bell_sv(chain, guard, eta)
-    except CapExceededError:
-        return result, f"{where}: guard mass {GUARD_MASS} unreachable under cap {MAX_PHOTON_NUMBER}"
-    drift = abs(tighter.bell - result.bell)
+def _guard_warning(
+    L: int, spec: SVSpec, res: BellBreakdown, tighter: Optional[BellBreakdown], eta: Optional[float] = None
+) -> Optional[str]:
+    """The warning on ``res`` if ``tighter``, its value at the guard mass, moved too far or is None."""
+    where = f"L={L} gamma={spec.gamma}"
+    if tighter is None:
+        return f"{where}: guard mass {GUARD_MASS} unreachable under cap {MAX_PHOTON_NUMBER}"
+    drift = abs(tighter.bell - res.bell)
     if drift > GUARD_TOL:
-        if name_eta:
+        if eta is not None:
             where += f" eta={eta}"
-        return result, f"{where}: bell moved {drift:.2e} between mass {spec.mass_threshold} and {GUARD_MASS}"
-    return result, None
+        return f"{where}: bell moved {drift:.2e} between mass {spec.mass_threshold} and {GUARD_MASS}"
+    return None
 
 
 def cmd_sweep_settings(args: argparse.Namespace) -> int:
@@ -162,16 +155,24 @@ def cmd_sweep_settings(args: argparse.Namespace) -> int:
     else:
         spec = SVSpec(args.gamma, args.mass)
         guard = _at_mass(spec, GUARD_MASS)
-    rows = []
+    make_chain(lo)  # an L out of range is named before eta or an unreachable mass
+    chains = map(make_chain, range(lo, hi + 1))
     warnings: list[str] = []
-    for L in range(lo, hi + 1):
-        if args.N is not None:
-            res = bell_fixed_N(args.N, make_chain(L), args.eta)
-        else:
-            res, warning = _sv_bell_with_guard(make_chain(L), spec, guard, args.eta)
-            if warning:
+    if args.N is not None:
+        results = [bell_fixed_N(args.N, chain, args.eta) for chain in chains]
+    else:
+        # Every L steps in one stacked ladder, up to the guard's n_max if it is checked and in reach.
+        checked = spec.mass_threshold < GUARD_MASS
+        try:
+            specs = [spec, guard] if checked and guard.n_max >= 0 else [spec]  # n_max raises out of reach
+        except CapExceededError:  # then each L warns of it
+            specs = [spec]
+        results = []
+        for L, (res, *tighter) in zip(range(lo, hi + 1), _bell_sv_sweep(chains, specs, args.eta)):
+            if checked and (warning := _guard_warning(L, spec, res, tighter[0] if tighter else None)):
                 warnings.append(warning)
-        rows.append((L, res.lhs, res.rhs, res.bell))
+            results.append(res)
+    rows = [(L, res.lhs, res.rhs, res.bell) for L, res in zip(range(lo, hi + 1), results)]
     metadata: dict = {} if args.N is not None else {"mass": spec.mass, "n_max": spec.n_max}
     if warnings:
         metadata["convergence_warnings"] = warnings
@@ -211,9 +212,14 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         guard = _at_mass(spec, GUARD_MASS)
         truncation[repr(gamma)] = [spec.n_max, spec.mass]
         for eta in etas:
-            res, warning = _sv_bell_with_guard(chain, spec, guard, eta, name_eta=True)
-            if warning:  # an unreachable guard: once per gain
-                warnings[warning] = None
+            res = bell_sv(chain, spec, eta)
+            if spec.mass_threshold < GUARD_MASS:
+                try:
+                    tighter = bell_sv(chain, guard, eta)
+                except CapExceededError:
+                    tighter = None
+                if warning := _guard_warning(chain.L, spec, res, tighter, eta):  # unreachable: once per gain
+                    warnings[warning] = None
             rows.append((gamma, eta, res.bell))
     metadata: dict = {"truncation": truncation}
     if warnings:

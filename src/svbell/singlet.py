@@ -38,7 +38,8 @@ in all, in any request order.  It holds at most 61 (D, table) pairs, one
 full ladder N = 0..60 at one angle, 3.6 MB at N = 60: no command reuses
 more, and a caller that cycles through several angles rebuilds an angle's
 ladder (N steps) when it returns to it.  Verify's normalization and oracle
-checks share one stack: their angles step together, outside the cache.
+checks share one stack, and ``sweep-settings --gamma`` steps its chains in
+blocks of stacks: their angles step together, outside the cache.
 Every step reads its per-photon constants (the sqrt(i) column and its
 reverse, the column norms and a -1/+1 sign row over the two column halves)
 from a second cache, read-only, one entry per n = 0..59: 60,480 bytes of

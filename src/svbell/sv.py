@@ -19,9 +19,11 @@ by default), not renormalized; only the spec declares its truncation (see
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import sys
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -34,6 +36,7 @@ from .singlet import (
     JointCountDistribution,
     _check_angle,
     _check_photon_number,
+    _stacked_tables,
     joint_distribution,
     mean_abs_difference,
 )
@@ -153,6 +156,14 @@ class CapExceededError(RuntimeError):
     """The state up to MAX_PHOTON_NUMBER photons per beam is not shown to hold the mass threshold."""
 
 
+def _add_component(pairs: np.ndarray, weight: float, tables: np.ndarray) -> None:
+    """Adds weight times each fixed-N table into its pair (..., 2, > N, > N), the second column-reversed."""
+    size = tables.shape[-1]
+    term = weight * tables
+    pairs[..., 0, :size, :size] += term
+    pairs[..., 1, :size, :size] += term[..., ::-1]
+
+
 def _lossless_pair(theta: float, spec: SVSpec) -> JointCountDistribution:
     """Lossless mixtures truncated by spec at theta and pi/2 - theta: one frozen stack, kept by spec.
 
@@ -172,9 +183,7 @@ def _lossless_pair(theta: float, spec: SVSpec) -> JointCountDistribution:
         if start >= 0:
             tables[:, : start + 1, : start + 1] = kept[start].probs
         for n in range(start + 1, n_max + 1):
-            term = weights[n] * joint_distribution(n, theta).probs
-            tables[0, : n + 1, : n + 1] += term
-            tables[1, : n + 1, : n + 1] += term[:, ::-1]
+            _add_component(tables, weights[n], joint_distribution(n, theta).probs)
         tables.setflags(write=False)
         pair = kept[n_max] = JointCountDistribution(tables)
     spec._mixtures.clear()  # any other angle's pairs go
@@ -195,6 +204,29 @@ def bell_sv(chain: ChainSpec, spec: SVSpec, eta: float = 1.0) -> BellBreakdown:
     pair = _lossless_pair(chain.theta, spec)
     adjacent, closing = mean_abs_difference(binomial_thin(pair, eta) if eta < 1.0 else pair)
     return BellBreakdown((2 * chain.L - 1) * adjacent, closing, spec.n_max, spec.mass)
+
+
+# Entries per table stack that ``_bell_sv_sweep`` steps: its memory does not grow with its chains.
+_SWEEP_ENTRIES = 2**14
+
+
+def _bell_sv_sweep(chains: Iterable[ChainSpec], specs: Sequence[SVSpec], eta: float) -> Iterator[tuple]:
+    """``tuple(bell_sv(chain, spec, eta) for spec in specs)`` per chain, bit for bit; one gain, masses rising.
+
+    Each block of chains steps its angles through one stacked ladder to the largest n_max, bypassing the
+    rotation cache and the kept pairs; the pairs are read at each spec's n_max, thinned once, reduced once.
+    """
+    _check_efficiency(eta)
+    weights, top, chains = specs[-1]._truncation[0], specs[-1].n_max, iter(chains)
+    while block := list(itertools.islice(chains, max(1, _SWEEP_ENTRIES // (top + 1) ** 2))):
+        pairs, out = np.zeros((len(block), 2, top + 1, top + 1)), []
+        for n, tables in enumerate(_stacked_tables(top, [chain.theta for chain in block])):
+            _add_component(pairs, weights[n], tables)
+            for spec in [s for s in specs if s.n_max == n]:
+                pair = JointCountDistribution(pairs[..., : n + 1, : n + 1])
+                d = mean_abs_difference(binomial_thin(pair, eta) if eta < 1.0 else pair)
+                out.append([BellBreakdown((2 * c.L - 1) * a, b, n, spec.mass) for c, (a, b) in zip(block, d)])
+        yield from zip(*out)
 
 
 def _difference_parameter(theta: float, gamma: float, eta: float) -> float:

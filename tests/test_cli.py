@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from svbell.chain import make_chain
 from svbell.cli import GUARD_MASS, MAX_GRID_POINTS, main, run_verification
 from svbell.oracle import mc_thin, oracle_joint_distribution
 from svbell.singlet import MAX_PHOTON_NUMBER, _stacked_tables, joint_distribution
-from svbell.sv import SVSpec, bell_sv, count_table
+from svbell.sv import SVSpec, _bell_sv_sweep, bell_sv, count_table
 
 
 def _counting(calls, name, fn):
@@ -40,7 +41,7 @@ def _counting(calls, name, fn):
 def compute_calls(monkeypatch):
     """Names of the computations the CLI starts, in call order."""
     calls = []
-    for name in ("bell_sv", "bell_fixed_N", "count_table", "joint_distribution", "run_verification"):
+    for name in ("bell_sv", "_bell_sv_sweep", "bell_fixed_N", "count_table", "joint_distribution", "run_verification"):
         monkeypatch.setattr(svbell.cli, name, _counting(calls, name, getattr(svbell.cli, name)))
     return calls
 
@@ -450,20 +451,56 @@ def test_heatmap_sums_an_unreachable_guard_mass_once(capsys, monkeypatch):
 
 
 def test_sweep_settings_reads_each_table_once(capsys, monkeypatch):
-    reads = []
-    build = svbell.sv.joint_distribution
+    ladders, tables, reads = [], [], []
+    stacked = svbell.sv._stacked_tables
 
-    def recorded(N, theta):
-        reads.append((N, theta))
-        return build(N, theta)
+    def recorded(max_N, thetas):
+        ladders.append((max_N, thetas))
+        for N, stack in enumerate(stacked(max_N, thetas)):
+            tables.extend((N, theta) for theta in thetas)
+            yield stack
 
-    monkeypatch.setattr(svbell.sv, "joint_distribution", recorded)
+    monkeypatch.setattr(svbell.sv, "_stacked_tables", recorded)
+    monkeypatch.setattr(svbell.sv, "joint_distribution", lambda N, theta: reads.append((N, theta)))
     code, _, _ = run_cli(["sweep-settings", "--gamma", "0.8", "--L-range", "2:4"], capsys)
     assert code == 0
-    # Three L, one angle each, every table up to the guard mass read once:
-    # the closing mixtures are read off the adjacent angles' tables.
-    assert len(reads) == len(set(reads)) == 3 * 1 * (SVSpec(0.8, GUARD_MASS).n_max + 1)
-    assert {theta for _, theta in reads} == {make_chain(L).theta for L in (2, 3, 4)}
+    # Three L, one angle each, stepped together in one ladder up to the
+    # guard's n_max, every table built once: the closing mixtures are read
+    # off the adjacent angles' tables, and no table is asked of the cache.
+    n_max = SVSpec(0.8, GUARD_MASS).n_max
+    assert ladders == [(n_max, [make_chain(L).theta for L in (2, 3, 4)])]
+    assert len(tables) == len(set(tables)) == 3 * 1 * (n_max + 1)
+    assert reads == []
+
+
+def test_an_unreachable_guard_is_named_once_per_L_of_a_lossy_sweep(capsys):
+    # Gain 1.75 reaches mass 0.99 at N = 54, not the guard's 0.999: blocks of
+    # five chains, each thinned as one stack, and one warning per L.
+    argv = ["sweep-settings", "--gamma", "1.75", "--eta", "0.9", "--L-range", "2:70"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    metadata, _, rows = parse_csv(out)
+    spec = SVSpec(1.75)
+    expected = [bell_sv(make_chain(L), spec, 0.9) for L in range(2, 71)]
+    assert rows == [[str(L), repr(r.lhs), repr(r.rhs), repr(r.bell)] for L, r in zip(range(2, 71), expected)]
+    assert metadata["convergence_warnings"] == [
+        f"L={L} gamma=1.75: guard mass {GUARD_MASS} unreachable under cap 60" for L in range(2, 71)
+    ]
+
+
+def test_a_sweeps_memory_grows_with_its_rows_alone(capsys):
+    # The rows, warnings and text printed take under 1 kB per L.  The tables
+    # of every chain, stepped as one stack, would take about 60 kB per L at
+    # this gain (guard n_max 24); in blocks their peak is the same at any length.
+    def peak(L_range):
+        tracemalloc.start()
+        try:
+            assert run_cli(["sweep-settings", "--gamma", "1.2", "--L-range", L_range], capsys)[0] == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak("2:2001") - peak("2:201") < 1800 * 1000
 
 
 def exact_bell(L, gamma, eta):
@@ -551,13 +588,19 @@ def test_a_run_at_the_guard_mass_or_above_is_not_checked_again(argv, cells, caps
         masses.append(spec.mass_threshold)
         return bell_sv(chain, spec, eta)
 
+    def recorded_sweep(chains, specs, eta):
+        masses.extend(spec.mass_threshold for spec in specs)
+        return _bell_sv_sweep(chains, specs, eta)
+
     monkeypatch.setattr(svbell.cli, "bell_sv", recorded)
+    monkeypatch.setattr(svbell.cli, "_bell_sv_sweep", recorded_sweep)
     code, out, err = run_cli(argv, capsys)
     assert (code, err) == (0, "")
     metadata, _, rows = parse_csv(out)
-    # One bell_sv call per cell, at the run's own mass, and nothing to warn of.
+    # The run's own mass alone, and nothing to warn of: one bell_sv call per
+    # heatmap cell, or one stacked sweep over every L.
     assert len(rows) == cells
-    assert masses == [float(argv[-1])] * cells
+    assert masses == [float(argv[-1])] * (1 if argv[0] == "sweep-settings" else cells)
     assert "convergence_warnings" not in metadata
 
 
@@ -705,7 +748,7 @@ def test_out_is_left_as_it_was_when_the_command_fails(existing, capsys, tmp_path
     code, out, _ = run_cli(argv, capsys)
     assert code == 3
     assert out == ""
-    assert compute_calls == ["bell_sv"]  # failed in the first cell, after the --out check
+    assert compute_calls == ["_bell_sv_sweep"]  # failed in the sweep, after the --out check
     if existing is None:
         assert not out_path.exists()
     else:
@@ -716,7 +759,7 @@ def test_interrupted_run_leaves_no_out_file(monkeypatch, tmp_path):
     def interrupt(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(svbell.cli, "bell_sv", interrupt)
+    monkeypatch.setattr(svbell.cli, "_bell_sv_sweep", interrupt)
     out_path = tmp_path / "sweep.csv"
     with pytest.raises(KeyboardInterrupt):
         main(["sweep-settings", "--gamma", "0.5", "--L-range", "2:3", "--out", str(out_path)])
@@ -787,9 +830,8 @@ def test_a_second_verify_reads_every_singlet_table_from_the_cache():
         # gains and efficiencies reuse it; a second heatmap reads it all again.
         (["heatmap", "--L", "2", "--gamma-range", "0.2:1.6:0.2", "--eta-range", "0.9:1.0:0.1"], [57, 57]),
         (["dist", "--N", "60", "--theta", "0.3"], [61, 61]),
-        # A fresh angle per L, one ladder N = 0..10 each, every table built
-        # once; a second sweep returns to angles whose ladders have gone.
-        (["sweep-settings", "--gamma", "0.8", "--L-range", "2:60"], [59 * 11, 2 * 59 * 11]),
+        # Every L's angle steps in one stacked ladder outside the cache, which stays empty.
+        (["sweep-settings", "--gamma", "0.8", "--L-range", "2:60"], [0, 0]),
     ],
     ids=["heatmap", "dist", "sweep-settings"],
 )

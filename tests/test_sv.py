@@ -403,6 +403,31 @@ def test_the_closing_term_is_read_off_the_adjacent_angles_tables(gamma, eta, L, 
     assert kept[1].tobytes() == fresh_mixture(chain.theta, fresh, 1.0, reflected=True).tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    gamma=st.floats(0.005, 1.75),
+    mass=st.floats(0.5, 0.99),
+    eta=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    lo=st.integers(2, 400),
+    count=st.integers(1, 71),
+)
+@example(gamma=0.01, mass=0.99, eta=0.5, lo=2, count=3)  # n_max 0 at both masses
+@example(gamma=1.75, mass=0.99, eta=0.9, lo=2, count=69)  # guard out of reach; 14 blocks of at most 5 chains
+@example(gamma=1.2, mass=0.99, eta=1.0, lo=2, count=60)  # blocks of 26 chains, at the guard's n_max 24
+def test_a_stacked_sweep_is_each_chains_bell_sv_bit_for_bit(gamma, mass, eta, lo, count):
+    spec = SVSpec(gamma, mass)
+    specs = [spec, _at_mass(spec, GUARD_MASS)]
+    try:
+        specs[1].n_max
+    except CapExceededError:  # the command line then reads the default mass alone
+        specs.pop()
+    chains = [make_chain(L) for L in range(lo, lo + count)]
+    stacked = list(svbell.sv._bell_sv_sweep(iter(chains), specs, eta))
+    assert spec._mixtures == {}  # nothing kept, nothing read from the kept pairs
+    expected = [tuple(bell_sv(chain, which, eta) for which in specs) for chain in chains]
+    assert repr(stacked) == repr(expected)  # repr tells every float bit apart
+
+
 def test_a_spec_computes_each_weight_once(monkeypatch):
     calls = []
 
